@@ -3,8 +3,8 @@
 Subcommands: fibre, grade-map, leaf, homog, check-iso, parse.  A flat
 ``key = value`` config file mirrors the flags (flags win); every output
 embeds the effective config so that re-running an emitted config
-reproduces the JSON payload byte-identically at a fixed seed and thread
-count.  All floating-point output uses 17 significant digits.
+reproduces the JSON payload byte-identically at a fixed seed.  All
+floating-point output uses 17 significant digits.
 
 Exit codes: 0 pass, 1 runtime error, 2 flagged numerical result,
 3 negative verdict, 64 usage error, 65 model parse error.
@@ -237,7 +237,6 @@ def _add_common(parser):
     parser.add_argument("--param", action="append", help="model parameter name=value")
     parser.add_argument("--config", help="flat key=value config file (flags override)")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int)
     parser.add_argument("--mode", choices=["pointwise", "germ1"])
     parser.add_argument("--tol-rank", type=float, dest="tol_rank")
     parser.add_argument("--tol-residual", type=float, dest="tol_residual")
@@ -268,7 +267,6 @@ def _resolve_common(settings, command):
         model = load_model_file(mdl_path, params=params or None)
 
     seed = settings.get("seed", "seed", 0, int)
-    threads = settings.get("threads", "threads", os.cpu_count() or 1, int)
     tol = Tolerances(
         rank_rel=settings.get("tol.rank_rel", "tol_rank", 1e-8, float),
         fd_step_rel=settings.get("tol.fd_rel", "tol_fd_rel", 1e-6, float),
@@ -282,7 +280,7 @@ def _resolve_common(settings, command):
         "sampler.det_min": format_float(sampler.det_min),
         "sampler.cond_max": format_float(sampler.cond_max),
     })
-    return model, sampler, tol, threads
+    return model, sampler, tol
 
 
 def _json_only(settings):
@@ -331,7 +329,7 @@ def _write_output(settings, result_dict, out_path, fmt="json", csv_writer=None):
 
 def _cmd_fibre(args):
     settings = _Settings(args, read_config(args.config) if args.config else {})
-    model, sampler, tol, _ = _resolve_common(settings, "fibre")
+    model, sampler, tol = _resolve_common(settings, "fibre")
     point = _parse_floats(settings.get("point", "point", None, str), 3, "--point")
     mode = settings.get("mode", "mode", "pointwise")
     radius = settings.get("germ.radius", "germ_radius", GERM_RADIUS, float)
@@ -347,7 +345,7 @@ def _cmd_fibre(args):
 
 def _cmd_grade_map(args):
     settings = _Settings(args, read_config(args.config) if args.config else {})
-    model, sampler, tol, threads = _resolve_common(settings, "grade-map")
+    model, sampler, tol = _resolve_common(settings, "grade-map")
     lo = _parse_floats(settings.get("grid.lo", "grid_lo", "-0.9,-0.9,-0.9", str), 3, "--grid-lo")
     hi = _parse_floats(settings.get("grid.hi", "grid_hi", "0.9,0.9,0.9", str), 3, "--grid-hi")
     n_text = settings.get("grid.n", "grid_n", "21", str)
@@ -363,28 +361,38 @@ def _cmd_grade_map(args):
     out = settings.get("out", "out", None)
     slice_text = settings.get("slice", "slice", None, str)
     svg_path = settings.get("svg", "svg", None, str)
+    if svg_path:
+        axis, value = _parse_slice(slice_text)
 
     field = grade_map(model, GridSpec(tuple(lo), tuple(hi), tuple(counts)), mode=mode,
-                      sampler=sampler, tol=tol, threads=threads,
-                      germ_radius=radius, germ_cloud=cloud)
+                      sampler=sampler, tol=tol, germ_radius=radius, germ_cloud=cloud)
     if svg_path:
-        if not slice_text:
-            raise _UsageError("--svg for grade-map needs --slice axis=value")
-        axis_name, _, value_text = slice_text.partition("=")
-        axis = _AXIS_NAMES.get(axis_name.strip().lower())
-        if axis is None:
-            raise _UsageError(f"unknown slice axis {axis_name!r}")
         with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(grade_slice_svg(field, axis, float(value_text or 0.0)))
+            fh.write(grade_slice_svg(field, axis, value))
     _write_output(settings, grade_field_json_dict(field), out, fmt,
                   csv_writer=lambda fh: grade_field_csv(field, fh))
     flagged = bool(field.errors) or not bool(field.validated[field.known].all())
     return EXIT_FLAGGED if flagged else EXIT_OK
 
 
+def _parse_slice(text):
+    """``axis=value`` of a grade-map SVG slice, checked before any compute."""
+    if not text:
+        raise _UsageError("--svg for grade-map needs --slice axis=value")
+    axis_name, _, value_text = text.partition("=")
+    axis = _AXIS_NAMES.get(axis_name.strip().lower())
+    if axis is None:
+        raise _UsageError(f"unknown slice axis {axis_name!r}")
+    try:
+        value = float(value_text or 0.0)
+    except ValueError:
+        raise _UsageError(f"bad --slice value {value_text!r}") from None
+    return axis, value
+
+
 def _cmd_leaf(args):
     settings = _Settings(args, read_config(args.config) if args.config else {})
-    model, sampler, tol, _ = _resolve_common(settings, "leaf")
+    model, sampler, tol = _resolve_common(settings, "leaf")
     point = _parse_floats(settings.get("point", "point", None, str), 3, "--point")
     direction = _parse_floats(settings.get("dir", "dir", "0,1,0", str), 3, "--dir")
     steps = settings.get("steps", "steps", 200, int)
@@ -451,7 +459,7 @@ def _build_chart(settings):
 
 def _cmd_homog(args):
     settings = _Settings(args, read_config(args.config) if args.config else {})
-    model, sampler, tol, _ = _resolve_common(settings, "homog")
+    model, sampler, tol = _resolve_common(settings, "homog")
     chart = _build_chart(settings)
     n_pairs = settings.get("pairs", "pairs", 12, int)
     n_samples = settings.get("samples", "samples", 10, int)
@@ -469,7 +477,7 @@ def _cmd_homog(args):
 
 def _cmd_check_iso(args):
     settings = _Settings(args, read_config(args.config) if args.config else {})
-    model, sampler, tol, _ = _resolve_common(settings, "check-iso")
+    model, sampler, tol = _resolve_common(settings, "check-iso")
     source = _parse_floats(settings.get("from", "from_point", None, str), 3, "--from")
     target = _parse_floats(settings.get("to", "to_point", None, str), 3, "--to")
     p_text = settings.get("P", "P", "identity", str)

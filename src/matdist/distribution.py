@@ -14,12 +14,19 @@ the constraints are polynomial in F, so generic finite samples determine
 the kernel, and validation catches unlucky draws.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FibreInstabilityError, NonFiniteError, SingularMatrixError
-from .numkit import DEFAULT_TOL, rank_split
+from .errors import (
+    DomainError,
+    FibreInstabilityError,
+    MatdistError,
+    NonFiniteError,
+    SingularMatrixError,
+)
+from .numkit import DEFAULT_TOL, rank_split, stacked_svd
 from .response import derivatives_at_samples, evaluate_at_samples
 
 __all__ = [
@@ -29,6 +36,7 @@ __all__ = [
     "IsoCheck",
     "admissibility_block",
     "material_fibre",
+    "pointwise_grades",
     "base_basis_at",
     "symmetry_algebra",
     "is_material_isomorphism",
@@ -142,37 +150,62 @@ def _point_rng(sampler, key_values, salt):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+_SAMPLER_BATCHES = 200
+
+
 def sample_gradients(rng, count, sampler):
     """Draw accepted random gradients (finite |det| and condition bounds)."""
-    out = []
-    guard = 0
-    while sum(len(b) for b in out) < count:
-        batch = rng.standard_normal((max(8, 2 * count), 3, 3))
-        keep = (np.abs(np.linalg.det(batch)) >= sampler.det_min) & (
-            np.linalg.cond(batch) <= sampler.cond_max
-        )
-        out.append(batch[keep])
-        guard += 1
-        if guard > 200:
-            raise RuntimeError("gradient sampler failed to find acceptable samples")
-    return np.concatenate(out)[:count]
+    return _sample_many([rng], count, sampler)[0]
+
+
+def _sample_many(rngs, count, sampler):
+    """``count`` accepted gradients from each generator: ``(len(rngs), count, 3, 3)``.
+
+    Every generator draws the same candidate batches, in the same order, as
+    it would alone; only the det/cond acceptance test is stacked over them.
+    """
+    size = max(8, 2 * count)
+    accepted = [[] for _ in rngs]
+    have = [0] * len(rngs)
+    short = list(range(len(rngs)))
+    for _ in range(_SAMPLER_BATCHES):
+        batch = np.stack([rngs[i].standard_normal((size, 3, 3)) for i in short])
+        flat = batch.reshape(-1, 3, 3)
+        keep = ((np.abs(np.linalg.det(flat)) >= sampler.det_min)
+                & (np.linalg.cond(flat) <= sampler.cond_max)).reshape(len(short), size)
+        still_short = []
+        for j, i in enumerate(short):
+            accepted[i].append(batch[j][keep[j]])
+            have[i] += int(keep[j].sum())
+            if have[i] < count:
+                still_short.append(i)
+        short = still_short
+        if not short:
+            return np.stack([np.concatenate(parts)[:count] for parts in accepted])
+    raise RuntimeError("gradient sampler failed to find acceptable samples")
 
 
 def _solve_set(rng, k, sampler):
-    return np.concatenate([sampler.anchor_matrices(), sample_gradients(rng, k, sampler)])
+    return _solve_sets([rng], k, sampler)[0]
+
+
+def _solve_sets(rngs, k, sampler):
+    """Anchors followed by ``k`` random gradients, per generator: ``(n, k+3, 3, 3)``."""
+    anchors = np.repeat(sampler.anchor_matrices()[None], len(rngs), axis=0)
+    return np.concatenate([anchors, _sample_many(rngs, k, sampler)], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # admissibility rows
 
 
-def _blocks(model, X, Fs, tol):
-    """Stacked admissibility rows for a batch of gradients: (k*d, 12)."""
-    dWdX, dWdF = derivatives_at_samples(model, X, Fs, tol)
-    k, d = dWdF.shape[0], dWdF.shape[1]
-    G = dWdF.reshape(k, d, 3, 3)
-    BP = np.einsum("kcji,kjl->kcli", G, np.asarray(Fs, dtype=float)).reshape(k, d, 9)
-    return np.concatenate([dWdX, BP], axis=2).reshape(k * d, 12)
+def _blocks(model, Xs, Fs, tol):
+    """Stacked admissibility rows, gradients ``Fs[i]`` at point ``Xs[i]``: (n, k*d, 12)."""
+    dWdX, dWdF = derivatives_at_samples(model, Xs, Fs, tol)
+    n, k, d = dWdF.shape[:3]
+    G = dWdF.reshape(n * k, d, 3, 3)
+    BP = np.einsum("kcji,kjl->kcli", G, Fs.reshape(n * k, 3, 3)).reshape(n, k, d, 9)
+    return np.concatenate([dWdX, BP], axis=3).reshape(n, k * d, 12)
 
 
 def admissibility_block(model, X, F, tol=DEFAULT_TOL):
@@ -183,35 +216,42 @@ def admissibility_block(model, X, F, tol=DEFAULT_TOL):
         raise DomainError(f"point {X.tolist()} is outside the domain of model {model.name!r}")
     if abs(float(np.linalg.det(F))) < 1e-12:
         raise SingularMatrixError("F is numerically singular")
-    return _blocks(model, X, F[None], tol)
+    return _blocks(model, X[None], F[None, None], tol)[0]
 
 
 # ---------------------------------------------------------------------------
 # fibre computation
+#
+# One kernel serves every fibre: a system yields admissibility rows for a set
+# of nodes, one generator per node; _saturate solves them in lockstep and
+# _fibres validates and grades the results.  material_fibre and base_basis_at
+# are its one-node case, pointwise_grades runs it over chunks of grid nodes.
 
-_DX_SLICE = {"pointwise": slice(0, 3), "germ1": slice(0, 3)}
-_DP_SLICE = {"pointwise": slice(3, 12), "germ1": slice(12, 21)}
+_CHUNK_NODES = 16  # nodes per lockstep batch: larger chunks gain no speed and cost memory
 
 
 class _PointwiseSystem:
-    n_unknowns = 12
+    """Admissibility rows at a batch of body points."""
 
-    def __init__(self, model, X, tol):
+    n_unknowns = 12
+    dx = slice(0, 3)
+    dp = slice(3, 12)
+    points_per_node = 1
+
+    def __init__(self, model, Xs, tol):
         self.model = model
-        self.X = X
+        self.Xs = Xs
         self.tol = tol
 
-    def rows(self, rng, k, sampler):
-        Fs = _solve_set(rng, k, sampler)
-        return _blocks(self.model, self.X, Fs, self.tol), len(Fs)
+    def rows(self, nodes, rngs, k, sampler):
+        return _blocks(self.model, self.Xs[nodes], _solve_sets(rngs, k, sampler), self.tol)
 
-    def heldout_rows(self, rng, k, sampler):
-        Fs = sample_gradients(rng, k, sampler)
-        return _blocks(self.model, self.X, Fs, self.tol)
+    def heldout_rows(self, nodes, rngs, k, sampler):
+        return _blocks(self.model, self.Xs[nodes], _sample_many(rngs, k, sampler), self.tol)
 
 
 class _GermSystem:
-    """First-order field ansatz over a small point cloud.
+    """First-order field ansatz over a small point cloud around one node.
 
     Unknowns (48): base value dX0, base slope A (dX(X') = dX0 + A(X'-X)),
     fibre value dP0 and fibre slope Q (dP(X') = dP0 + Q(X'-X), contraction
@@ -219,38 +259,36 @@ class _GermSystem:
     """
 
     n_unknowns = 48
+    dx = slice(0, 3)
+    dp = slice(12, 21)
 
     def __init__(self, model, X, tol, radius, count):
         self.model = model
         self.X = X
         self.tol = tol
         self.cloud = _cloud_points(model, X, radius, count)
+        self.points_per_node = len(self.cloud)
 
-    def _lift(self, rows, delta):
-        BX = rows[:, :3]
-        BP = rows[:, 3:]
-        cols_a = np.einsum("ri,j->rij", BX, delta).reshape(len(rows), 9)
-        cols_q = np.einsum("rp,m->rpm", BP, delta).reshape(len(rows), 27)
-        return np.concatenate([BX, cols_a, BP, cols_q], axis=1)
+    def _assemble(self, rngs, k, sampler, with_anchors):
+        (rng,) = rngs
+        # the draws stay sequential, cloud point by cloud point
+        draw = _solve_set if with_anchors else sample_gradients
+        Fs = np.stack([draw(rng, k, sampler) for _ in self.cloud])
+        rows = _blocks(self.model, self.cloud, Fs, self.tol)  # (points, R, 12)
+        delta = self.cloud - self.X
+        p, r = rows.shape[:2]
+        BX = rows[:, :, :3]
+        BP = rows[:, :, 3:]
+        cols_a = np.einsum("pri,pj->prij", BX, delta).reshape(p, r, 9)
+        cols_q = np.einsum("prq,pm->prqm", BP, delta).reshape(p, r, 27)
+        lifted = np.concatenate([BX, cols_a, BP, cols_q], axis=2)
+        return lifted.reshape(1, p * r, self.n_unknowns)
 
-    def _assemble(self, rng, k, sampler, with_anchors):
-        parts = []
-        total = 0
-        for point in self.cloud:
-            if with_anchors:
-                Fs = _solve_set(rng, k, sampler)
-            else:
-                Fs = sample_gradients(rng, k, sampler)
-            total += len(Fs)
-            rows = _blocks(self.model, point, Fs, self.tol)
-            parts.append(self._lift(rows, point - self.X))
-        return np.concatenate(parts), total
+    def rows(self, nodes, rngs, k, sampler):
+        return self._assemble(rngs, k, sampler, with_anchors=True)
 
-    def rows(self, rng, k, sampler):
-        return self._assemble(rng, k, sampler, with_anchors=True)
-
-    def heldout_rows(self, rng, k, sampler):
-        return self._assemble(rng, k, sampler, with_anchors=False)[0]
+    def heldout_rows(self, nodes, rngs, k, sampler):
+        return self._assemble(rngs, k, sampler, with_anchors=False)
 
 
 def _cloud_points(model, X, radius, count):
@@ -279,49 +317,143 @@ def _fibonacci_directions(n):
     )
 
 
-def _saturate(system, rng, sampler):
-    """Double the sample count until the null dimension repeats."""
-    dims = []
+@dataclass
+class _NodeFibre:
+    """What the kernel learns at one node; grade fields keep three fields of it."""
+
+    basis: np.ndarray
+    fibre_gap: float
+    dims: list
+    k: int
+    heldout: float = 0.0
+    validated: bool = True
+    grade: int = 0
+    base: np.ndarray = None
+    grade_gap: float = np.inf
+    sym: list = field(default_factory=list)
+
+    @property
+    def rank_gap(self):
+        return min(self.fibre_gap, self.grade_gap)
+
+
+def _saturate(system, rngs, sampler):
+    """Double the sample count until each node's null dimension repeats.
+
+    The nodes run in lockstep: a round draws ``k`` gradients per open node,
+    factorizes all their systems with one stacked SVD and closes every node
+    whose null dimension repeats.  Returns a :class:`_NodeFibre` or a
+    :class:`FibreInstabilityError` per node.
+    """
+    results = [None] * len(rngs)
+    dims = [[] for _ in rngs]
+    open_nodes = list(range(len(rngs)))
     k = sampler.k_init
-    while True:
-        M, used = system.rows(rng, k, sampler)
-        _, s, vh = np.linalg.svd(M)
-        rank, gap = rank_split(s, system.tol.rank_rel)
-        basis = vh[rank:].T.copy()
-        dims.append(basis.shape[1])
-        if len(dims) >= 2 and dims[-1] == dims[-2]:
-            return basis, gap, dims, k, used
-        if 2 * k > sampler.k_max:
-            raise FibreInstabilityError(
-                f"null dimension did not stabilize within k_max={sampler.k_max}", dims
-            )
+    while open_nodes:
+        M = system.rows(open_nodes, [rngs[i] for i in open_nodes], k, sampler)
+        _, s, vh = stacked_svd(M)
+        still_open = []
+        for j, i in enumerate(open_nodes):
+            rank, gap = rank_split(s[j], system.tol.rank_rel)
+            dims[i].append(system.n_unknowns - rank)
+            if len(dims[i]) >= 2 and dims[i][-1] == dims[i][-2]:
+                results[i] = _NodeFibre(vh[j, rank:].T.copy(), gap, dims[i], k)
+            elif 2 * k > sampler.k_max:
+                results[i] = FibreInstabilityError(
+                    f"null dimension did not stabilize within k_max={sampler.k_max}", dims[i]
+                )
+            else:
+                still_open.append(i)
+        open_nodes = still_open
         k *= 2
+    return results
 
 
-def _grade_and_base(basis, rank_rel, dx):
-    rows = basis[dx, :]
-    if basis.shape[1] == 0:
-        return 0, np.zeros((3, 0)), np.inf
-    U, s, _ = np.linalg.svd(rows)
-    # basis columns are unit vectors, so 1 is the natural scale; anchoring
-    # the cutoff there keeps pure-noise rows from faking base directions
-    grade, gap = rank_split(s, rank_rel, scale=max(float(s[0]) if s.size else 0.0, 1.0))
-    return grade, U[:, :grade].copy(), gap
+def _validate(system, rngs, sampler, solved):
+    """Held-out residuals on fresh samples disjoint from the solve sets.
+
+    The samples continue each node's generator; nodes are batched by their
+    final sample count.  ``solved`` maps node index to :class:`_NodeFibre`.
+    """
+    by_k = defaultdict(list)
+    for i, node in solved.items():
+        if node.basis.shape[1] > 0:
+            by_k[node.k].append(i)
+    for k, nodes in by_k.items():
+        H = system.heldout_rows(nodes, [rngs[i] for i in nodes], k, sampler)
+        for j, i in enumerate(nodes):
+            per_vector = np.abs(H[j] @ solved[i].basis).max(axis=0)
+            solved[i].heldout = float(per_vector.max())
+            solved[i].validated = bool(np.all(per_vector <= system.tol.residual_tol))
 
 
-def _symmetry_basis(basis, rank_rel, dx, dp):
-    if basis.shape[1] == 0:
-        return []
-    rows = basis[dx, :]
-    _, s, vh = np.linalg.svd(rows)
-    rank, _ = rank_split(s, rank_rel, scale=max(float(s[0]) if s.size else 0.0, 1.0))
-    coeff = vh[rank:].T
+def _grade(system, nodes, symmetry):
+    """Grade, base basis and (optionally) symmetry algebra from each fibre basis.
+
+    One SVD of the base rows ``basis[dx, :]`` per node, stacked over nodes of
+    equal fibre dimension, gives both the grade (its rank) and the symmetry
+    coefficients (its null space).
+    """
+    rank_rel = system.tol.rank_rel
+    by_dim = defaultdict(list)
+    for node in nodes:
+        by_dim[node.basis.shape[1]].append(node)
+    for f, group in by_dim.items():
+        if f == 0:
+            for node in group:
+                node.base = np.zeros((3, 0))
+            continue
+        U, s, vh = stacked_svd(np.stack([node.basis[system.dx, :] for node in group]))
+        for j, node in enumerate(group):
+            # basis columns are unit vectors, so 1 is the natural scale; anchoring
+            # the cutoff there keeps pure-noise rows from faking base directions
+            node.grade, node.grade_gap = rank_split(s[j], rank_rel, scale=max(float(s[j][0]), 1.0))
+            node.base = U[j, :, :node.grade].copy()
+            if symmetry:
+                node.sym = _symmetry_basis(node.basis, vh[j, node.grade:].T, system.dp, rank_rel)
+
+
+def _symmetry_basis(basis, coeff, dp, rank_rel):
     if coeff.shape[1] == 0:
         return []
     S = (basis @ coeff)[dp, :]
-    U, s2, _ = np.linalg.svd(S, full_matrices=False)
-    keep, _ = rank_split(s2, rank_rel, scale=max(float(s2[0]) if s2.size else 0.0, 1.0))
+    U, s, _ = stacked_svd(S)
+    keep, _ = rank_split(s, rank_rel, scale=max(float(s[0]) if s.size else 0.0, 1.0))
     return [U[:, j].reshape(3, 3).copy() for j in range(keep)]
+
+
+def _fibres(system, rngs, sampler, validate=True, symmetry=False):
+    """Saturate, validate and grade every node of ``system``.
+
+    Returns one :class:`_NodeFibre` or :class:`MatdistError` per node.  A
+    failure that the batch cannot attribute to one node (a non-finite
+    response, say) raises instead.
+    """
+    results = _saturate(system, rngs, sampler)
+    solved = {i: r for i, r in enumerate(results) if isinstance(r, _NodeFibre)}
+    if validate:
+        _validate(system, rngs, sampler, solved)
+    _grade(system, solved.values(), symmetry)
+    return results
+
+
+def _pointwise(model, Xs, sampler, tol, validate=True, symmetry=False):
+    rngs = [_point_rng(sampler, X, salt=0) for X in Xs]
+    return _fibres(_PointwiseSystem(model, Xs, tol), rngs, sampler, validate, symmetry)
+
+
+def _one_node(results):
+    (result,) = results
+    if isinstance(result, MatdistError):
+        raise result
+    return result
+
+
+def _check_domain(model, X):
+    X = np.asarray(X, dtype=float)
+    if not model.in_domain(X):
+        raise DomainError(f"point {X.tolist()} is outside the domain of model {model.name!r}")
+    return X
 
 
 def material_fibre(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL, mode="pointwise",
@@ -334,46 +466,58 @@ def material_fibre(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL, mode="poi
     strata (an isolated degenerate point constrains nearby field values,
     not just the value at the point itself).
     """
-    X = np.asarray(X, dtype=float)
-    if not model.in_domain(X):
-        raise DomainError(f"point {X.tolist()} is outside the domain of model {model.name!r}")
+    X = _check_domain(model, X)
     if mode == "pointwise":
-        system = _PointwiseSystem(model, X, tol)
+        system = _PointwiseSystem(model, X[None], tol)
     elif mode == "germ1":
         system = _GermSystem(model, X, tol, germ_radius, germ_cloud)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     rng = _point_rng(sampler, X, salt=0 if mode == "pointwise" else 1)
-    basis, gap_fibre, dims, k_final, used = _saturate(system, rng, sampler)
-
-    # held-out validation on fresh samples disjoint from the solve set
-    if basis.shape[1] > 0:
-        H = system.heldout_rows(rng, k_final, sampler)
-        per_vector = np.abs(H @ basis).max(axis=0)
-        heldout = float(per_vector.max())
-        validated = bool(np.all(per_vector <= tol.residual_tol))
-    else:
-        heldout = 0.0
-        validated = True
-
-    dx = _DX_SLICE[mode]
-    dp = _DP_SLICE[mode]
-    grade, base, gap_grade = _grade_and_base(basis, tol.rank_rel, dx)
-    sym = _symmetry_basis(basis, tol.rank_rel, dx, dp)
+    node = _one_node(_fibres(system, [rng], sampler, validate=True, symmetry=True))
     return FibreResult(
         point=X,
         mode=mode,
-        fibre_basis=basis,
-        base_basis=base,
-        grade=grade,
-        sym_basis=sym,
-        samples_used=used,
-        rank_gap=min(gap_fibre, gap_grade),
-        validated=validated,
-        heldout_residual=heldout,
-        dim_history=dims,
+        fibre_basis=node.basis,
+        base_basis=node.base,
+        grade=node.grade,
+        sym_basis=node.sym,
+        samples_used=(node.k + len(sampler.anchors)) * system.points_per_node,
+        rank_gap=node.rank_gap,
+        validated=node.validated,
+        heldout_residual=node.heldout,
+        dim_history=node.dims,
     )
+
+
+def pointwise_grades(model, Xs, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
+    """Pointwise fibres at many in-domain body points, for grade fields.
+
+    Returns one result per point with ``grade``, ``rank_gap`` and
+    ``validated`` (the symmetry algebra is not extracted), or the
+    :class:`MatdistError` that failed that point.  Points run through the
+    kernel in chunks of ``_CHUNK_NODES``.  Every point draws from its own
+    generator, seeded by its coordinates, so results do not depend on how
+    the points are batched: a chunk that raises is re-run point by point,
+    which reproduces the others exactly and pins the failure to its point.
+    """
+    Xs = np.asarray(Xs, dtype=float).reshape(-1, 3)
+    out = []
+    for start in range(0, len(Xs), _CHUNK_NODES):
+        chunk = Xs[start:start + _CHUNK_NODES]
+        try:
+            out.extend(_pointwise(model, chunk, sampler, tol))
+        except MatdistError:
+            out.extend(_isolated(model, X, sampler, tol) for X in chunk)
+    return out
+
+
+def _isolated(model, X, sampler, tol):
+    try:
+        return _pointwise(model, X[None], sampler, tol)[0]
+    except MatdistError as exc:
+        return exc
 
 
 def base_basis_at(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
@@ -382,14 +526,9 @@ def base_basis_at(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
     Skips held-out validation and symmetry extraction; used by the flow
     tracer, which queries many intermediate points.
     """
-    X = np.asarray(X, dtype=float)
-    if not model.in_domain(X):
-        raise DomainError(f"point {X.tolist()} is outside the domain of model {model.name!r}")
-    system = _PointwiseSystem(model, X, tol)
-    rng = _point_rng(sampler, X, salt=0)
-    basis, gap_fibre, _, _, _ = _saturate(system, rng, sampler)
-    grade, base, gap_grade = _grade_and_base(basis, tol.rank_rel, slice(0, 3))
-    return base, grade, min(gap_fibre, gap_grade)
+    X = _check_domain(model, X)
+    node = _one_node(_pointwise(model, X[None], sampler, tol, validate=False))
+    return node.base, node.grade, node.rank_gap
 
 
 def symmetry_algebra(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):

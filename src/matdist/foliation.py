@@ -8,12 +8,18 @@ sphere).
 """
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import DEFAULT_SAMPLER, GERM_CLOUD, GERM_RADIUS, base_basis_at, material_fibre
+from .distribution import (
+    DEFAULT_SAMPLER,
+    GERM_CLOUD,
+    GERM_RADIUS,
+    base_basis_at,
+    material_fibre,
+    pointwise_grades,
+)
 from .errors import DomainError, MatdistError
 from .numkit import DEFAULT_TOL, rk4_step
 
@@ -263,26 +269,25 @@ def leaf_trace(model, seed, dir_select, steps, h, sampler=DEFAULT_SAMPLER, tol=D
 # grade maps
 
 
-def _grade_node(args):
-    model, point, sampler, tol, mode, germ_radius, germ_cloud = args
+def _fibre_or_error(model, X, sampler, tol, mode, germ_radius, germ_cloud):
     try:
-        result = material_fibre(model, point, sampler=sampler, tol=tol, mode=mode,
-                                germ_radius=germ_radius, germ_cloud=germ_cloud)
-        return result.grade, result.rank_gap, result.validated, None
-    except DomainError:
-        return -1, np.nan, True, None
+        return material_fibre(model, X, sampler=sampler, tol=tol, mode=mode,
+                              germ_radius=germ_radius, germ_cloud=germ_cloud)
     except MatdistError as exc:
-        return -1, np.nan, True, str(exc)
+        return exc
 
 
 def grade_map(model, grid, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL,
-              threads=1, germ_radius=GERM_RADIUS, germ_cloud=GERM_CLOUD):
+              threads=None, germ_radius=GERM_RADIUS, germ_cloud=GERM_CLOUD):
     """Grade of uniformity at every grid node, with stratum labels.
 
     Nodes outside the model domain are skipped (grade -1); per-node solver
-    failures are recorded in ``errors`` and marked the same way.  Results
-    do not depend on ``threads``: every node draws its own generator state
-    from the base seed and the node coordinates.
+    failures are recorded in ``errors`` and marked the same way.  Pointwise
+    nodes run through the batched fibre kernel
+    (:func:`~matdist.distribution.pointwise_grades`); results do not depend
+    on how nodes are batched, because every node draws its own generator
+    state from the base seed and the node coordinates.  ``threads`` is
+    accepted for compatibility and ignored: the map runs in this process.
     """
     if not isinstance(grid, GridSpec):
         grid = GridSpec(*grid)
@@ -290,25 +295,31 @@ def grade_map(model, grid, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAUL
     shape = pts.shape[:3]
     flat = pts.reshape(-1, 3)
 
-    jobs = [(model, p, sampler, tol, mode, germ_radius, germ_cloud) for p in flat]
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=int(threads)) as pool:
-            outputs = list(pool.map(_grade_node, jobs,
-                                    chunksize=max(1, len(jobs) // (8 * int(threads)))))
-    else:
-        outputs = [_grade_node(j) for j in jobs]
-
-    grade = np.array([o[0] for o in outputs], dtype=int).reshape(shape)
-    gap = np.array([o[1] for o in outputs], dtype=float).reshape(shape)
-    validated = np.array([o[2] for o in outputs], dtype=bool).reshape(shape)
+    grade = np.full(len(flat), -1, dtype=int)
+    gap = np.full(len(flat), np.nan)
+    validated = np.ones(len(flat), dtype=bool)
     errors = []
-    for i, o in enumerate(outputs):
-        if o[3] is not None:
-            errors.append((tuple(int(v) for v in np.unravel_index(i, shape)), o[3]))
+    inside = [i for i, p in enumerate(flat) if model.in_domain(p)]
+    if mode == "pointwise":
+        outputs = pointwise_grades(model, flat[inside], sampler, tol)
+    else:
+        outputs = [_fibre_or_error(model, flat[i], sampler, tol, mode, germ_radius, germ_cloud)
+                   for i in inside]
+    for i, out in zip(inside, outputs):
+        if isinstance(out, MatdistError):
+            # a finite-difference step leaving the domain marks the node
+            # unknown without counting as a solver failure
+            if not isinstance(out, DomainError):
+                errors.append((tuple(int(v) for v in np.unravel_index(i, shape)), str(out)))
+            continue
+        grade[i] = out.grade
+        gap[i] = out.rank_gap
+        validated[i] = out.validated
 
+    grade = grade.reshape(shape)
     stratum = _label_strata(grade)
-    return GradeField(grid=grid, mode=mode, grade=grade, rank_gap=gap,
-                      stratum=stratum, validated=validated, errors=errors)
+    return GradeField(grid=grid, mode=mode, grade=grade, rank_gap=gap.reshape(shape),
+                      stratum=stratum, validated=validated.reshape(shape), errors=errors)
 
 
 def _label_strata(grade):

@@ -303,10 +303,7 @@ def leaf_pairs(model, chart, n_pairs, leaf_oracle=None, sampler=DEFAULT_SAMPLER,
     budget = 40 * n_pairs + 100
     while len(pairs) < n_pairs and budget > 0:
         budget -= 1
-        try:
-            Y = sample_region(model, chart, rng, 1)[0]
-        except ValueError:
-            raise
+        Y = sample_region(model, chart, rng, 1)[0]
         if leaf_oracle == "analytic":
             for _ in range(64):
                 Z = np.asarray(model.leaf.sample(Y, rng), dtype=float)

@@ -18,6 +18,7 @@ __all__ = [
     "nullspace",
     "nullspace_info",
     "rank_split",
+    "stacked_svd",
     "jacobian_fd",
     "rk4_step",
     "principal_angles",
@@ -82,6 +83,22 @@ def rank_split(s, rank_rel, scale=None):
     return rank, float(s[rank - 1] / s[rank])
 
 
+def stacked_svd(M):
+    """SVD ``(U, s, Vh)`` of one matrix or a stack that keeps every null vector.
+
+    Every rank decision in the package goes through here.  Tall and square
+    systems get the thin factorization, so ``U`` is ``(m, n)`` instead of a
+    full ``(m, m)`` that nobody reads; ``s`` and ``Vh`` are bit-identical to
+    the full one.  Wide systems (fewer rows than columns) keep the full
+    ``(n, n)`` ``Vh``: a thin one would silently drop the null vectors the
+    missing rows leave unconstrained.  A stack is factorized matrix by
+    matrix, so stacking never changes a bit of any result.
+    """
+    A = np.asarray(M, dtype=float)
+    m, n = A.shape[-2:]
+    return np.linalg.svd(A, full_matrices=m < n)
+
+
 def nullspace(M, tol=DEFAULT_TOL):
     """Orthonormal basis (as columns) of the null space of ``M``.
 
@@ -97,7 +114,7 @@ def nullspace_info(M, tol=DEFAULT_TOL):
     n = A.shape[1]
     if not A.any():
         return np.eye(n), 0, np.inf
-    _, s, vh = np.linalg.svd(A)
+    _, s, vh = stacked_svd(A)
     rank, gap = rank_split(s, tol.rank_rel)
     return vh[rank:].T.copy(), rank, gap
 

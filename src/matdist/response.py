@@ -64,7 +64,8 @@ class ConstitutiveModel:
         Optional vectorized form ``(Xs (n,3), Fs (n,3,3)) -> (n, dim)``.
     derivatives_many:
         Optional analytic derivative ``(X, Fs (k,3,3)) -> ((k,dim,3), (k,dim,9))``
-        holding dW/dX and dW/dF with F flattened row-major.
+        holding dW/dX and dW/dF with F flattened row-major.  It takes one
+        body point per call; batches over points loop over it.
     leaf:
         Optional :class:`LeafInfo` when the uniform leaves are known in
         closed form.
@@ -182,85 +183,92 @@ def _domain_steps(model, X, tol):
 
 
 def derivatives_at_samples(model, X, Fs, tol=DEFAULT_TOL):
-    """dW/dX and dW/dF at one body point for a batch of gradients.
+    """dW/dX and dW/dF for batches of gradients at one or many body points.
 
-    Returns ``(dWdX, dWdF)`` of shapes ``(k, dim, 3)`` and ``(k, dim, 9)``;
-    uses the model's analytic contract when registered, else central
-    differences.
+    With ``X`` of shape ``(3,)`` and ``Fs`` of shape ``(k,3,3)`` the result
+    is ``(dWdX, dWdF)`` of shapes ``(k, dim, 3)`` and ``(k, dim, 9)``.  With
+    ``X`` of shape ``(n,3)`` and ``Fs`` of shape ``(n,k,3,3)`` (gradient set
+    ``Fs[i]`` at point ``X[i]``) both gain a leading point axis.  The
+    model's analytic contract takes one point per call, so it is called
+    point by point; complex-step and central differences evaluate every
+    point in one batch.  Either way each point's blocks are bit-identical to
+    a call at that point alone.
     """
     X = np.asarray(X, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
-    if Fs.ndim == 2:
-        Fs = Fs[None]
+    single = X.ndim == 1
+    if single:
+        X = X[None]
+        Fs = Fs.reshape((1, -1, 3, 3))
     if model._derivatives_many is not None:
-        dWdX, dWdF = model._derivatives_many(X, Fs)
-        return np.asarray(dWdX, dtype=float), np.asarray(dWdF, dtype=float)
-    if model.complex_step:
-        return _complex_step_derivatives(model, X, Fs, tol)
-    return _fd_derivatives(model, X, Fs, tol)
+        parts = [model._derivatives_many(x, f) for x, f in zip(X, Fs)]
+        dWdX = np.stack([np.asarray(p[0], dtype=float) for p in parts])
+        dWdF = np.stack([np.asarray(p[1], dtype=float) for p in parts])
+    elif model.complex_step:
+        dWdX, dWdF = _complex_step_derivatives(model, X, Fs, tol)
+    else:
+        dWdX, dWdF = _fd_derivatives(model, X, Fs, tol)
+    return (dWdX[0], dWdF[0]) if single else (dWdX, dWdF)
 
 
-def _complex_step_derivatives(model, X, Fs, tol):
+def _complex_step_derivatives(model, Xs, Fs, tol):
     """Derivatives from an imaginary perturbation of each coordinate.
 
     The real part of every evaluation point never moves, so no domain
     shrinking is needed, and there is no subtractive cancellation: the
     accuracy is machine precision relative to the derivative itself.
     """
-    k, d = len(Fs), model.dim
-    steps = np.maximum(tol.fd_step_rel * np.abs(X), tol.fd_step_abs)
+    n, k, d = len(Xs), Fs.shape[1], model.dim
+    steps = np.maximum(tol.fd_step_rel * np.abs(Xs), tol.fd_step_abs)  # (n,3)
 
-    Xc = np.repeat(X[None].astype(complex), 3, axis=0)
+    # X-part: rows ordered (point, coordinate, gradient sample)
+    Xc = np.repeat(Xs[:, None].astype(complex), 3, axis=1)
     for i in range(3):
-        Xc[i, i] += 1j * steps[i]
-    Xs = np.repeat(Xc, k, axis=0)
-    Fr = np.tile(Fs, (3, 1, 1)).astype(complex)
-    vals = evaluate_at_samples(model, Xs, Fr).reshape(3, k, d)
-    dWdX = (vals.imag / steps[:, None, None]).transpose(1, 2, 0)
+        Xc[:, i, i] += 1j * steps[:, i]
+    Xr = np.repeat(Xc.reshape(n * 3, 3), k, axis=0)
+    Fr = np.repeat(Fs[:, None].astype(complex), 3, axis=1).reshape(n * 3 * k, 3, 3)
+    vals = evaluate_at_samples(model, Xr, Fr).reshape(n, 3, k, d)
+    dWdX = (vals.imag / steps[:, :, None, None]).transpose(0, 2, 3, 1)
 
-    HF = np.maximum(tol.fd_step_rel * np.abs(Fs), tol.fd_step_abs)
-    Fp = np.repeat(Fs[:, None].astype(complex), 9, axis=1).reshape(k, 3, 3, 3, 3)
+    HF = np.maximum(tol.fd_step_rel * np.abs(Fs), tol.fd_step_abs)  # (n,k,3,3)
+    Fp = np.repeat(Fs[:, :, None].astype(complex), 9, axis=2).reshape(n, k, 3, 3, 3, 3)
     for l in range(3):
         for m in range(3):
-            Fp[:, l, m, l, m] += 1j * HF[:, l, m]
-    Xr = np.broadcast_to(X, (k * 9, 3))
-    out = evaluate_at_samples(model, Xr, Fp.reshape(k * 9, 3, 3))
-    dWdF = out.reshape(k, 9, d).imag.transpose(0, 2, 1) / HF.reshape(k, 1, 9)
+            Fp[:, :, l, m, l, m] += 1j * HF[:, :, l, m]
+    Xr = np.repeat(Xs.astype(complex), k * 9, axis=0)
+    out = evaluate_at_samples(model, Xr, Fp.reshape(n * k * 9, 3, 3))
+    dWdF = out.reshape(n, k, 9, d).imag.transpose(0, 1, 3, 2) / HF.reshape(n, k, 1, 9)
     return dWdX, dWdF
 
 
-def _fd_derivatives(model, X, Fs, tol):
-    k, d = len(Fs), model.dim
-    steps = _domain_steps(model, X, tol)
+def _fd_derivatives(model, Xs, Fs, tol):
+    n, k, d = len(Xs), Fs.shape[1], model.dim
+    steps = np.array([_domain_steps(model, x, tol) for x in Xs])  # (n,3)
 
-    # X-part: 6 perturbed points, each paired with every gradient sample
-    xpert = np.empty((6, 3))
+    # X-part: 6 perturbed points per body point, each paired with every gradient sample
+    xpert = np.repeat(Xs[:, None], 6, axis=1)
     for i in range(3):
-        xpert[2 * i] = X
-        xpert[2 * i][i] += steps[i]
-        xpert[2 * i + 1] = X
-        xpert[2 * i + 1][i] -= steps[i]
-    Xs = np.repeat(xpert, k, axis=0)
-    Fr = np.tile(Fs, (6, 1, 1))
-    vals = evaluate_at_samples(model, Xs, Fr).reshape(6, k, d)
-    dWdX = np.empty((k, d, 3))
+        xpert[:, 2 * i, i] += steps[:, i]
+        xpert[:, 2 * i + 1, i] -= steps[:, i]
+    Xr = np.repeat(xpert.reshape(n * 6, 3), k, axis=0)
+    Fr = np.repeat(Fs[:, None], 6, axis=1).reshape(n * 6 * k, 3, 3)
+    vals = evaluate_at_samples(model, Xr, Fr).reshape(n, 6, k, d)
+    dWdX = np.empty((n, k, d, 3))
     for i in range(3):
-        dWdX[:, :, i] = (vals[2 * i] - vals[2 * i + 1]) / (2.0 * steps[i])
+        dWdX[..., i] = (vals[:, 2 * i] - vals[:, 2 * i + 1]) / (2.0 * steps[:, i, None, None])
 
-    # F-part: per-sample, per-entry steps
-    HF = np.maximum(tol.fd_step_rel * np.abs(Fs), tol.fd_step_abs)  # (k,3,3)
-    Fp = np.repeat(Fs[:, None], 9, axis=1).reshape(k, 3, 3, 3, 3)
+    # F-part: per-sample, per-entry steps; rows ordered (point, sign, sample, entry)
+    HF = np.maximum(tol.fd_step_rel * np.abs(Fs), tol.fd_step_abs)  # (n,k,3,3)
+    Fp = np.repeat(Fs[:, :, None], 9, axis=2).reshape(n, k, 3, 3, 3, 3)
     Fm = Fp.copy()
     for l in range(3):
         for m in range(3):
-            Fp[:, l, m, l, m] += HF[:, l, m]
-            Fm[:, l, m, l, m] -= HF[:, l, m]
-    Fboth = np.concatenate([Fp.reshape(k * 9, 3, 3), Fm.reshape(k * 9, 3, 3)])
-    Xr = np.broadcast_to(X, (2 * k * 9, 3))
-    out = evaluate_at_samples(model, Xr, Fboth)
-    wp = out[: k * 9].reshape(k, 9, d)
-    wm = out[k * 9:].reshape(k, 9, d)
-    dWdF = (wp - wm).transpose(0, 2, 1) / (2.0 * HF.reshape(k, 1, 9))
+            Fp[:, :, l, m, l, m] += HF[:, :, l, m]
+            Fm[:, :, l, m, l, m] -= HF[:, :, l, m]
+    Fboth = np.stack([Fp.reshape(n, k * 9, 3, 3), Fm.reshape(n, k * 9, 3, 3)], axis=1)
+    Xr = np.repeat(Xs, 2 * k * 9, axis=0)
+    out = evaluate_at_samples(model, Xr, Fboth.reshape(n * 2 * k * 9, 3, 3)).reshape(n, 2, k, 9, d)
+    dWdF = (out[:, 0] - out[:, 1]).transpose(0, 1, 3, 2) / (2.0 * HF.reshape(n, k, 1, 9))
     return dWdX, dWdF
 
 
@@ -430,8 +438,7 @@ class _IdentityResponse:
 
 
 class _BoxLeaf:
-    """Whole-body leaf: everything is one stratum (top-level methods keep
-    models picklable for the process-pool grade mapper)."""
+    """Whole-body leaf: everything is one stratum."""
 
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)

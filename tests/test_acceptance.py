@@ -21,8 +21,6 @@ from matdist.response import builtin, evaluate, load_model_file
 
 from conftest import expm3, random_invertible
 
-THREADS = min(8, os.cpu_count() or 1)
-
 ACCEPTANCE_POINTS = [
     ("example1", (-0.5, 0.2, 0.1), "pointwise"),
     ("example1", (0.5, 0.0, 0.0), "pointwise"),
@@ -42,16 +40,14 @@ def announce(number, text):
 @pytest.fixture(scope="module")
 def cube_field(example1):
     start = time.perf_counter()
-    field = grade_map(example1, GridSpec((-0.9, -0.9, -0.9), (0.9, 0.9, 0.9), (21, 21, 21)),
-                      threads=THREADS)
+    field = grade_map(example1, GridSpec((-0.9, -0.9, -0.9), (0.9, 0.9, 0.9), (21, 21, 21)))
     return field, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def crystal_field(example2):
     start = time.perf_counter()
-    field = grade_map(example2, GridSpec((-0.9, -0.9, -0.9), (0.9, 0.9, 0.9), (21, 21, 21)),
-                      threads=THREADS)
+    field = grade_map(example2, GridSpec((-0.9, -0.9, -0.9), (0.9, 0.9, 0.9), (21, 21, 21)))
     return field, time.perf_counter() - start
 
 
@@ -65,7 +61,7 @@ def test_criterion_1_cube_grade_field(cube_field):
     assert field.stratum_count() == 2
     assert elapsed <= 60.0, f"cube grade field took {elapsed:.1f}s (budget 60s)"
     announce(1, f"cube grade field 21^3: grade 3 left / 2 right of the interface "
-                f"({elapsed:.1f}s on {THREADS} workers)")
+                f"({elapsed:.1f}s)")
 
 
 def test_criterion_2_crystal_grade_field(crystal_field, example2):
@@ -235,13 +231,11 @@ def test_criterion_8_reproducibility(tmp_path):
 
     runs = [
         (["fibre", "--model", "example2", "--point", "0.3,0.2,0.1",
-          "--mode", "germ1", "--seed", "7", "--threads", "1"], "fibre"),
+          "--mode", "germ1", "--seed", "7"], "fibre"),
         (["grade-map", "--model", "example1", "--grid-lo", "-0.9,-0.1,-0.1",
-          "--grid-hi", "0.9,0.1,0.1", "--grid-n", "7,2,2", "--seed", "7",
-          "--threads", "1"], "grade-map"),
+          "--grid-hi", "0.9,0.1,0.1", "--grid-n", "7,2,2", "--seed", "7"], "grade-map"),
         (["homog", "--model", "example1", "--chart", "identity",
-          "--region", "x1>=0.1", "--leafwise", "2", "--seed", "7",
-          "--threads", "1"], "homog"),
+          "--region", "x1>=0.1", "--leafwise", "2", "--seed", "7"], "homog"),
     ]
     for argv, label in runs:
         first = tmp_path / f"{label}-a.json"

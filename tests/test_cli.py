@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from matdist import cli
 
@@ -93,6 +94,26 @@ class TestGradeMapCommand:
 
     def test_svg_without_slice_is_usage_error(self, capsys):
         code, _, err = run(["grade-map", "--model", "example1", "--svg", "x.svg"], capsys)
+        assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("slice_args", [[], ["--slice", "w=0"], ["--slice", "x3=abc"]],
+                             ids=["missing", "unknown-axis", "malformed-value"])
+    def test_bad_svg_slice_fails_before_compute(self, slice_args, monkeypatch, capsys):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("grade_map ran before the --slice check")
+
+        monkeypatch.setattr(cli, "grade_map", no_compute)
+        code, _, err = run(["grade-map", "--model", "example1", "--svg", "x.svg"] + slice_args,
+                           capsys)
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in err
+
+    def test_threads_flag_is_gone(self, capsys):
+        code, out, _ = run(["grade-map", "--model", "det_cal", "--grid-n", "1"], capsys)
+        assert code == cli.EXIT_OK
+        assert "threads" not in payload_of(out)["config"]
+        code, _, err = run(["grade-map", "--model", "det_cal", "--grid-n", "1",
+                            "--threads", "2"], capsys)
         assert code == cli.EXIT_USAGE
 
 

@@ -16,7 +16,7 @@ from matdist.foliation import (
     leaf_trace_svg,
     regularity_report,
 )
-from matdist.distribution import base_basis_at
+from matdist.distribution import base_basis_at, material_fibre
 from matdist.response import ConstitutiveModel, builtin
 
 
@@ -136,16 +136,45 @@ class TestGradeMap:
             GridSpec((-1, -1, -1), (1, 1, 1), (101, 101, 101))
 
     @pytest.mark.parametrize("name", ["example1", "example2", "det_cal"])
-    def test_process_pool_matches_serial(self, name):
+    def test_batching_matches_single_node_fibres(self, name):
         # per-node generator state is derived from the node coordinates, so
-        # the worker count cannot change any result
+        # running nodes in batches (40 nodes: several chunks) cannot change
+        # any bit of a result
         model = builtin(name)
-        grid = GridSpec((-0.6, -0.3, 0.0), (0.6, 0.3, 0.0), (4, 3, 1))
-        serial = grade_map(model, grid, threads=1)
-        pooled = grade_map(model, grid, threads=2)
-        np.testing.assert_array_equal(serial.grade, pooled.grade)
-        np.testing.assert_array_equal(serial.stratum, pooled.stratum)
-        np.testing.assert_allclose(serial.rank_gap, pooled.rank_gap, rtol=0, atol=0)
+        grid = GridSpec((-0.6, -0.3, -0.2), (0.6, 0.3, 0.2), (5, 4, 2))
+        field = grade_map(model, grid)
+        single = [material_fibre(model, X) for X in grid.points().reshape(-1, 3)]
+        shape = field.grade.shape
+        np.testing.assert_array_equal(field.grade, np.reshape([r.grade for r in single], shape))
+        np.testing.assert_array_equal(field.rank_gap,
+                                      np.reshape([r.rank_gap for r in single], shape))
+        np.testing.assert_array_equal(field.validated,
+                                      np.reshape([r.validated for r in single], shape))
+        assert not field.errors
+
+    @pytest.mark.parametrize("complex_step", [True, False], ids=["complex-step", "central-fd"])
+    def test_non_finite_node_of_batched_model_is_isolated(self, complex_step):
+        # derivatives of these models are evaluated for a whole chunk in one
+        # batch; a non-finite response at X1 = 0.5 must fail that node only
+        def evaluate_many(Xs, Fs):
+            W = np.einsum("kji,kjl->kil", Fs, Fs).reshape(len(Fs), 9)
+            bad = np.abs(np.real(Xs[:, 0]) - 0.5) < 1e-3
+            return np.where(bad[:, None], np.nan, W)
+
+        model = ConstitutiveModel("fragile_batched", 9,
+                                  lambda X, F: evaluate_many(X[None], F[None])[0],
+                                  evaluate_many=evaluate_many, complex_step=complex_step)
+        grid = GridSpec((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (21, 1, 1))
+        field = grade_map(model, grid)
+        assert [idx for idx, _ in field.errors] == [(10, 0, 0)]
+        assert "non-finite" in field.errors[0][1]
+        assert field.grade[10, 0, 0] == -1
+        others = np.delete(np.arange(21), 10)
+        assert np.all(field.grade[others, 0, 0] == 3)
+        for i in (0, 9, 11, 20):
+            r = material_fibre(model, grid.points()[i, 0, 0])
+            assert field.rank_gap[i, 0, 0] == r.rank_gap
+            assert field.validated[i, 0, 0] == r.validated
 
 
 class TestRegularity:

@@ -11,7 +11,9 @@ from matdist.numkit import (
     nullspace,
     nullspace_info,
     principal_angles,
+    rank_split,
     rk4_step,
+    stacked_svd,
 )
 
 
@@ -92,6 +94,40 @@ class TestNullspace:
         assert b1.shape == b2.shape
         if b1.shape[1]:
             assert principal_angles(b1, b2).max() < 1e-8
+
+
+class TestStackedSvd:
+    # wide (det_cal's first-round 11x12 system and 3xf base rows), square and tall
+    SHAPES = [(11, 12), (3, 9), (12, 12), (9, 5), (99, 12)]
+
+    @staticmethod
+    def _matrix(rng, shape, kind):
+        m, n = shape
+        if kind == "zero":
+            return np.zeros(shape)
+        rank = min(m, n) if kind == "generic" else int(rng.integers(1, min(m, n)))
+        return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(SHAPES),
+           st.lists(st.sampled_from(["generic", "deficient", "zero"]), min_size=1, max_size=4))
+    def test_keeps_null_space_and_stacks_bit_for_bit(self, seed, shape, kinds):
+        rng = np.random.default_rng(seed)
+        n = shape[1]
+        stack = np.stack([self._matrix(rng, shape, kind) for kind in kinds])
+        U, s, vh = stacked_svd(stack)
+        for j, M in enumerate(stack):
+            for got, alone in zip((U[j], s[j], vh[j]), stacked_svd(M)):
+                assert np.array_equal(got, alone)
+            full_s = np.linalg.svd(M, compute_uv=False)
+            full_rank, _ = rank_split(full_s, DEFAULT_TOL.rank_rel)
+            rank, _ = rank_split(s[j], DEFAULT_TOL.rank_rel)
+            assert rank == full_rank
+            basis = vh[j, rank:].T
+            assert basis.shape == (n, n - full_rank)
+            if basis.shape[1]:
+                sigma_max = full_s[0]
+                assert np.abs(M @ basis).max() <= 10.0 * DEFAULT_TOL.rank_rel * sigma_max
 
 
 class TestJacobianFd:
