@@ -40,7 +40,7 @@ from .foliation import (
     leaf_trace_json_dict,
     leaf_trace_svg,
 )
-from .homogeneity import builtin_chart, chart_from_expressions, homogeneity_check
+from .homogeneity import LEAF_ORACLES, builtin_chart, chart_from_expressions, homogeneity_check
 from .numkit import Tolerances
 from .response import builtin, load_model_file
 
@@ -196,14 +196,21 @@ def _normalize_region_text(text):
     return out
 
 
+_RELOPS = ("<=", ">=", "==", "<", ">")  # two-character operators first
+
+
 def parse_region(text):
-    """Predicate from '&'-joined comparisons such as ``x1>=0.1 & x2<0.5``."""
+    """Predicate from '&'-joined comparisons such as ``x1>=0.1 & x2<0.5``.
+
+    The clauses compile into one program of nested ``if`` expressions, so a
+    clause is evaluated only where every clause before it holds.
+    """
     clauses = []
     for raw in _normalize_region_text(text).split("&"):
         raw = raw.strip()
         if not raw:
             continue
-        for op in ("<=", ">=", "==", "<", ">"):
+        for op in _RELOPS:
             if op in raw:
                 lhs_text, rhs_text = raw.split(op, 1)
                 break
@@ -213,16 +220,14 @@ def parse_region(text):
         rhs = dsl.parse_expression(rhs_text)
         if lhs.kind != dsl.SCALAR or rhs.kind != dsl.SCALAR:
             raise _UsageError(f"region clause {raw!r} must compare scalars")
-        clauses.append((lhs, op, rhs))
-
-    ops = {"<=": lambda a, b: a <= b, ">=": lambda a, b: a >= b, "==": lambda a, b: a == b,
-           "<": lambda a, b: a < b, ">": lambda a, b: a > b}
+        clauses.append((op, lhs, rhs))
+    inside = dsl.Num(1.0)
+    for op, lhs, rhs in reversed(clauses):
+        inside = dsl.IfExpr(op, lhs, rhs, inside, dsl.Num(0.0), dsl.SCALAR)
+    program = dsl.Program([inside])
 
     def predicate(X):
-        env = {"X1": float(X[0]), "X2": float(X[1]), "X3": float(X[2]),
-               "X": np.asarray(X, dtype=float), "F": np.eye(3), "I": np.eye(3)}
-        return all(ops[op](float(dsl._ev(lhs, env)), float(dsl._ev(rhs, env)))
-                   for lhs, op, rhs in clauses)
+        return bool(program.evaluate(np.asarray(X, dtype=float)[None])[0, 0])
 
     return predicate
 
@@ -459,11 +464,15 @@ def _build_chart(settings):
 
 def _cmd_homog(args):
     settings = _Settings(args, read_config(args.config) if args.config else {})
-    model, sampler, tol = _resolve_common(settings, "homog")
-    chart = _build_chart(settings)
     n_pairs = settings.get("pairs", "pairs", 12, int)
     n_samples = settings.get("samples", "samples", 10, int)
+    if n_pairs < 1 or n_samples < 1:
+        raise _UsageError(f"--pairs and --samples must be at least 1, got {n_pairs} and {n_samples}")
     oracle = settings.get("oracle", "oracle", None, str)
+    if oracle is not None and oracle not in LEAF_ORACLES:
+        raise _UsageError(f"unknown oracle {oracle!r}; use one of {', '.join(LEAF_ORACLES)}")
+    model, sampler, tol = _resolve_common(settings, "homog")
+    chart = _build_chart(settings)
     fmt = _json_only(settings)
     out = settings.get("out", "out", None)
 
@@ -569,7 +578,7 @@ def build_parser():
     p_homog.add_argument("--leafwise", type=int)
     p_homog.add_argument("--pairs", type=int)
     p_homog.add_argument("--samples", type=int)
-    p_homog.add_argument("--oracle", choices=["analytic", "trace"])
+    p_homog.add_argument("--oracle", choices=LEAF_ORACLES)
     p_homog.set_defaults(func=_cmd_homog)
 
     p_iso = sub.add_parser("check-iso", help="test one jet for material isomorphism")

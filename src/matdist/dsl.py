@@ -12,6 +12,9 @@ Expressions know three kinds: ``scalar``, ``vector`` (length 3) and
 statically at parse time; evaluation failures such as division by zero are
 reported as evaluation errors, never parse errors.  ``if(cond, a, b)`` is
 lazy in the unselected branch.
+
+Trees compile once (:class:`Program`) into numpy code over batches of
+``(X, F)`` lanes, with exact forward-mode derivatives on request.
 """
 
 from dataclasses import dataclass, field
@@ -28,12 +31,16 @@ __all__ = [
     "pretty_expr",
     "evaluate_model_def",
     "MAX_SOURCE_BYTES",
+    "MAX_DEPTH",
+    "Program",
+    "compile_model",
     "SCALAR",
     "VECTOR",
     "MATRIX",
 ]
 
 MAX_SOURCE_BYTES = 64 * 1024
+MAX_DEPTH = 100  # nesting of the source and depth of each tree; bounds every recursion
 
 SCALAR = "scalar"
 VECTOR = "vector3"
@@ -108,9 +115,11 @@ def _tokenize(text):
                         j += 1
             word = text[i:j]
             try:
-                float(word)
+                value = float(word)
             except ValueError:
                 raise ModelParseError(f"bad number literal {word!r}", line, col) from None
+            if not np.isfinite(value):
+                raise ModelParseError(f"number literal {word!r} is out of range", line, col)
             tokens.append(_Token("num", word, line, col))
             col += j - i
             i = j
@@ -212,6 +221,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.env = env_kinds
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -231,8 +241,14 @@ class _Parser:
         tok = tok or self.peek()
         raise ModelParseError(message, tok.line, tok.col)
 
+    def nest(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error(f"expression nests deeper than {MAX_DEPTH} levels")
+
     # expr := term (("+"|"-") term)*
     def expr(self):
+        self.nest()
         node = self.term()
         while self.peek().text in ("+", "-") and self.peek().type == "op":
             tok = self.next()
@@ -240,6 +256,7 @@ class _Parser:
             if node.kind != rhs.kind:
                 self.error(f"cannot apply {tok.text!r} to {node.kind} and {rhs.kind}", tok)
             node = BinOp(tok.text, node, rhs, node.kind, pos=(tok.line, tok.col))
+        self.depth -= 1
         return node
 
     # term := factor (("*"|"/") factor)*
@@ -288,7 +305,9 @@ class _Parser:
     def unary(self):
         if self.peek().text == "-" and self.peek().type == "op":
             tok = self.next()
+            self.nest()
             arg = self.unary()
+            self.depth -= 1
             return Neg(arg, arg.kind, pos=(tok.line, tok.col))
         return self.postfix()
 
@@ -370,7 +389,7 @@ def parse_expression(text, extra_kinds=None):
     tail = parser.peek()
     if tail.type != "end":
         parser.error(f"unexpected trailing input {tail.text!r}", tail)
-    return node
+    return _check_depth(node)
 
 
 # ---------------------------------------------------------------------------
@@ -463,124 +482,445 @@ def _parse_statement_expr(tokens, env):
     tail = parser.peek()
     if tail.type != "end":
         parser.error(f"unexpected trailing input {tail.text!r}", tail)
+    return _check_depth(node)
+
+
+def _check_depth(node):
+    """Reject trees deeper than ``MAX_DEPTH`` (long operator chains nest too)."""
+    stack = [(node, 1)]
+    while stack:
+        item, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ModelParseError(f"expression nests deeper than {MAX_DEPTH} levels", *item.pos)
+        stack.extend((child, depth + 1) for child in _children(item))
     return node
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# compiled evaluation
+#
+# A tree compiles once into nested closures over lane-batched arrays.  Each
+# closure maps a frame to a pair ``(v, d)``.  ``v`` is the value: a leading
+# lane axis and then the kind's shape (scalar ``(n,)``, vector ``(n, 3)``,
+# matrix ``(n, 3, 3)``), or only the kind's shape for a value that is the
+# same on every lane (literals, parameters, ``I``).  ``d`` is the
+# forward-mode tangent with respect to the seeded inputs, shape
+# ``(m,) + v.shape``, or None where it vanishes.  Every numpy call treats
+# lanes independently, so a lane's value does not depend on the batch it
+# runs in.  ``if`` evaluates each branch on its selected lanes only, so
+# evaluation errors and floating-point warnings come from selected lanes.
+
+_SHAPES = {SCALAR: (), VECTOR: (3,), MATRIX: (3, 3)}
+_EYE = np.eye(3)
+_EYE.flags.writeable = False
+_COMPARE = {"<=": np.less_equal, "<": np.less, ">=": np.greater_equal, ">": np.greater,
+            "==": np.equal}
 
 
-def _ev(node, env):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Name):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_ev(node.arg, env)
+class _Frame:
+    """Named values ``(v, d)`` over ``n`` lanes with ``m`` tangent directions."""
+
+    __slots__ = ("env", "n", "m")
+
+    def __init__(self, env, n, m):
+        self.env = env
+        self.n = n
+        self.m = m
+
+    def subset(self, lanes, names):
+        """Frame over the given lanes, holding only ``names`` (name, kind pairs)."""
+        env = {}
+        for name, kind in names:
+            v, d = self.env[name]
+            if np.ndim(v) > len(_SHAPES[kind]):
+                v = v[lanes]
+                d = None if d is None else d[:, lanes]
+            env[name] = (v, d)
+        return _Frame(env, len(lanes), self.m)
+
+
+def _children(node):
+    if isinstance(node, (Neg, Transpose)):
+        return (node.arg,)
     if isinstance(node, BinOp):
-        a = _ev(node.left, env)
-        b = _ev(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            if node.left.kind == SCALAR or node.right.kind == SCALAR:
-                return a * b
-            return a @ b
-        # division; the divisor kind-checks as a scalar
-        if float(b) == 0.0:
-            raise EvaluationError(f"division by zero at line {node.pos[0]}, column {node.pos[1]}")
-        return a / b
+        return (node.left, node.right)
     if isinstance(node, Power):
-        base = _ev(node.base, env)
-        if node.exponent < 0 and float(base) == 0.0:
-            raise EvaluationError(f"zero raised to a negative power at line {node.pos[0]}, column {node.pos[1]}")
-        return float(base) ** node.exponent
-    if isinstance(node, Transpose):
-        return _ev(node.arg, env).T
-    if isinstance(node, IfExpr):
-        a = float(_ev(node.lhs, env))
-        b = float(_ev(node.rhs, env))
-        take = {
-            "<=": a <= b,
-            "<": a < b,
-            ">=": a >= b,
-            ">": a > b,
-            "==": a == b,
-        }[node.relop]
-        return _ev(node.then if take else node.other, env)
+        return (node.base,)
     if isinstance(node, Call):
-        args = [_ev(a, env) for a in node.args]
-        return _call(node, args)
+        return node.args
+    if isinstance(node, IfExpr):
+        return (node.lhs, node.rhs, node.then, node.other)
+    return ()
+
+
+def _names(node):
+    """``(name, kind)`` of every identifier the tree reads."""
+    out, stack = set(), [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Name):
+            out.add((item.name, item.kind))
+        stack.extend(_children(item))
+    return frozenset(out)
+
+
+def _where(node):
+    return f"at line {node.pos[0]}, column {node.pos[1]}"
+
+
+def _lift(s, kind):
+    """Scalar lanes (or tangents) shaped to broadcast against a value of ``kind``."""
+    return s[(Ellipsis,) + (None,) * len(_SHAPES[kind])]
+
+
+def _plus(a, b):
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def _mul(a, b):
+    return None if a is None or b is None else a * b
+
+
+def _dot(a, b):
+    # matmul of a row by a column is one BLAS dot per lane, as np.dot on vectors
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _mv(A, x):
+    return np.matmul(A, x[..., None])[..., 0]
+
+
+def _bilinear(f, a, b):
+    """Value and tangent of a product ``f`` that is linear in each argument."""
+    (va, da), (vb, db) = a, b
+    d = _plus(None if da is None else f(da, vb), None if db is None else f(va, db))
+    return f(va, vb), d
+
+
+def _compile(node):
+    """Closure ``frame -> (value, tangent)`` for a kind-checked tree."""
+    if isinstance(node, Num):
+        value = np.float64(node.value)
+        return lambda frame: (value, None)
+    if isinstance(node, Name):
+        name = node.name
+        return lambda frame: frame.env[name]
+    if isinstance(node, Neg):
+        arg = _compile(node.arg)
+
+        def neg(frame):
+            v, d = arg(frame)
+            return -v, (None if d is None else -d)
+        return neg
+    if isinstance(node, Transpose):
+        arg = _compile(node.arg)
+
+        def transpose(frame):
+            v, d = arg(frame)
+            return v.swapaxes(-1, -2), (None if d is None else d.swapaxes(-1, -2))
+        return transpose
+    if isinstance(node, BinOp):
+        return _compile_binop(node)
+    if isinstance(node, Power):
+        return _compile_power(node)
+    if isinstance(node, IfExpr):
+        return _compile_if(node)
+    if isinstance(node, Call):
+        return _compile_call(node)
     raise TypeError(f"unknown node {node!r}")
 
 
-def _call(node, args):
-    name = node.func
+def _compile_binop(node):
+    left, right = _compile(node.left), _compile(node.right)
+    lk, rk = node.left.kind, node.right.kind
+    if node.op in "+-":
+        plus = node.op == "+"
+
+        def addsub(frame):
+            (a, da), (b, db) = left(frame), right(frame)
+            if not plus:
+                b, db = -b, (None if db is None else -db)
+            return a + b, _plus(da, db)
+        return addsub
+    if node.op == "/":
+        message = f"division by zero {_where(node)}"
+
+        def divide(frame):
+            (a, da), (b, db) = left(frame), right(frame)
+            if np.any(b == 0.0):
+                raise EvaluationError(message)
+            bl = _lift(b, lk)
+            v = a / bl
+            d = None if da is None else da / bl
+            if db is not None:
+                d = _plus(d, -(v * _lift(db, lk)) / bl)
+            return v, d
+        return divide
+    # "*": scaling when either side is a scalar, else a matrix product
+    if SCALAR in (lk, rk):
+        def scale(x, y):
+            return _lift(x, rk) * _lift(y, lk)
+    else:
+        scale = np.matmul if rk == MATRIX else _mv
+
+    def product(frame):
+        return _bilinear(scale, left(frame), right(frame))
+    return product
+
+
+def _compile_power(node):
+    base = _compile(node.base)
+    e = node.exponent
+    message = f"zero raised to a negative power {_where(node)}"
+
+    def power(frame):
+        b, db = base(frame)
+        if e < 0 and np.any(b == 0.0):
+            raise EvaluationError(message)
+        v = np.power(b, float(e))
+        if db is None or e == 0:
+            return v, None
+        return v, (e * np.power(b, float(e - 1))) * db
+    return power
+
+
+def _compile_if(node):
+    lhs, rhs = _compile(node.lhs), _compile(node.rhs)
+    then, other = _compile(node.then), _compile(node.other)
+    then_names, other_names = _names(node.then), _names(node.other)
+    test = _COMPARE[node.relop]
+    shape = _SHAPES[node.kind]
+
+    def branch(frame):
+        take = test(lhs(frame)[0], rhs(frame)[0])
+        hits = np.count_nonzero(take)
+        if hits == take.size:
+            return then(frame)
+        if hits == 0:
+            return other(frame)
+        lanes_t, lanes_o = np.flatnonzero(take), np.flatnonzero(~take)
+        vt, dt = then(frame.subset(lanes_t, then_names))
+        vo, do = other(frame.subset(lanes_o, other_names))
+        v = np.empty((frame.n,) + shape, dtype=np.result_type(vt, vo))
+        v[lanes_t] = vt
+        v[lanes_o] = vo
+        if dt is None and do is None:
+            return v, None
+        d = np.zeros((frame.m,) + v.shape, dtype=v.dtype)
+        if dt is not None:
+            d[:, lanes_t] = dt
+        if do is not None:
+            d[:, lanes_o] = do
+        return v, d
+    return branch
+
+
+def _cofactor(A):
+    r0, r1, r2 = A[..., 0, :], A[..., 1, :], A[..., 2, :]
+    return np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-2)
+
+
+def _call_det(node, A):
+    a, da = A
+    d = None if da is None else (_cofactor(a) * da).sum(axis=(-2, -1))
+    return np.linalg.det(a), d
+
+
+def _call_tr(node, A):
+    a, da = A
+
+    def tr(x):
+        return x[..., 0, 0] + x[..., 1, 1] + x[..., 2, 2]
+    return tr(a), (None if da is None else tr(da))
+
+
+def _call_inv(node, A):
+    a, da = A
     try:
-        if name == "det":
-            return float(np.linalg.det(args[0]))
-        if name == "tr":
-            return float(np.trace(args[0]))
-        if name == "inv":
-            try:
-                return np.linalg.inv(args[0])
-            except np.linalg.LinAlgError:
-                raise EvaluationError(
-                    f"singular matrix in inv() at line {node.pos[0]}, column {node.pos[1]}"
-                ) from None
-        if name == "exp":
-            return float(np.exp(args[0]))
-        if name == "log":
-            if args[0] <= 0.0:
-                raise EvaluationError(f"log of non-positive value at line {node.pos[0]}, column {node.pos[1]}")
-            return float(np.log(args[0]))
-        if name == "sqrt":
-            if args[0] < 0.0:
-                raise EvaluationError(f"sqrt of negative value at line {node.pos[0]}, column {node.pos[1]}")
-            return float(np.sqrt(args[0]))
-        if name == "abs":
-            return abs(float(args[0]))
-        if name == "norm2":
-            return float(np.linalg.norm(args[0]))
-        if name == "dot":
-            return float(np.dot(args[0], args[1]))
-        if name == "cross":
-            return np.cross(args[0], args[1])
-        if name == "outer":
-            return np.outer(args[0], args[1])
-    except EvaluationError:
-        raise
-    raise TypeError(f"unknown function {name!r}")
+        v = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise EvaluationError(f"singular matrix in inv() {_where(node)}") from None
+    return v, (None if da is None else -(v @ da @ v))
+
+
+def _call_exp(node, A):
+    a, da = A
+    v = np.exp(a)
+    return v, _mul(da, v)
+
+
+def _call_log(node, A):
+    a, da = A
+    if np.any(np.real(a) <= 0.0):
+        raise EvaluationError(f"log of non-positive value {_where(node)}")
+    return np.log(a), (None if da is None else da / a)
+
+
+def _call_sqrt(node, A):
+    a, da = A
+    if np.any(np.real(a) < 0.0):
+        raise EvaluationError(f"sqrt of negative value {_where(node)}")
+    v = np.sqrt(a)
+    return v, (None if da is None else da / (2.0 * v))
+
+
+def _call_abs(node, A):
+    # the tangent at 0 is the symmetric one, 0, as a central difference gives
+    a, da = A
+    return np.abs(a), _mul(da, np.sign(a))
+
+
+def _call_norm2(node, A):
+    # like abs, the tangent at the zero vector is taken as 0
+    a, da = A
+    v = np.sqrt(_dot(a, a))
+    if da is None:
+        return v, None
+    slope = _dot(da, a)
+    return v, np.divide(slope, v, out=np.zeros_like(slope), where=v != 0.0)
+
+
+def _call_dot(node, A, B):
+    return _bilinear(_dot, A, B)
+
+
+def _call_cross(node, A, B):
+    return _bilinear(np.cross, A, B)
+
+
+def _call_outer(node, A, B):
+    return _bilinear(lambda x, y: x[..., :, None] * y[..., None, :], A, B)
+
+
+_CALLS = {
+    "det": _call_det, "tr": _call_tr, "inv": _call_inv, "exp": _call_exp, "log": _call_log,
+    "sqrt": _call_sqrt, "abs": _call_abs, "norm2": _call_norm2, "dot": _call_dot,
+    "cross": _call_cross, "outer": _call_outer,
+}
+
+
+def _compile_call(node):
+    args = [_compile(a) for a in node.args]
+    impl = _CALLS[node.func]
+
+    def call(frame):
+        return impl(node, *[arg(frame) for arg in args])
+    return call
+
+
+def _lanes(a, ndim):
+    a = np.asarray(a)
+    if a.dtype.kind != "c":
+        a = a.astype(float, copy=False)
+    if a.shape[1:] != (3,) * ndim or a.ndim != ndim + 1:
+        raise ValueError(f"expected lanes of shape (n{', 3' * ndim}), got {a.shape}")
+    return a if a.flags.c_contiguous else np.ascontiguousarray(a)
+
+
+def _inputs(Xs, Fs, m, reads):
+    """Base identifiers in ``reads`` over lanes; tangents seed X (then F, row-major) when ``m``."""
+    n = len(Xs)
+    env = {"I": (_EYE, None)}
+    dX = None
+    if m and reads & {"X", "X1", "X2", "X3"}:
+        dX = np.zeros((m, n, 3))
+        for i in range(3):
+            dX[i, :, i] = 1.0
+    if "X" in reads:
+        env["X"] = (Xs, dX)
+    for i in range(3):
+        name = f"X{i + 1}"
+        if name in reads:
+            env[name] = (Xs[:, i].copy(), None if dX is None else dX[:, :, i].copy())
+    if Fs is None:
+        env["F"] = (_EYE, None)
+    elif "F" in reads:
+        dF = None
+        if m:
+            dF = np.zeros((m, n, 9))
+            for j in range(9):
+                dF[3 + j, :, j] = 1.0
+            dF = dF.reshape(m, n, 3, 3)
+        env["F"] = (Fs, dF)
+    return env
+
+
+class Program:
+    """Trees compiled once and evaluated together over lanes of ``(X, F)``.
+
+    ``outputs`` are kind-checked trees whose values are flattened row-major
+    and concatenated per lane; ``lets`` are ``(name, tree)`` bindings
+    evaluated first, in order, on every lane; ``params`` maps parameter
+    names to values.  Without gradients ``F`` reads as the identity.
+    """
+
+    def __init__(self, outputs, lets=(), params=None):
+        self._consts = {name: (np.float64(value), None) for name, value in (params or {}).items()}
+        self._lets = [(name, _compile(node)) for name, node in lets]
+        self._outputs = [(_compile(node), int(np.prod(_SHAPES[node.kind], dtype=int)))
+                         for node in outputs]
+        trees = [node for _, node in lets] + list(outputs)
+        self._reads = {name for tree in trees for name, _ in _names(tree)}
+        self.width = sum(size for _, size in self._outputs)
+
+    def evaluate(self, Xs, Fs=None):
+        """Values ``(n, width)`` at body points ``Xs (n,3)`` and gradients ``Fs (n,3,3)``."""
+        return self._run(Xs, Fs, tangents=False)[0]
+
+    def derivatives(self, Xs, Fs=None):
+        """Values ``(n, width)`` and exact derivatives ``(n, width, m)``.
+
+        The derivative axis runs over ``X1 X2 X3`` and, when gradients are
+        given, then over the entries of ``F`` row-major (``m`` = 3 or 12).
+        """
+        return self._run(Xs, Fs, tangents=True)
+
+    def _run(self, Xs, Fs, tangents):
+        Xs = _lanes(Xs, 1)
+        Fs = None if Fs is None else _lanes(Fs, 2)
+        n = len(Xs)
+        m = (3 if Fs is None else 12) if tangents else 0
+        env = dict(self._consts)
+        env.update(_inputs(Xs, Fs, m, self._reads))
+        frame = _Frame(env, n, m)
+        for name, fn in self._lets:
+            env[name] = fn(frame)
+        # values are complex only for complex inputs; slice assignment
+        # spreads lane-independent values over every lane
+        dtype = Xs.dtype if Fs is None else np.result_type(Xs, Fs)
+        W = np.empty((n, self.width), dtype=dtype)
+        D = np.zeros((m, n, self.width), dtype=dtype) if tangents else None
+        start = 0
+        for fn, size in self._outputs:
+            v, d = fn(frame)
+            W[:, start:start + size] = v.reshape(-1, size)
+            if tangents and d is not None:
+                D[:, :, start:start + size] = d.reshape(m, n, size)
+            start += size
+        return W, (None if D is None else D.transpose(1, 2, 0).copy())
+
+
+def compile_model(mdef, param_values=None):
+    """Compile a parsed model; ``param_values`` overrides declared parameters."""
+    params = dict(mdef.params)
+    for name, value in (param_values or {}).items():
+        if name not in params:
+            raise EvaluationError(f"model has no parameter {name!r}")
+        params[name] = float(value)
+    return Program([mdef.response], mdef.lets, params)
 
 
 def evaluate_model_def(mdef, X, F, param_values=None):
     """Evaluate a parsed model at body point ``X`` and gradient ``F``.
 
-    Returns the response flattened row-major to a vector of length
-    ``mdef.dim``.
+    The one-lane call of the compiled engine; returns the response
+    flattened row-major to a vector of length ``mdef.dim``.
     """
     X = np.asarray(X, dtype=float)
-    env = {
-        "X1": float(X[0]),
-        "X2": float(X[1]),
-        "X3": float(X[2]),
-        "X": X,
-        "F": np.asarray(F, dtype=float),
-        "I": np.eye(3),
-    }
-    for name, value in mdef.params:
-        env[name] = float(value)
-    if param_values:
-        for name, value in param_values.items():
-            if name not in env:
-                raise EvaluationError(f"model has no parameter {name!r}")
-            env[name] = float(value)
-    for name, node in mdef.lets:
-        env[name] = _ev(node, env)
-    out = _ev(mdef.response, env)
-    return np.atleast_1d(np.asarray(out, dtype=float)).ravel()
+    F = np.asarray(F, dtype=float)
+    return compile_model(mdef, param_values).evaluate(X[None], F[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import dsl
 from .distribution import DEFAULT_SAMPLER, base_basis_at, is_material_isomorphism
-from .errors import DomainError, SingularMatrixError
+from .errors import DomainError, MatdistError, SingularMatrixError
 from .foliation import leaf_trace
-from .numkit import DEFAULT_TOL, jacobian_fd
+from .numkit import DEFAULT_TOL, FD_SHRINK_TRIES, jacobian_fd
 from .response import evaluate
 
 __all__ = [
@@ -37,12 +37,13 @@ __all__ = [
     "homogeneity_check",
     "eq25_residual",
     "ANGLE_TOL",
+    "LEAF_ORACLES",
 ]
 
 ANGLE_TOL = 1e-5
 _ROUNDTRIP_TOL = 1e-10
 _JAC_DET_MIN = 1e-8
-_FD_SHRINK_TRIES = 4
+LEAF_ORACLES = ("analytic", "trace")
 
 
 @dataclass
@@ -205,23 +206,16 @@ def builtin_chart(name, **params):
     raise ValueError(f"unknown chart {name!r}; built-ins are {', '.join(BUILTIN_CHARTS)}")
 
 
-class _ExpressionMap:
-    def __init__(self, trees):
-        self.trees = trees
-
-    def __call__(self, X):
-        X = np.asarray(X, dtype=float)
-        env = {"X1": float(X[0]), "X2": float(X[1]), "X3": float(X[2]),
-               "X": X, "F": np.eye(3), "I": np.eye(3)}
-        return np.array([float(dsl._ev(t, env)) for t in self.trees])
+def _point_values(program, shape=(-1,)):
+    def values(X):
+        return program.evaluate(np.asarray(X, dtype=float)[None])[0].reshape(shape)
+    return values
 
 
-class _ExpressionJacobian:
-    def __init__(self, trees):
-        self.rows = [_ExpressionMap(row) for row in trees]
-
-    def __call__(self, X):
-        return np.vstack([row(X) for row in self.rows])
+def _point_jacobian(program):
+    def jacobian(X):
+        return program.derivatives(np.asarray(X, dtype=float)[None])[1][0]
+    return jacobian
 
 
 def _parse_scalar_exprs(texts):
@@ -241,18 +235,19 @@ def chart_from_expressions(forward_exprs, inverse_exprs, leafwise_count, name="e
     The inverse is validated against the forward map by the homogeneity
     check, never derived.  ``jacobian_exprs`` (a 3x3 nest of expressions,
     row i = derivative of forward component i) is optional; without it the
-    Jacobian comes from finite differences, whose noise limits the
-    flat-derivative sub-test to roughly 1e-2.
+    Jacobian is the exact forward-mode derivative of the compiled forward
+    expressions.  The expressions read ``F`` as the identity.
     """
-    fwd = _parse_scalar_exprs(forward_exprs)
-    inv = _parse_scalar_exprs(inverse_exprs)
-    jac = None
-    if jacobian_exprs is not None:
+    fwd = dsl.Program(_parse_scalar_exprs(forward_exprs))
+    inv = dsl.Program(_parse_scalar_exprs(inverse_exprs))
+    if jacobian_exprs is None:
+        jac = _point_jacobian(fwd)
+    else:
         rows = [_parse_scalar_exprs(row) for row in jacobian_exprs]
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("jacobian_exprs must be a 3x3 nest of expressions")
-        jac = _ExpressionJacobian(rows)
-    return Chart(name, _ExpressionMap(fwd), _ExpressionMap(inv), int(leafwise_count),
+        jac = _point_values(dsl.Program([node for row in rows for node in row]), (3, 3))
+    return Chart(name, _point_values(fwd), _point_values(inv), int(leafwise_count),
                  jacobian=jac, region=region,
                  params={"forward": list(forward_exprs), "inverse": list(inverse_exprs),
                          "jacobian": [list(r) for r in jacobian_exprs] if jacobian_exprs else None})
@@ -273,6 +268,8 @@ def translation_jet(chart, Y, Z, tol=DEFAULT_TOL):
 
 def sample_region(model, chart, rng, count, max_tries=200000):
     """Uniform rejection samples from the chart region inside the model domain."""
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     lo, hi = model.bounds
     out = []
     for _ in range(max_tries):
@@ -293,6 +290,7 @@ def leaf_pairs(model, chart, n_pairs, leaf_oracle=None, sampler=DEFAULT_SAMPLER,
     whenever the model registers a leaf predicate.  Returns
     ``(pairs, skipped)`` where skipped counts failed generation attempts.
     """
+    _check_oracle(leaf_oracle)
     if leaf_oracle is None:
         leaf_oracle = "analytic" if model.leaf is not None else "trace"
     if leaf_oracle == "analytic" and model.leaf is None:
@@ -332,8 +330,8 @@ def eq25_residual(model, chart, X, anchor, L, tol=DEFAULT_TOL):
     """Max-norm of the response derivative along chart coordinate ``L``.
 
     Central difference of ``x -> W(inverse(x), anchor @ D(inverse(x)))`` in
-    the chart coordinate ``L`` (0-based); the step shrinks up to four times
-    when it exits the region or domain.
+    the chart coordinate ``L`` (0-based); the step is halved up to
+    ``FD_SHRINK_TRIES`` times when it exits the region or domain.
     """
     X = np.asarray(X, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
@@ -347,7 +345,7 @@ def eq25_residual(model, chart, X, anchor, L, tol=DEFAULT_TOL):
         return evaluate(model, Xb, anchor @ D)
 
     h = max(tol.fd_step_rel * abs(float(xt[L])), tol.fd_step_abs)
-    for _ in range(_FD_SHRINK_TRIES + 1):
+    for _ in range(FD_SHRINK_TRIES + 1):
         qp = xt.copy()
         qm = xt.copy()
         qp[L] += h
@@ -445,11 +443,17 @@ def _second_difference_residual(chart, samples, step=1e-4):
 
 
 def _director_flatness(model, chart, samples, leafwise_count, tol):
-    """Derivative of chart-frame director components along leafwise coordinates."""
+    """Derivative of chart-frame director components along leafwise coordinates.
+
+    Returns ``(worst, skipped)``, or None without a director; a probe whose
+    chart step fails numerically (domain, singular or non-finite values) is
+    skipped and counted.
+    """
     director = model.aux.get("director")
     if director is None or leafwise_count == 0:
         return None
     worst = 0.0
+    skipped = 0
     for X in samples:
         xt = np.asarray(chart.forward(X), dtype=float)
         for L in range(leafwise_count):
@@ -465,10 +469,11 @@ def _director_flatness(model, chart, samples, leafwise_count, tol):
             qm[L] -= h
             try:
                 d = (comp(qp) - comp(qm)) / (2.0 * h)
-            except Exception:
+            except (MatdistError, ValueError, np.linalg.LinAlgError):
+                skipped += 1
                 continue
             worst = max(worst, float(np.max(np.abs(d))))
-    return worst
+    return worst, skipped
 
 
 def homogeneity_check(model, chart, n_pairs=12, n_samples=10, sampler=DEFAULT_SAMPLER,
@@ -484,6 +489,9 @@ def homogeneity_check(model, chart, n_pairs=12, n_samples=10, sampler=DEFAULT_SA
     ``leafwise_count`` above the minimal sampled grade aborts (a) and (c)
     (the chart cannot be foliated); the translation test still runs.
     """
+    if n_samples < 1 or n_pairs < 1:
+        raise ValueError(f"n_samples and n_pairs must be at least 1, got {n_samples} and {n_pairs}")
+    _check_oracle(leaf_oracle)
     rng = np.random.default_rng(np.random.SeedSequence([int(sampler.seed), 0xC4A7]))
     samples = sample_region(model, chart, rng, n_samples)
     _validate_chart(chart, samples, tol)
@@ -577,8 +585,15 @@ def _base_diagnostics(model, chart, samples, leafwise_count, tol):
     diag = {"chart_second_difference": _second_difference_residual(chart, samples)}
     flatness = _director_flatness(model, chart, samples, leafwise_count, tol)
     if flatness is not None:
-        diag["director_leafwise_derivative"] = flatness
+        diag["director_leafwise_derivative"], skipped = flatness
+        if skipped:
+            diag["director_skipped"] = skipped
     return diag
+
+
+def _check_oracle(leaf_oracle):
+    if leaf_oracle is not None and leaf_oracle not in LEAF_ORACLES:
+        raise ValueError(f"unknown leaf oracle {leaf_oracle!r}; use one of {', '.join(LEAF_ORACLES)}")
 
 
 def _echo_params(model, chart, n_pairs, n_samples, sampler):

@@ -15,6 +15,7 @@ from .errors import NonFiniteError
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
+    "FD_SHRINK_TRIES",
     "nullspace",
     "nullspace_info",
     "rank_split",
@@ -53,6 +54,10 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# A finite-difference step that leaves a domain or region is halved at most
+# this many times before the difference gives up.
+FD_SHRINK_TRIES = 4
 
 
 def _as_matrix(M, name="matrix"):

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import dsl
 from .errors import DomainError, NonFiniteError, SingularMatrixError
-from .numkit import DEFAULT_TOL
+from .numkit import DEFAULT_TOL, FD_SHRINK_TRIES
 
 __all__ = [
     "ConstitutiveModel",
@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 _DET_MIN = 1e-12
-_FD_SHRINK_TRIES = 4
 
 
 class LeafInfo:
@@ -63,9 +62,11 @@ class ConstitutiveModel:
     evaluate_many:
         Optional vectorized form ``(Xs (n,3), Fs (n,3,3)) -> (n, dim)``.
     derivatives_many:
-        Optional analytic derivative ``(X, Fs (k,3,3)) -> ((k,dim,3), (k,dim,9))``
-        holding dW/dX and dW/dF with F flattened row-major.  It takes one
-        body point per call; batches over points loop over it.
+        Optional exact derivative ``(X, Fs (k,3,3)) -> ((k,dim,3), (k,dim,9))``
+        holding dW/dX and dW/dF with F flattened row-major: closed forms for
+        the built-ins, forward-mode derivatives of the compiled tree for
+        parsed models.  It takes one body point per call; batches over
+        points loop over it.
     leaf:
         Optional :class:`LeafInfo` when the uniform leaves are known in
         closed form.
@@ -161,12 +162,12 @@ def evaluate_at_samples(model, Xs, Fs):
 def _domain_steps(model, X, tol):
     """Per-coordinate central-difference steps kept inside the domain.
 
-    Shrinks an offending step up to four times before giving up.
+    Halves an offending step up to ``FD_SHRINK_TRIES`` times before giving up.
     """
     steps = np.maximum(tol.fd_step_rel * np.abs(X), tol.fd_step_abs)
     for i in range(3):
         h = steps[i]
-        for _ in range(_FD_SHRINK_TRIES + 1):
+        for _ in range(FD_SHRINK_TRIES + 1):
             xp = X.copy()
             xm = X.copy()
             xp[i] += h
@@ -590,12 +591,22 @@ def builtin(name, **params):
 
 
 class _ParsedResponse:
-    def __init__(self, mdef, param_values):
-        self.mdef = mdef
-        self.param_values = dict(param_values)
+    """A parsed model compiled once: batched evaluation, forward-mode derivatives."""
+
+    def __init__(self, name, program):
+        self.name = name
+        self.program = program
 
     def eval_one(self, X, F):
-        return dsl.evaluate_model_def(self.mdef, X, F, self.param_values)
+        return self.program.evaluate(np.asarray(X)[None], np.asarray(F)[None])[0]
+
+    def deriv_many(self, X, Fs):
+        W, D = self.program.derivatives(np.broadcast_to(X, (len(Fs), 3)), Fs)
+        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(D))):
+            raise NonFiniteError(
+                f"model {self.name!r} has a non-finite response or derivative at X={np.asarray(X).tolist()}"
+            )
+        return D[..., :3], D[..., 3:]
 
 
 def parse_model(source, name="mdl", params=None, bounds=None, domain=None):
@@ -603,7 +614,9 @@ def parse_model(source, name="mdl", params=None, bounds=None, domain=None):
 
     ``params`` overrides the defaults declared by ``param`` lines.  DSL
     models default to the open unit cube as bounds with an all-accepting
-    domain; pass ``domain``/``bounds`` to restrict them.
+    domain; pass ``domain``/``bounds`` to restrict them.  The source
+    compiles once; the model evaluates batches of samples per call and has
+    exact forward-mode derivatives.
     """
     mdef = dsl.parse_source(source)
     declared = {k for k, _ in mdef.params}
@@ -611,12 +624,14 @@ def parse_model(source, name="mdl", params=None, bounds=None, domain=None):
     for key in overrides:
         if key not in declared:
             raise ValueError(f"model source declares no parameter {key!r}")
-    impl = _ParsedResponse(mdef, overrides)
+    impl = _ParsedResponse(name, dsl.compile_model(mdef, overrides))
     effective = {k: overrides.get(k, v) for k, v in mdef.params}
     return ConstitutiveModel(
         name, mdef.dim, impl.eval_one,
         domain=domain,
         bounds=bounds,
+        evaluate_many=impl.program.evaluate,
+        derivatives_many=impl.deriv_many,
         params={"source_params": effective},
         aux={"model_def": mdef},
     )

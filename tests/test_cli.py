@@ -176,6 +176,28 @@ class TestHomogCommand:
         assert code == cli.EXIT_OK
 
 
+    @pytest.mark.parametrize("flags,config", [
+        (["--samples", "0"], ""), (["--pairs", "0"], ""), (["--pairs", "-2"], ""),
+        ([], "samples = 0\n"), ([], "pairs = 0\n"),
+        (["--oracle", "bogus"], ""), ([], "oracle = bogus\n"),
+    ], ids=["samples-flag", "pairs-flag", "negative-pairs", "samples-config", "pairs-config",
+            "oracle-flag", "oracle-config"])
+    def test_bad_counts_and_oracles_fail_before_compute(self, flags, config, tmp_path,
+                                                        monkeypatch, capsys):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("homogeneity_check ran before the usage check")
+
+        monkeypatch.setattr(cli, "homogeneity_check", no_compute)
+        argv = ["homog", "--model", "example1", "--chart", "identity"] + flags
+        if config:
+            cfg = tmp_path / "homog.cfg"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        code, _, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in err
+
+
 class TestCheckIsoCommand:
     def test_flat_region_isomorphic(self, capsys):
         code, out, _ = run(["check-iso", "--model", "example1",

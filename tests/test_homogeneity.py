@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from matdist.errors import SingularMatrixError
+from matdist import homogeneity
+from matdist.errors import DomainError, SingularMatrixError
 from matdist.homogeneity import (
     Chart,
     builtin_chart,
@@ -223,8 +224,9 @@ class TestChartConstruction:
         assert report.passed
 
     def test_expression_chart_without_jacobian_is_noise_limited(self, example1):
-        # the finite-difference Jacobian feeds noise into the outer
-        # flat-derivative quotient; tangency and translation are unaffected
+        # without jac entries the Jacobian is the exact forward-mode
+        # derivative of the compiled forward map, so no finite-difference
+        # noise reaches the flat-derivative quotient and eq25 passes too
         chart = chart_from_expressions(
             ["X2", "X3", "X1"], ["X3", "X1", "X2"], leafwise_count=2,
             region=region_right_slab,
@@ -233,6 +235,15 @@ class TestChartConstruction:
         assert report.foliated.passed
         assert report.translation.passed
         assert report.eq25.worst <= 1e-2
+        assert report.eq25.passed
+
+    def test_expression_jacobian_is_exact(self):
+        chart = chart_from_expressions(["X1 * X2", "exp(X3) + X1^2", "X3 / X1"],
+                                       ["X1", "X2", "X3"], leafwise_count=1)
+        x, y, z = 0.4, -0.7, 0.3
+        expected = np.array([[y, x, 0.0], [2 * x, 0.0, 0.0], [-z / x**2, 0.0, 1 / x]])
+        expected[1, 2] = np.exp(z)
+        np.testing.assert_allclose(chart.jac(np.array([x, y, z])), expected, rtol=1e-15, atol=0)
 
     def test_bad_inverse_is_caught(self, example1):
         chart = chart_from_expressions(
@@ -254,3 +265,53 @@ class TestChartConstruction:
                 dp[i] = h
                 fd[:, i] = (chart.forward(X + dp) - chart.forward(X - dp)) / (2 * h)
             np.testing.assert_allclose(chart.jac(X), fd, atol=1e-6)
+
+
+class TestCountsAndOracles:
+    def test_empty_counts_fail_before_sampling(self, example1, cube_identity_chart, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample_region ran before the count check")
+
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_region(example1, cube_identity_chart, np.random.default_rng(0), 0)
+        monkeypatch.setattr(homogeneity, "sample_region", no_sampling)
+        for counts in ({"n_samples": 0}, {"n_pairs": 0}, {"n_samples": -3}):
+            with pytest.raises(ValueError, match="at least 1"):
+                homogeneity_check(example1, cube_identity_chart, **counts)
+
+    def test_unknown_leaf_oracle_rejected(self, example1, cube_identity_chart):
+        with pytest.raises(ValueError, match="unknown leaf oracle"):
+            leaf_pairs(example1, cube_identity_chart, 2, leaf_oracle="bogus")
+        with pytest.raises(ValueError, match="unknown leaf oracle"):
+            homogeneity_check(example1, cube_identity_chart, leaf_oracle="bogus")
+
+
+class TestDirectorFlatness:
+    SAMPLES = np.array([[0.5, 0.1, 0.05], [0.4, -0.1, 0.1]])
+
+    @staticmethod
+    def cap_failing_once(exc):
+        cap = builtin_chart("spherical_cap")
+        calls = []
+
+        def inverse(q):
+            calls.append(q)
+            if len(calls) == 1:
+                raise exc
+            return cap.inverse(q)
+
+        return Chart("cap", cap.forward, inverse, 2, jacobian=cap.jacobian, region=cap.region)
+
+    def test_numerical_failures_are_counted(self, example2):
+        diag = homogeneity._base_diagnostics(example2, builtin_chart("spherical_cap"),
+                                             self.SAMPLES, 2, DEFAULT_TOL)
+        assert "director_skipped" not in diag
+        chart = self.cap_failing_once(DomainError("step left the domain"))
+        diag = homogeneity._base_diagnostics(example2, chart, self.SAMPLES, 2, DEFAULT_TOL)
+        assert diag["director_skipped"] == 1
+        assert np.isfinite(diag["director_leafwise_derivative"])
+
+    def test_programming_errors_propagate(self, example2):
+        chart = self.cap_failing_once(TypeError("bug"))
+        with pytest.raises(TypeError, match="bug"):
+            homogeneity._base_diagnostics(example2, chart, self.SAMPLES, 2, DEFAULT_TOL)
