@@ -30,7 +30,15 @@ from .distribution import (
     symmetry_algebra,
     is_material_isomorphism,
 )
-from .foliation import GridSpec, GradeField, LeafTrace, grade_map, leaf_trace, regularity_report
+from .foliation import (
+    GridSpec,
+    GradeField,
+    LeafTrace,
+    grade_map,
+    leaf_trace,
+    regularity_report,
+    trace_leaves,
+)
 from .homogeneity import (
     Chart,
     HomogeneityReport,
@@ -70,6 +78,7 @@ __all__ = [
     "LeafTrace",
     "grade_map",
     "leaf_trace",
+    "trace_leaves",
     "regularity_report",
     "Chart",
     "HomogeneityReport",

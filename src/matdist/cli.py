@@ -23,6 +23,7 @@ from . import __version__
 from .distribution import (
     GERM_CLOUD,
     GERM_RADIUS,
+    MODES,
     SamplerConfig,
     is_material_isomorphism,
     material_fibre,
@@ -31,6 +32,7 @@ from .errors import MatdistError, ModelParseError
 from . import dsl
 from .foliation import (
     GridSpec,
+    check_trace_args,
     grade_field_csv,
     grade_field_json_dict,
     grade_map,
@@ -135,14 +137,32 @@ class _Settings:
         self.file_cfg = file_cfg
         self.effective = {}
 
-    def get(self, key, arg_name, default, convert=str):
+    def get(self, key, arg_name, default, convert=str, choices=None):
+        """Flag, else config value, else ``default``.
+
+        A config value that ``convert`` rejects, or a value outside
+        ``choices``, is a usage error.
+        """
         value = getattr(self.args, arg_name, None)
         if value is None:
             raw = self.file_cfg.get(key)
-            value = convert(raw) if raw is not None else default
+            value = _convert(key, raw, convert) if raw is not None else default
+        if choices is not None and value is not None and value not in choices:
+            raise _UsageError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
         if value is not None:
             self.effective[key] = _to_config_string(value)
         return value
+
+
+_KINDS = {int: "an integer", float: "a number"}
+
+
+def _convert(key, raw, convert):
+    try:
+        return convert(raw)
+    except ValueError:
+        what = _KINDS.get(convert, "valid")
+        raise _UsageError(f"config value {key} = {raw!r} is not {what}") from None
 
 
 def _to_config_string(value):
@@ -242,7 +262,7 @@ def _add_common(parser):
     parser.add_argument("--param", action="append", help="model parameter name=value")
     parser.add_argument("--config", help="flat key=value config file (flags override)")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--mode", choices=["pointwise", "germ1"])
+    parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--tol-rank", type=float, dest="tol_rank")
     parser.add_argument("--tol-residual", type=float, dest="tol_residual")
     parser.add_argument("--tol-fd-rel", type=float, dest="tol_fd_rel")
@@ -334,9 +354,9 @@ def _write_output(settings, result_dict, out_path, fmt="json", csv_writer=None):
 
 def _cmd_fibre(args):
     settings = _Settings(args, read_config(args.config) if args.config else {})
+    mode = settings.get("mode", "mode", "pointwise", choices=MODES)
     model, sampler, tol = _resolve_common(settings, "fibre")
     point = _parse_floats(settings.get("point", "point", None, str), 3, "--point")
-    mode = settings.get("mode", "mode", "pointwise")
     radius = settings.get("germ.radius", "germ_radius", GERM_RADIUS, float)
     cloud = settings.get("germ.cloud", "germ_cloud", GERM_CLOUD, int)
     fmt = _json_only(settings)
@@ -350,6 +370,7 @@ def _cmd_fibre(args):
 
 def _cmd_grade_map(args):
     settings = _Settings(args, read_config(args.config) if args.config else {})
+    mode = settings.get("mode", "mode", "pointwise", choices=MODES)
     model, sampler, tol = _resolve_common(settings, "grade-map")
     lo = _parse_floats(settings.get("grid.lo", "grid_lo", "-0.9,-0.9,-0.9", str), 3, "--grid-lo")
     hi = _parse_floats(settings.get("grid.hi", "grid_hi", "0.9,0.9,0.9", str), 3, "--grid-hi")
@@ -359,7 +380,6 @@ def _cmd_grade_map(args):
         counts = counts * 3
     if len(counts) != 3:
         raise _UsageError("--grid-n needs one or three integers")
-    mode = settings.get("mode", "mode", "pointwise")
     radius = settings.get("germ.radius", "germ_radius", GERM_RADIUS, float)
     cloud = settings.get("germ.cloud", "germ_cloud", GERM_CLOUD, int)
     fmt = settings.get("format", "format", "json")
@@ -397,11 +417,16 @@ def _parse_slice(text):
 
 def _cmd_leaf(args):
     settings = _Settings(args, read_config(args.config) if args.config else {})
+    mode = settings.get("mode", "mode", None)
+    steps = settings.get("steps", "steps", 200, int)
+    h = settings.get("h", "h", 0.01, float)
+    try:
+        check_trace_args(h, steps, mode or "pointwise")
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     model, sampler, tol = _resolve_common(settings, "leaf")
     point = _parse_floats(settings.get("point", "point", None, str), 3, "--point")
     direction = _parse_floats(settings.get("dir", "dir", "0,1,0", str), 3, "--dir")
-    steps = settings.get("steps", "steps", 200, int)
-    h = settings.get("h", "h", 0.01, float)
     fmt = settings.get("format", "format", "json")
     out = settings.get("out", "out", None)
     svg_path = settings.get("svg", "svg", None, str)
@@ -468,9 +493,7 @@ def _cmd_homog(args):
     n_samples = settings.get("samples", "samples", 10, int)
     if n_pairs < 1 or n_samples < 1:
         raise _UsageError(f"--pairs and --samples must be at least 1, got {n_pairs} and {n_samples}")
-    oracle = settings.get("oracle", "oracle", None, str)
-    if oracle is not None and oracle not in LEAF_ORACLES:
-        raise _UsageError(f"unknown oracle {oracle!r}; use one of {', '.join(LEAF_ORACLES)}")
+    oracle = settings.get("oracle", "oracle", None, str, choices=LEAF_ORACLES)
     model, sampler, tol = _resolve_common(settings, "homog")
     chart = _build_chart(settings)
     fmt = _json_only(settings)

@@ -37,13 +37,16 @@ __all__ = [
     "admissibility_block",
     "material_fibre",
     "pointwise_grades",
+    "base_bases_at",
     "base_basis_at",
     "symmetry_algebra",
     "is_material_isomorphism",
     "GERM_RADIUS",
     "GERM_CLOUD",
+    "MODES",
 ]
 
+MODES = ("pointwise", "germ1")  # fibre modes of material_fibre
 GERM_RADIUS = 1e-2
 GERM_CLOUD = 20
 
@@ -224,8 +227,8 @@ def admissibility_block(model, X, F, tol=DEFAULT_TOL):
 #
 # One kernel serves every fibre: a system yields admissibility rows for a set
 # of nodes, one generator per node; _saturate solves them in lockstep and
-# _fibres validates and grades the results.  material_fibre and base_basis_at
-# are its one-node case, pointwise_grades runs it over chunks of grid nodes.
+# _fibres validates and grades the results.  material_fibre is its one-node
+# case; pointwise_grades and base_bases_at run it over chunks of points.
 
 _CHUNK_NODES = 16  # nodes per lockstep batch: larger chunks gain no speed and cost memory
 
@@ -449,10 +452,14 @@ def _one_node(results):
     return result
 
 
+def _outside(model, X):
+    return DomainError(f"point {X.tolist()} is outside the domain of model {model.name!r}")
+
+
 def _check_domain(model, X):
     X = np.asarray(X, dtype=float)
     if not model.in_domain(X):
-        raise DomainError(f"point {X.tolist()} is outside the domain of model {model.name!r}")
+        raise _outside(model, X)
     return X
 
 
@@ -496,39 +503,70 @@ def pointwise_grades(model, Xs, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
 
     Returns one result per point with ``grade``, ``rank_gap`` and
     ``validated`` (the symmetry algebra is not extracted), or the
-    :class:`MatdistError` that failed that point.  Points run through the
-    kernel in chunks of ``_CHUNK_NODES``.  Every point draws from its own
-    generator, seeded by its coordinates, so results do not depend on how
-    the points are batched: a chunk that raises is re-run point by point,
-    which reproduces the others exactly and pins the failure to its point.
+    :class:`MatdistError` that failed that point.
     """
-    Xs = np.asarray(Xs, dtype=float).reshape(-1, 3)
+    return _pointwise_chunks(model, np.asarray(Xs, dtype=float).reshape(-1, 3), sampler, tol,
+                             validate=True)
+
+
+def _pointwise_chunks(model, Xs, sampler, tol, validate):
+    """One kernel result or :class:`MatdistError` per point.
+
+    Points run through the kernel in chunks of ``_CHUNK_NODES``.  Every point
+    draws from its own generator, seeded by its coordinates, so results do
+    not depend on how the points are batched: a chunk that raises is re-run
+    point by point, which reproduces the others exactly and pins the failure
+    to its point (a one-point chunk keeps its error without a re-run).
+    """
     out = []
     for start in range(0, len(Xs), _CHUNK_NODES):
         chunk = Xs[start:start + _CHUNK_NODES]
         try:
-            out.extend(_pointwise(model, chunk, sampler, tol))
-        except MatdistError:
-            out.extend(_isolated(model, X, sampler, tol) for X in chunk)
+            out.extend(_pointwise(model, chunk, sampler, tol, validate))
+        except MatdistError as exc:
+            if len(chunk) == 1:
+                out.append(exc)
+            else:
+                out.extend(_isolated(model, X, sampler, tol, validate) for X in chunk)
     return out
 
 
-def _isolated(model, X, sampler, tol):
+def _isolated(model, X, sampler, tol, validate):
     try:
-        return _pointwise(model, X[None], sampler, tol)[0]
+        return _pointwise(model, X[None], sampler, tol, validate)[0]
     except MatdistError as exc:
         return exc
+
+
+def base_bases_at(model, Xs, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
+    """Base projections at many body points, one kernel batch per chunk.
+
+    Returns, per point, ``(basis (3,grade), grade, gap)`` or the
+    :class:`MatdistError` that failed that point alone: a
+    :class:`DomainError` for a point outside the model domain, say.  Held-out
+    validation and symmetry extraction are skipped; the flow tracer and the
+    homogeneity sample bases query many points this way.  Each result is
+    bit-identical to :func:`base_basis_at` at that point.
+    """
+    Xs = np.asarray(Xs, dtype=float).reshape(-1, 3)
+    inside = np.array([model.in_domain(X) for X in Xs], dtype=bool)
+    nodes = iter(_pointwise_chunks(model, Xs[inside], sampler, tol, validate=False))
+    return [_base_of(next(nodes)) if ok else _outside(model, X) for X, ok in zip(Xs, inside)]
+
+
+def _base_of(node):
+    return node if isinstance(node, MatdistError) else (node.base, node.grade, node.rank_gap)
 
 
 def base_basis_at(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
     """Lightweight base projection at ``X``: ``(basis (3,grade), grade, gap)``.
 
-    Skips held-out validation and symmetry extraction; used by the flow
-    tracer, which queries many intermediate points.
+    The one-point case of :func:`base_bases_at`; raises the point's error.
     """
-    X = _check_domain(model, X)
-    node = _one_node(_pointwise(model, X[None], sampler, tol, validate=False))
-    return node.base, node.grade, node.rank_gap
+    (result,) = base_bases_at(model, np.asarray(X, dtype=float)[None], sampler, tol)
+    if isinstance(result, MatdistError):
+        raise result
+    return result
 
 
 def symmetry_algebra(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):

@@ -16,11 +16,12 @@ from .distribution import (
     DEFAULT_SAMPLER,
     GERM_CLOUD,
     GERM_RADIUS,
-    base_basis_at,
+    base_basis_at,  # noqa: F401  (a module name the benchmark tracer wraps)
+    base_bases_at,
     material_fibre,
     pointwise_grades,
 )
-from .errors import DomainError, MatdistError
+from .errors import DomainError, MatdistError, NonFiniteError
 from .numkit import DEFAULT_TOL, rk4_step
 
 __all__ = [
@@ -30,6 +31,9 @@ __all__ = [
     "RegularityReport",
     "grade_map",
     "leaf_trace",
+    "trace_leaves",
+    "check_trace_args",
+    "MAX_STEP",
     "regularity_report",
     "grade_field_csv",
     "grade_field_json_dict",
@@ -44,6 +48,7 @@ GRADE_COLORS = {0: "black", 1: "blue", 2: "orange", 3: "green", -1: "gray"}
 
 _MAX_GRID_NODES = 10**6
 _ALIGN_EPS = 1e-6
+MAX_STEP = 0.05  # largest leaf-trace step size
 
 
 @dataclass(frozen=True)
@@ -147,10 +152,6 @@ class LeafTrace:
         return len(self.points)
 
 
-class _GradeLost(MatdistError):
-    pass
-
-
 def _normalize(v):
     v = np.asarray(v, dtype=float)
     n = float(np.linalg.norm(v))
@@ -167,6 +168,19 @@ def _lex_oriented(column):
     return column
 
 
+def _flow_value(basis, direction):
+    """The projected field: ``direction`` projected onto span(basis), unit length.
+
+    None when the projection nearly vanishes (the leaf turned away from the
+    direction the step started with).
+    """
+    q = basis @ (basis.T @ direction)
+    n = float(np.linalg.norm(q))
+    if n <= _ALIGN_EPS:
+        return None
+    return q / n
+
+
 def _project_direction(basis, reference):
     """Unit vector in span(basis) closest in angle to ``reference``.
 
@@ -175,11 +189,194 @@ def _project_direction(basis, reference):
     lexicographically oriented first basis column is the deterministic
     tie-break.
     """
-    p = basis @ (basis.T @ reference)
-    n = float(np.linalg.norm(p))
-    if n <= _ALIGN_EPS:
+    p = _flow_value(basis, reference)
+    if p is None:
         return _lex_oriented(basis[:, 0].copy()), True
-    return p / n, False
+    return p, False
+
+
+def check_trace_args(h, steps, mode="pointwise"):
+    """Check leaf-trace arguments, raising ``ValueError`` on a bad one.
+
+    ``h`` must lie in ``(0, MAX_STEP]``, ``steps`` must be at least 0 and
+    ``mode`` must be ``"pointwise"``, the only mode leaves are traced in.
+    """
+    if not 0.0 < h <= MAX_STEP:
+        raise ValueError(f"step size h must be in (0, {MAX_STEP}], got {h!r}")
+    if steps < 0:
+        raise ValueError(f"step count must be at least 0, got {steps!r}")
+    if mode != "pointwise":
+        raise ValueError(f"leaf traces use pointwise base queries; mode {mode!r} is not supported")
+
+
+class _Leaf:
+    """One leaf of a lockstep trace: its polyline so far and how it ended."""
+
+    def __init__(self, seed, hint, steps):
+        self.seed = np.asarray(seed, dtype=float)
+        self.hint = np.asarray(hint, dtype=float)
+        self.steps = int(steps)
+        self.points = [self.seed]
+        self.grades = []
+        self.directions = []
+        self.tie_breaks = []
+        self.basis = None  # base basis at the last point
+        self.direction = None
+        self.stop_reason = "completed"
+        self.error = None
+        self.done = False
+
+    def stop(self, reason):
+        self.stop_reason = reason
+        self.done = True
+
+    def fail(self, error):
+        self.error = error
+        self.done = True
+
+    def start(self, base):
+        """Take the base query at the seed; the first direction is the hint."""
+        if isinstance(base, MatdistError):
+            self.fail(base)
+        elif base[1] < 1:
+            self.fail(ValueError(f"grade at the seed is {base[1]}; need at least 1 to trace"))
+        else:
+            self.basis, grade, _ = base
+            self.grades.append(grade)
+            self._head(self.hint)
+
+    def arrive(self, base):
+        """Take the base query at the point just reached."""
+        if isinstance(base, MatdistError):
+            self.fail(base)
+            return
+        self.basis, grade, _ = base
+        self.grades.append(grade)
+        if grade < 1:
+            self.stop("grade_lost")
+        else:
+            self._head(self.points[-1] - self.points[-2])
+
+    def _head(self, vector):
+        try:
+            self.direction = _normalize(vector)
+        except ValueError as exc:
+            self.fail(exc)
+
+    def result(self, model, h):
+        if self.error is not None:
+            return self.error
+        points = np.asarray(self.points)
+        residuals = np.full(len(points), np.nan)
+        if model.leaf is not None:
+            residuals = np.array([model.leaf.residual(self.seed, p) for p in points])
+        return LeafTrace(
+            seed=self.seed,
+            direction_hint=self.hint,
+            step=float(h),
+            mode="pointwise",
+            points=points,
+            grades=np.asarray(self.grades, dtype=int),
+            directions=np.asarray(self.directions) if self.directions else np.zeros((0, 3)),
+            leaf_residuals=residuals,
+            stop_reason=self.stop_reason,
+            tie_breaks=self.tie_breaks,
+        )
+
+
+def _stage_flow(model, leaves, sampler, tol):
+    """Field of RK4 stages k2..k4 over a stack of leaves, one batched query each.
+
+    A leaf whose stage point is outside the domain, loses grade or alignment,
+    or fails in the kernel stops or fails here; its row reads zero from then
+    on and is never queried again.
+    """
+    stages = iter(("k2", "k3", "k4"))
+
+    def flow(P):
+        name = next(stages)
+        out = np.zeros_like(P)
+        live = [j for j, leaf in enumerate(leaves) if not leaf.done]
+        for j, base in zip(live, base_bases_at(model, P[live], sampler, tol)):
+            leaf = leaves[j]
+            if isinstance(base, DomainError):
+                leaf.stop("domain_boundary")
+            elif isinstance(base, MatdistError):
+                leaf.fail(base)
+            elif base[1] < 1:
+                leaf.stop("grade_lost")
+            else:
+                value = _flow_value(base[0], leaf.direction)
+                if value is None:
+                    leaf.stop("alignment_lost")
+                elif not np.all(np.isfinite(value)):
+                    leaf.fail(NonFiniteError(f"non-finite value at RK4 stage {name}"))
+                else:
+                    out[j] = value
+        return out
+
+    return flow
+
+
+def trace_leaves(model, seeds, dir_selects, steps, h, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
+    """Trace many leaves in lockstep; one :class:`LeafTrace` or error per leaf.
+
+    ``seeds`` and ``dir_selects`` hold one point and one direction hint per
+    leaf and ``steps`` one step count per leaf; all leaves share the step
+    size ``h``.  Every RK4 stage makes one batched base query
+    (:func:`~matdist.distribution.base_bases_at`) over the leaves still
+    moving, and the base basis found at a new point serves as the first
+    stage of the next step, so a step costs three queries plus one at the
+    point it reaches.  Each leaf keeps its own stop reason, tie-breaks or
+    error (a :class:`MatdistError`, or a ``ValueError`` for a seed of grade
+    0 or a zero hint), and its trace is bit-identical to tracing it alone.
+    """
+    check_trace_args(h, min(steps, default=0))
+    leaves = [_Leaf(seed, hint, n) for seed, hint, n in zip(seeds, dir_selects, steps)]
+    for leaf in leaves:
+        if not model.in_domain(leaf.seed):
+            leaf.fail(DomainError(f"seed {leaf.seed.tolist()} is outside the model domain"))
+    starting = [leaf for leaf in leaves if not leaf.done]
+    for leaf, base in zip(starting, base_bases_at(model, [leaf.seed for leaf in starting],
+                                                  sampler, tol)):
+        leaf.start(base)
+
+    for step_index in range(max((leaf.steps for leaf in leaves), default=0)):
+        moving = []
+        first_stage = []
+        for leaf in leaves:
+            if leaf.done or step_index >= leaf.steps:
+                continue
+            leaf.direction, ambiguous = _project_direction(leaf.basis, leaf.direction)
+            if ambiguous:
+                leaf.tie_breaks.append(step_index)
+            k1 = _flow_value(leaf.basis, leaf.direction)
+            if k1 is None:
+                leaf.stop("alignment_lost")
+                continue
+            if not np.all(np.isfinite(k1)):
+                leaf.fail(NonFiniteError("non-finite value at RK4 stage k1"))
+                continue
+            moving.append(leaf)
+            first_stage.append(k1)
+        if not moving:
+            break
+        x = np.stack([leaf.points[-1] for leaf in moving])
+        reached = rk4_step(_stage_flow(model, moving, sampler, tol), x, h, k1=np.stack(first_stage))
+        arrived = []
+        for leaf, point in zip(moving, reached):
+            if leaf.done:
+                continue
+            if not model.in_domain(point):
+                leaf.stop("domain_boundary")
+                continue
+            leaf.directions.append(leaf.direction)
+            leaf.points.append(point)
+            arrived.append(leaf)
+        for leaf, base in zip(arrived, base_bases_at(model, [leaf.points[-1] for leaf in arrived],
+                                                     sampler, tol)):
+            leaf.arrive(base)
+    return [leaf.result(model, h) for leaf in leaves]
 
 
 def leaf_trace(model, seed, dir_select, steps, h, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL,
@@ -188,81 +385,17 @@ def leaf_trace(model, seed, dir_select, steps, h, sampler=DEFAULT_SAMPLER, tol=D
 
     At each step the previous direction is projected onto the current base
     basis and normalized; the step itself is a classical Runge-Kutta update
-    of that projected field.  The trace stops early at the domain boundary
-    or when the grade drops below one.
+    of that projected field.  The trace stops early at the domain boundary,
+    when the grade drops below one, or when the projected field vanishes.
+    ``h`` must lie in ``(0, MAX_STEP]`` and ``steps`` must be at least 0;
+    ``mode`` is ``"pointwise"``, the only mode leaves are traced in.  This is
+    the one-leaf case of :func:`trace_leaves`; it raises the leaf's error.
     """
-    if h > 0.05:
-        raise ValueError("step size h must be at most 0.05")
-    seed = np.asarray(seed, dtype=float)
-    if not model.in_domain(seed):
-        raise DomainError(f"seed {seed.tolist()} is outside the model domain")
-
-    basis, grade, _ = base_basis_at(model, seed, sampler, tol)
-    if grade < 1:
-        raise ValueError(f"grade at the seed is {grade}; need at least 1 to trace")
-
-    points = [seed]
-    grades = [grade]
-    directions = []
-    tie_breaks = []
-    stop_reason = "completed"
-    direction = _normalize(dir_select)
-
-    current = seed
-    current_basis = basis
-    for step_index in range(int(steps)):
-        direction, ambiguous = _project_direction(current_basis, direction)
-        if ambiguous:
-            tie_breaks.append(step_index)
-
-        def flow(y, _d=direction):
-            b, g, _ = base_basis_at(model, y, sampler, tol)
-            if g < 1:
-                raise _GradeLost()
-            q = b @ (b.T @ _d)
-            n = float(np.linalg.norm(q))
-            if n <= _ALIGN_EPS:
-                raise _GradeLost("alignment")
-            return q / n
-
-        try:
-            nxt = rk4_step(flow, current, h)
-        except _GradeLost as stop:
-            stop_reason = "alignment_lost" if stop.args else "grade_lost"
-            break
-        except DomainError:
-            stop_reason = "domain_boundary"
-            break
-        if not model.in_domain(nxt):
-            stop_reason = "domain_boundary"
-            break
-        directions.append(direction)
-        current = nxt
-        points.append(nxt)
-        current_basis, grade, _ = base_basis_at(model, nxt, sampler, tol)
-        if grade < 1:
-            grades.append(grade)
-            stop_reason = "grade_lost"
-            break
-        grades.append(grade)
-        direction = _normalize(nxt - points[-2])
-
-    points = np.asarray(points)
-    residuals = np.full(len(points), np.nan)
-    if model.leaf is not None:
-        residuals = np.array([model.leaf.residual(seed, p) for p in points])
-    return LeafTrace(
-        seed=seed,
-        direction_hint=np.asarray(dir_select, dtype=float),
-        step=float(h),
-        mode=mode,
-        points=points,
-        grades=np.asarray(grades, dtype=int),
-        directions=np.asarray(directions) if directions else np.zeros((0, 3)),
-        leaf_residuals=residuals,
-        stop_reason=stop_reason,
-        tie_breaks=tie_breaks,
-    )
+    check_trace_args(h, steps, mode)
+    (trace,) = trace_leaves(model, [seed], [dir_select], [steps], h, sampler, tol)
+    if isinstance(trace, Exception):
+        raise trace
+    return trace
 
 
 # ---------------------------------------------------------------------------

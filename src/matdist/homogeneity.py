@@ -19,9 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsl
-from .distribution import DEFAULT_SAMPLER, base_basis_at, is_material_isomorphism
+from .distribution import DEFAULT_SAMPLER, base_bases_at, is_material_isomorphism
+from .distribution import base_basis_at  # noqa: F401  (a module name the benchmark tracer wraps)
 from .errors import DomainError, MatdistError, SingularMatrixError
-from .foliation import leaf_trace
+from .foliation import leaf_trace  # noqa: F401  (a module name the benchmark tracer wraps)
+from .foliation import trace_leaves
 from .numkit import DEFAULT_TOL, FD_SHRINK_TRIES, jacobian_fd
 from .response import evaluate
 
@@ -281,6 +283,9 @@ def sample_region(model, chart, rng, count, max_tries=200000):
     raise ValueError("could not sample the chart region inside the model domain")
 
 
+_PAIR_STEP = 0.01  # step size of trace-oracle leaves
+
+
 def leaf_pairs(model, chart, n_pairs, leaf_oracle=None, sampler=DEFAULT_SAMPLER,
                tol=DEFAULT_TOL):
     """Same-leaf point pairs (Y, Z) inside the chart region.
@@ -288,7 +293,19 @@ def leaf_pairs(model, chart, n_pairs, leaf_oracle=None, sampler=DEFAULT_SAMPLER,
     ``leaf_oracle`` is ``"analytic"`` (the model's leaf predicate) or
     ``"trace"`` (numerically traced leaves); when None, analytic is used
     whenever the model registers a leaf predicate.  Returns
-    ``(pairs, skipped)`` where skipped counts failed generation attempts.
+    ``(pairs, skipped)`` where skipped counts failed generation attempts;
+    at most ``40 * n_pairs + 100`` candidates are drawn.
+
+    The trace oracle draws candidates (a region point, a random direction
+    and a step count) in rounds of as many as are still needed, traces each
+    round in lockstep (:func:`~matdist.foliation.trace_leaves`) and judges
+    the candidates in draw order.  One candidate at a time, every candidate
+    of a round would have been drawn and traced too, so the pairs, the
+    skipped count and any error do not depend on the batching.  A candidate
+    whose trace fails with a ``ValueError`` (a point of grade 0, a domain
+    step or a non-finite response, say) is skipped; any other failure, a
+    :class:`FibreInstabilityError` say, propagates from the first such
+    candidate in draw order.
     """
     _check_oracle(leaf_oracle)
     if leaf_oracle is None:
@@ -296,33 +313,58 @@ def leaf_pairs(model, chart, n_pairs, leaf_oracle=None, sampler=DEFAULT_SAMPLER,
     if leaf_oracle == "analytic" and model.leaf is None:
         raise ValueError(f"model {model.name!r} registers no leaf predicate")
     rng = np.random.default_rng(np.random.SeedSequence([int(sampler.seed), 0x1EAF]))
+    budget = 40 * n_pairs + 100
+    if leaf_oracle == "analytic":
+        return _analytic_pairs(model, chart, n_pairs, rng, budget)
+    return _traced_pairs(model, chart, n_pairs, rng, budget, sampler, tol)
+
+
+def _analytic_pairs(model, chart, n_pairs, rng, budget):
     pairs = []
     skipped = 0
-    budget = 40 * n_pairs + 100
     while len(pairs) < n_pairs and budget > 0:
         budget -= 1
         Y = sample_region(model, chart, rng, 1)[0]
-        if leaf_oracle == "analytic":
-            for _ in range(64):
-                Z = np.asarray(model.leaf.sample(Y, rng), dtype=float)
-                if model.in_domain(Z) and chart.in_region(Z):
-                    pairs.append((Y, Z))
-                    break
-            else:
-                skipped += 1
+        for _ in range(64):
+            Z = np.asarray(model.leaf.sample(Y, rng), dtype=float)
+            if model.in_domain(Z) and chart.in_region(Z):
+                pairs.append((Y, Z))
+                break
         else:
-            direction = rng.normal(size=3)
-            steps = int(rng.integers(5, 25))
-            try:
-                trace = leaf_trace(model, Y, direction, steps, 0.01, sampler, tol)
-            except (ValueError, DomainError):
+            skipped += 1
+    return pairs, skipped
+
+
+def _traced_pairs(model, chart, n_pairs, rng, budget, sampler, tol):
+    pairs = []
+    skipped = 0
+    while len(pairs) < n_pairs and budget > 0:
+        drawn = []
+        draw_error = None
+        try:
+            for _ in range(min(n_pairs - len(pairs), budget)):
+                Y = sample_region(model, chart, rng, 1)[0]
+                drawn.append((Y, rng.normal(size=3), int(rng.integers(5, 25))))
+        except Exception as exc:  # noqa: BLE001  re-raised below
+            # the candidates drawn before the failed draw are judged first,
+            # as they would have been one at a time
+            draw_error = exc
+        budget -= len(drawn)
+        seeds, directions, steps = zip(*drawn) if drawn else ((), (), ())
+        traces = trace_leaves(model, seeds, directions, steps, _PAIR_STEP, sampler, tol)
+        for Y, trace in zip(seeds, traces):
+            if isinstance(trace, ValueError):
                 skipped += 1
                 continue
+            if isinstance(trace, Exception):
+                raise trace
             Z = trace.points[-1]
             if len(trace.points) > 1 and chart.in_region(Z):
                 pairs.append((Y, Z))
             else:
                 skipped += 1
+        if draw_error is not None:
+            raise draw_error
     return pairs, skipped
 
 
@@ -487,7 +529,11 @@ def homogeneity_check(model, chart, n_pairs=12, n_samples=10, sampler=DEFAULT_SA
     vanishes at the anchor gradients.
 
     ``leafwise_count`` above the minimal sampled grade aborts (a) and (c)
-    (the chart cannot be foliated); the translation test still runs.
+    (the chart cannot be foliated); the translation test still runs.  The
+    base bases at the ``n_samples`` region samples come from one batched
+    query (:func:`~matdist.distribution.base_bases_at`); the first sample
+    whose query fails raises its error.  With the trace oracle the pairs
+    of (b) come from lockstep traces (:func:`leaf_pairs`).
     """
     if n_samples < 1 or n_pairs < 1:
         raise ValueError(f"n_samples and n_pairs must be at least 1, got {n_samples} and {n_pairs}")
@@ -504,13 +550,12 @@ def homogeneity_check(model, chart, n_pairs=12, n_samples=10, sampler=DEFAULT_SA
                                  _base_diagnostics(model, chart, samples, p, tol),
                                  _echo_params(model, chart, n_pairs, n_samples, sampler))
 
-    bases = []
-    grades = []
-    for X in samples:
-        basis, grade, _ = base_basis_at(model, X, sampler, tol)
-        bases.append(basis)
-        grades.append(grade)
-    min_grade = int(min(grades))
+    queried = base_bases_at(model, samples, sampler, tol)
+    for base in queried:
+        if isinstance(base, MatdistError):
+            raise base
+    bases = [base[0] for base in queried]
+    min_grade = int(min(base[1] for base in queried))
     aborted = ""
     if p > min_grade:
         aborted = (

@@ -162,17 +162,25 @@ def jacobian_fd(f, x, tol=DEFAULT_TOL):
     return np.column_stack(cols)
 
 
-def rk4_step(v, x, h):
-    """One classical 4-stage Runge-Kutta step of size ``h`` for ``x' = v(x)``."""
+def rk4_step(v, x, h, k1=None):
+    """One classical 4-stage Runge-Kutta step of size ``h`` for ``x' = v(x)``.
+
+    ``x`` is one state or a stack of independent states along the leading
+    axis; ``v`` then maps the whole stack at once, and every state's update
+    is bit-identical to a step of that state alone.  ``k1``, when given, is
+    the first stage ``v(x)`` already known to the caller (a tracer that has
+    just evaluated the field at the new point), so ``v`` runs three times
+    instead of four.  A non-finite stage value raises :class:`NonFiniteError`.
+    """
     x = np.asarray(x, dtype=float)
 
-    def stage(name, p):
-        k = np.asarray(v(p), dtype=float)
+    def stage(name, p, value=None):
+        k = np.asarray(v(p) if value is None else value, dtype=float)
         if not np.all(np.isfinite(k)):
             raise NonFiniteError(f"non-finite value at RK4 stage {name}")
         return k
 
-    k1 = stage("k1", x)
+    k1 = stage("k1", x, k1)
     k2 = stage("k2", x + 0.5 * h * k1)
     k3 = stage("k3", x + 0.5 * h * k2)
     k4 = stage("k4", x + h * k3)

@@ -141,6 +141,28 @@ class TestLeafCommand:
         assert "<polyline" in svg_path.read_text()
 
 
+    @pytest.mark.parametrize("flags,config", [
+        (["--h", "0.1"], ""), (["--h", "-0.01"], ""), (["--h", "0"], ""),
+        (["--steps", "-1"], ""), ([], "h = 0.1\n"), ([], "steps = many\n"),
+        (["--mode", "germ1"], ""),
+    ], ids=["h-too-large", "h-negative", "h-zero", "steps-negative", "h-config",
+            "steps-config-malformed", "germ1-mode"])
+    def test_bad_step_fails_before_model_is_built(self, flags, config, tmp_path, monkeypatch,
+                                                  capsys):
+        def no_model(*args, **kwargs):
+            raise AssertionError("the model was built before the step check")
+
+        monkeypatch.setattr(cli, "builtin", no_model)
+        argv = ["leaf", "--model", "example2", "--point", "0.3,0.2,0.1"] + flags
+        if config:
+            cfg = tmp_path / "leaf.cfg"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        code, _, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in err
+
+
 class TestHomogCommand:
     def test_cube_identity_chart_passes(self, capsys):
         code, out, _ = run(["homog", "--model", "example1", "--chart", "identity",
@@ -274,6 +296,36 @@ class TestUsageErrors:
         code, _, _ = run(["fibre", "--model", "example1", "--point", "0,0,0",
                           "--bogus", "1"], capsys)
         assert code == cli.EXIT_USAGE
+
+
+    @pytest.mark.parametrize("argv,config,key", [
+        (["homog", "--model", "example1", "--chart", "identity"], "pairs = abc\n", "pairs"),
+        (["fibre", "--model", "example1", "--point", "0.5,0,0"], "seed = 1.5\n", "seed"),
+        (["fibre", "--model", "example1", "--point", "0.5,0,0"], "tol.rank_rel = tiny\n",
+         "tol.rank_rel"),
+    ], ids=["homog-pairs", "fibre-seed", "fibre-tolerance"])
+    def test_malformed_config_number_names_the_key(self, argv, config, key, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        code, _, err = run(argv + ["--config", str(cfg)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in err and key in err
+
+    @pytest.mark.parametrize("command,compute", [
+        (["fibre", "--point", "0.5,0,0"], "material_fibre"), (["grade-map"], "grade_map"),
+    ], ids=["fibre", "grade-map"])
+    def test_bad_config_mode_fails_before_compute(self, command, compute, tmp_path,
+                                                  monkeypatch, capsys):
+        def no_compute(*args, **kwargs):
+            raise AssertionError(f"{compute} ran before the mode check")
+
+        monkeypatch.setattr(cli, compute, no_compute)
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text("mode = bogus\n")
+        code, _, err = run([command[0], "--model", "example1", *command[1:],
+                            "--config", str(cfg)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "mode" in err and "bogus" in err
 
 
 class TestReproducibility:

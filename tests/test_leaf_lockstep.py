@@ -1,0 +1,306 @@
+"""Lockstep leaf tracing against the sequential oracle in ``leaf_reference``.
+
+Every leaf draws its base queries from generators seeded by the query
+point, so a leaf traced beside others, alone, or one point at a time by
+the oracle must give the same bits, the same stop reason and the same
+error.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+import leaf_reference as reference
+import matdist
+from matdist.distribution import SamplerConfig, base_bases_at, base_basis_at
+from matdist.errors import DomainError, FibreInstabilityError, NonFiniteError
+from matdist.foliation import leaf_trace, trace_leaves
+from matdist.homogeneity import builtin_chart, leaf_pairs
+from matdist.response import ConstitutiveModel, builtin, load_model_file
+
+E1, E2, E3, ZERO = np.eye(3)[0], np.eye(3)[1], np.eye(3)[2], np.zeros(3)
+
+
+def assert_same_trace(got, want):
+    assert got.stop_reason == want.stop_reason
+    for name in ("points", "grades", "directions"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert got.tie_breaks == want.tie_breaks
+
+
+def oracle_outcome(model, seed, hint, steps, h=0.01, sampler=SamplerConfig()):
+    try:
+        return reference.leaf_trace(model, seed, hint, steps, h, sampler)
+    except (ValueError, FibreInstabilityError) as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+    else:
+        assert_same_trace(got, want)
+
+
+def zoned(name, rows, zone_rows, zone=lambda X: X[1] > 0.3):
+    """Three base rows per sample: ``rows`` outside ``zone``, ``zone_rows(X, k)`` inside.
+
+    Rows that pin e1 and e3 leave the base span(e2), so leaves run along X2.
+    ``zone_rows`` may raise to make the zone fail.
+    """
+
+    def derivatives(X, Fs):
+        k = len(Fs)
+        block = zone_rows(X, k) if zone(X) else rows
+        return (np.broadcast_to(np.asarray(block, dtype=float), (k, 3, 3)).copy(),
+                np.zeros((k, 3, 9)))
+
+    return ConstitutiveModel(name, 3, lambda X, F: np.zeros(3),
+                             domain=lambda X: bool(np.all(np.abs(X) <= 1.0)),
+                             bounds=((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
+                             derivatives_many=derivatives)
+
+
+def pinned_zone(X, k):
+    return [E1, E2, E3]  # grade 0
+
+
+def turned_zone(X, k):
+    return [E2, E3, ZERO]  # the base turns to span(e1)
+
+
+def non_finite_zone(X, k):
+    raise NonFiniteError(f"synthetic non-finite response at {X.tolist()}")
+
+
+def unstable_zone(X, k):
+    # with k_init=4, k_max=8 the two rounds see k=7 then k=11 gradients; the
+    # null dimension goes 11 (or 12) then 10 and never repeats
+    if k == 11:
+        return [E1, E3, ZERO]
+    return [E1, ZERO, ZERO] if X[0] > 0 else [ZERO, ZERO, ZERO]
+
+
+STRIPES = [E1, E3, ZERO]
+UNSTABLE_SAMPLER = SamplerConfig(k_init=4, k_max=8)
+
+
+@pytest.fixture(scope="module")
+def example1_mdl():
+    return load_model_file(os.path.join(os.path.dirname(matdist.__file__), "mdl", "example1.mdl"))
+
+
+class TestSingleLeafMatchesOracle:
+    @pytest.mark.parametrize("seed,hint,steps,reason", [
+        ([0.3, 0.2, 0.1], [0.0, 1.0, 0.0], 60, "completed"),
+        ([0.6, -0.5, 0.4], [1.0, 1.0, 0.0], 25, "completed"),
+    ], ids=["sphere", "sphere-oblique"])
+    def test_example2(self, example2, seed, hint, steps, reason):
+        trace = leaf_trace(example2, seed, hint, steps, 0.01)
+        assert trace.stop_reason == reason
+        assert_same_trace(trace, reference.leaf_trace(example2, seed, hint, steps, 0.01))
+
+    @pytest.mark.parametrize("seed,hint,steps,reason", [
+        ([0.5, 0.0, 0.0], [0.0, 1.0, 0.0], 60, "completed"),
+        ([-0.5, 0.0, 0.0], [-1.0, 0.0, 0.0], 200, "domain_boundary"),
+        ([0.5, 0.0, 0.0], [1.0, 0.0, 0.0], 5, "completed"),
+    ], ids=["plane", "wall-exit", "tie-break"])
+    def test_example1(self, example1, seed, hint, steps, reason):
+        trace = leaf_trace(example1, seed, hint, steps, 0.01)
+        assert trace.stop_reason == reason
+        assert_same_trace(trace, reference.leaf_trace(example1, seed, hint, steps, 0.01))
+
+    def test_tie_breaks_recorded(self, example1):
+        trace = leaf_trace(example1, [0.5, 0.0, 0.0], [1.0, 0.0, 0.0], 5, 0.01)
+        assert trace.tie_breaks == [0]
+
+    def test_example1_mdl(self, example1_mdl):
+        trace = leaf_trace(example1_mdl, [0.4, 0.1, 0.0], [0.0, 0.0, 1.0], 40, 0.01)
+        assert trace.stop_reason == "completed"
+        assert_same_trace(trace, reference.leaf_trace(example1_mdl, [0.4, 0.1, 0.0],
+                                                      [0.0, 0.0, 1.0], 40, 0.01))
+
+    @pytest.mark.parametrize("zone_rows,reason", [
+        (pinned_zone, "grade_lost"), (turned_zone, "alignment_lost"),
+    ], ids=["grade-lost", "alignment-lost"])
+    def test_zone_stops(self, zone_rows, reason):
+        model = zoned("zoned", STRIPES, zone_rows)
+        trace = leaf_trace(model, [0.1, 0.27, 0.0], [0.0, 1.0, 0.0], 20, 0.01)
+        assert trace.stop_reason == reason
+        assert 1 < trace.n_points < 21
+        assert_same_trace(trace, reference.leaf_trace(model, [0.1, 0.27, 0.0], [0.0, 1.0, 0.0],
+                                                      20, 0.01))
+
+    def test_grade_zero_seed_error_matches(self):
+        model = zoned("pinned", [E1, E2, E3], pinned_zone)
+        with pytest.raises(ValueError) as got:
+            leaf_trace(model, [0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 10, 0.01)
+        with pytest.raises(ValueError) as want:
+            reference.leaf_trace(model, [0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 10, 0.01)
+        assert str(got.value) == str(want.value)
+
+    def test_stage_point_error_matches(self):
+        # the third step's k2 point is the first one inside the zone
+        model = zoned("fragile", STRIPES, non_finite_zone)
+        with pytest.raises(NonFiniteError) as got:
+            leaf_trace(model, [0.1, 0.275, 0.0], [0.0, 1.0, 0.0], 10, 0.01)
+        with pytest.raises(NonFiniteError) as want:
+            reference.leaf_trace(model, [0.1, 0.275, 0.0], [0.0, 1.0, 0.0], 10, 0.01)
+        assert str(got.value) == str(want.value)
+        reached = leaf_trace(model, [0.1, 0.275, 0.0], [0.0, 1.0, 0.0], 2, 0.01).points[-1]
+        assert str((reached + 0.005 * E2).tolist()) in str(got.value)
+
+
+class TestStepArguments:
+    @pytest.mark.parametrize("h", [-0.01, 0.0, float("nan")])
+    def test_step_size_outside_range_rejected(self, example1, h):
+        with pytest.raises(ValueError, match="0.05"):
+            leaf_trace(example1, [0.5, 0.0, 0.0], [0.0, 1.0, 0.0], 10, h)
+
+    def test_largest_step_accepted(self, example1):
+        trace = leaf_trace(example1, [0.5, 0.0, 0.0], [0.0, 1.0, 0.0], 2, 0.05)
+        assert trace.n_points == 3
+
+    def test_negative_steps_rejected(self, example1):
+        with pytest.raises(ValueError, match="step count"):
+            leaf_trace(example1, [0.5, 0.0, 0.0], [0.0, 1.0, 0.0], -1, 0.01)
+
+    def test_zero_steps_give_the_seed(self, example1):
+        trace = leaf_trace(example1, [0.5, 0.0, 0.0], [0.0, 1.0, 0.0], 0, 0.01)
+        assert trace.stop_reason == "completed" and trace.n_points == 1
+
+    def test_only_pointwise_mode(self, example1):
+        with pytest.raises(ValueError, match="germ1"):
+            leaf_trace(example1, [0.5, 0.0, 0.0], [0.0, 1.0, 0.0], 10, 0.01, mode="germ1")
+
+
+class TestBatchComposition:
+    def test_leaves_traced_together_equal_each_alone(self, example1):
+        seeds = [[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0], [0.5, 0.0, 0.0], [2.0, 0.0, 0.0],
+                 [0.3, -0.4, 0.2], [-0.7, 0.5, -0.1]]
+        hints = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                 [0.0, 0.3, 1.0], [0.0, 0.0, 0.0]]
+        steps = [30, 200, 5, 10, 17, 4]
+        together = trace_leaves(example1, seeds, hints, steps, 0.01)
+        for got, seed, hint, n in zip(together, seeds, hints, steps):
+            (alone,) = trace_leaves(example1, [seed], [hint], [n], 0.01)
+            assert_same_outcome(got, alone)
+            assert_same_outcome(got, oracle_outcome(example1, seed, hint, n))
+        assert isinstance(together[3], DomainError)  # seed outside the domain
+        assert str(together[5]) == "zero direction"
+        assert together[1].stop_reason == "domain_boundary"
+
+    def test_mixed_stop_reasons_in_one_batch(self):
+        model = zoned("fragile", STRIPES, non_finite_zone)
+        seeds = [[0.1, 0.275, 0.0], [0.1, -0.5, 0.0], [0.1, 0.5, 0.0], [0.1, 0.2, 0.0],
+                 [0.1, 0.95, 0.0]]
+        hints = [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+                 [0.0, -1.0, 0.0]]
+        steps = [10, 12, 3, 8, 3]
+        together = trace_leaves(model, seeds, hints, steps, 0.01)
+        assert isinstance(together[0], NonFiniteError)  # at a stage point
+        assert together[1].stop_reason == "completed"
+        assert isinstance(together[2], NonFiniteError)  # at the seed
+        for got, seed, hint, n in zip(together, seeds, hints, steps):
+            assert_same_outcome(got, oracle_outcome(model, seed, hint, n))
+
+    def test_instability_stays_with_its_leaf(self):
+        model = zoned("unstable", STRIPES, unstable_zone)
+        seeds = [[0.1, 0.275, 0.0], [0.1, -0.5, 0.0], [-0.1, 0.28, 0.0]]
+        hints = [[0.0, 1.0, 0.0]] * 3
+        together = trace_leaves(model, seeds, hints, [10, 12, 10], 0.01, UNSTABLE_SAMPLER)
+        assert isinstance(together[0], FibreInstabilityError)
+        assert isinstance(together[2], FibreInstabilityError)
+        assert str(together[0]) != str(together[2])
+        for got, seed, hint, n in zip(together, seeds, hints, [10, 12, 10]):
+            assert_same_outcome(got, oracle_outcome(model, seed, hint, n, 0.01, UNSTABLE_SAMPLER))
+
+
+@pytest.fixture(scope="module")
+def acceptance_charts(example1, example2):
+    return {"example1": (example1, builtin_chart("identity").restrict(lambda X: X[0] >= 0.1)),
+            "example2": (example2, builtin_chart("spherical_cap"))}
+
+
+class TestLeafPairsMatchOracle:
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_acceptance_charts(self, acceptance_charts, name, seed):
+        model, chart = acceptance_charts[name]
+        sampler = SamplerConfig(seed=seed)
+        pairs, skipped = leaf_pairs(model, chart, 8, "trace", sampler)
+        want_pairs, want_skipped = reference.leaf_pairs(model, chart, 8, sampler)
+        assert skipped == want_skipped
+        assert len(pairs) == len(want_pairs) == 8
+        for (Y, Z), (wy, wz) in zip(pairs, want_pairs):
+            np.testing.assert_array_equal(Y, wy)
+            np.testing.assert_array_equal(Z, wz)
+
+    def test_non_finite_stage_skips_only_its_candidate(self):
+        model = zoned("fragile", STRIPES, non_finite_zone)
+        chart = builtin_chart("identity")
+        pairs, skipped = leaf_pairs(model, chart, 12, "trace")
+        want_pairs, want_skipped = reference.leaf_pairs(model, chart, 12)
+        assert skipped == want_skipped > 0
+        assert len(pairs) == len(want_pairs) == 12
+        for (Y, Z), (wy, wz) in zip(pairs, want_pairs):
+            np.testing.assert_array_equal(Y, wy)
+            np.testing.assert_array_equal(Z, wz)
+
+    def test_instability_raises_the_oracle_error(self):
+        model = zoned("unstable", STRIPES, unstable_zone)
+        chart = builtin_chart("identity")
+        with pytest.raises(FibreInstabilityError) as got:
+            leaf_pairs(model, chart, 12, "trace", UNSTABLE_SAMPLER)
+        with pytest.raises(FibreInstabilityError) as want:
+            reference.leaf_pairs(model, chart, 12, UNSTABLE_SAMPLER)
+        assert str(got.value) == str(want.value)
+
+    def test_draw_error_waits_for_earlier_candidates(self):
+        # the region is undefined below X3 = -0.7, where the third draw
+        # lands; the second candidate's trace meets the unstable zone first,
+        # so one candidate at a time its error is the one raised
+        def region(X):
+            if X[2] < -0.7:
+                raise RuntimeError(f"region undefined at {np.asarray(X).tolist()}")
+            return True
+
+        model = zoned("unstable", STRIPES, unstable_zone)
+        chart = builtin_chart("identity")
+        chart.region = region
+        with pytest.raises(FibreInstabilityError) as got:
+            leaf_pairs(model, chart, 12, "trace", UNSTABLE_SAMPLER)
+        with pytest.raises(FibreInstabilityError) as want:
+            reference.leaf_pairs(model, chart, 12, UNSTABLE_SAMPLER)
+        assert str(got.value) == str(want.value)
+
+
+class TestBatchedBaseQuery:
+    @pytest.mark.parametrize("name", ["example1", "example2", "det_cal"])
+    def test_bit_equal_to_single_points(self, name):
+        model = builtin(name)
+        points = np.random.default_rng(7).uniform(-0.7, 0.7, (21, 3))
+        for got, X in zip(base_bases_at(model, points), points):
+            basis, grade, gap = base_basis_at(model, X)
+            np.testing.assert_array_equal(got[0], basis)
+            assert got[1] == grade and got[2] == gap
+
+    def test_out_of_domain_point_fails_alone(self, example1):
+        points = [[0.5, 0.0, 0.0], [1.5, 0.0, 0.0], [-0.5, 0.2, 0.0]]
+        got = base_bases_at(example1, points)
+        assert isinstance(got[1], DomainError)
+        with pytest.raises(DomainError) as single:
+            base_basis_at(example1, points[1])
+        assert str(got[1]) == str(single.value)
+        for i in (0, 2):
+            np.testing.assert_array_equal(got[i][0], base_basis_at(example1, points[i])[0])
+
+    def test_kernel_error_fails_alone(self):
+        model = zoned("fragile", STRIPES, non_finite_zone)
+        got = base_bases_at(model, [[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, -0.5, 0.0]])
+        assert isinstance(got[1], NonFiniteError)
+        assert got[0][1] == got[2][1] == 1

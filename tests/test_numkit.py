@@ -231,3 +231,31 @@ class TestRk4:
 
         with pytest.raises(NonFiniteError, match="k1"):
             rk4_step(v, np.zeros(1), 0.1)
+
+    def test_stacked_states_match_single_steps_bit_for_bit(self):
+        def v(p):
+            return np.stack([-p[..., 1] * p[..., 2], p[..., 0], np.sin(p[..., 0])], axis=-1)
+
+        xs = np.random.default_rng(3).standard_normal((5, 3))
+        stacked = rk4_step(v, xs, 0.037)
+        for x, row in zip(xs, stacked):
+            np.testing.assert_array_equal(rk4_step(v, x, 0.037), row)
+
+    def test_given_first_stage_saves_one_call(self):
+        calls = []
+
+        def v(p):
+            calls.append(p.copy())
+            return np.array([-p[1], p[0], 1.0])
+
+        x = np.array([0.3, -0.2, 0.1])
+        full = rk4_step(v, x, 0.05)
+        assert len(calls) == 4
+        k1 = v(x)
+        calls.clear()
+        np.testing.assert_array_equal(rk4_step(v, x, 0.05, k1=k1), full)
+        assert len(calls) == 3 and not any(np.array_equal(p, x) for p in calls)
+
+    def test_non_finite_given_first_stage_rejected(self):
+        with pytest.raises(NonFiniteError, match="k1"):
+            rk4_step(lambda p: np.zeros(1), np.zeros(1), 0.1, k1=np.array([np.inf]))
