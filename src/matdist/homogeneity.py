@@ -503,7 +503,7 @@ def _director_flatness(model, chart, samples, leafwise_count, tol):
 
             def comp(q):
                 Xb = np.asarray(chart.inverse(q), dtype=float)
-                return chart.jac(Xb, tol) @ np.asarray(director(Xb), dtype=float)
+                return chart.jac(Xb, tol) @ director(Xb[None])[0]
 
             qp = xt.copy()
             qm = xt.copy()

@@ -43,7 +43,12 @@ class LeafInfo:
 
 
 class ConstitutiveModel:
-    """Evaluation contract of a simple-body response.
+    """Evaluation contract of a simple-body response, over paired lanes.
+
+    A lane is one jet ``(X, F)``: row ``i`` of ``Xs (m,3)`` paired with
+    ``Fs[i]`` of ``Fs (m,3,3)``.  Both callables take any number of lanes
+    and perform no checks; the module-level functions validate inputs and
+    check every result's shape and finiteness.
 
     Parameters
     ----------
@@ -51,22 +56,17 @@ class ConstitutiveModel:
         Identifier echoed in outputs.
     dim:
         Length of the flattened response vector.
-    evaluate_one:
-        Callable ``(X, F) -> (dim,)`` with ``X`` a length-3 array and ``F``
-        a 3x3 array.  No domain or invertibility checks are expected here;
-        the module-level :func:`evaluate` performs them.
+    evaluate:
+        Callable ``(Xs (m,3), Fs (m,3,3)) -> (m, dim)``.
     domain:
-        Predicate over body points; ``None`` accepts every finite point.
+        Predicate over one body point; ``None`` accepts every finite point.
     bounds:
         Axis-aligned box containing the domain, used for sampling.
-    evaluate_many:
-        Optional vectorized form ``(Xs (n,3), Fs (n,3,3)) -> (n, dim)``.
-    derivatives_many:
-        Optional exact derivative ``(X, Fs (k,3,3)) -> ((k,dim,3), (k,dim,9))``
-        holding dW/dX and dW/dF with F flattened row-major: closed forms for
-        the built-ins, forward-mode derivatives of the compiled tree for
-        parsed models.  It takes one body point per call; batches over
-        points loop over it.
+    derivatives:
+        Optional exact derivative over the same lanes,
+        ``(Xs, Fs) -> ((m,dim,3), (m,dim,9))``, holding dW/dX and dW/dF
+        with F flattened row-major.  Without it, derivatives are central
+        differences of ``evaluate``.
     leaf:
         Optional :class:`LeafInfo` when the uniform leaves are known in
         closed form.
@@ -75,24 +75,14 @@ class ConstitutiveModel:
     aux:
         Non-serialized extras (e.g. the director field of a liquid-crystal
         model) used by diagnostics.
-    complex_step:
-        Declare the evaluation complex-analytic in (X, F).  Models without
-        analytic derivatives then get near-machine-precision derivatives
-        from an imaginary perturbation instead of real central differences,
-        whose subtractive cancellation at the default steps is loud enough
-        to blur rank decisions near grade boundaries.  Never set this for
-        evaluations with branches, abs() or other non-analytic pieces.
     """
 
-    def __init__(self, name, dim, evaluate_one, domain=None, bounds=None,
-                 evaluate_many=None, derivatives_many=None, leaf=None,
-                 params=None, aux=None, complex_step=False):
+    def __init__(self, name, dim, evaluate, domain=None, bounds=None, derivatives=None,
+                 leaf=None, params=None, aux=None):
         self.name = name
         self.dim = int(dim)
-        self._evaluate_one = evaluate_one
-        self._evaluate_many = evaluate_many
-        self._derivatives_many = derivatives_many
-        self.complex_step = bool(complex_step)
+        self._evaluate = evaluate
+        self._derivatives = derivatives
         self.domain = domain
         lo, hi = bounds if bounds is not None else ((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
         self.bounds = (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
@@ -109,13 +99,9 @@ class ConstitutiveModel:
             return False
         return True if self.domain is None else bool(self.domain(X))
 
-    @property
-    def has_analytic_derivatives(self):
-        return self._derivatives_many is not None
 
-
-def evaluate(model, X, F):
-    """Response value at ``(X, F)`` with full input validation."""
+def _checked_jet(model, X, F):
+    """``(X, F)`` as float arrays, or the error that makes the jet invalid."""
     X = np.asarray(X, dtype=float)
     F = np.asarray(F, dtype=float)
     if F.shape != (3, 3) or not np.all(np.isfinite(F)):
@@ -124,39 +110,40 @@ def evaluate(model, X, F):
         raise DomainError(f"point {X.tolist()} is outside the domain of model {model.name!r}")
     if abs(float(np.linalg.det(F))) < _DET_MIN:
         raise SingularMatrixError(f"F is numerically singular (|det| < {_DET_MIN})")
-    W = np.asarray(model._evaluate_one(X, F), dtype=float).ravel()
-    if W.shape != (model.dim,):
-        raise ValueError(f"model {model.name!r} returned shape {W.shape}, expected ({model.dim},)")
-    if not np.all(np.isfinite(W)):
-        raise NonFiniteError(f"model {model.name!r} returned a non-finite response at X={X.tolist()}")
-    return W
+    return X, F
+
+
+def _checked_lanes(model, values, shape, what, Xs):
+    """``values`` as a float array of ``shape``; non-finite entries raise."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"model {model.name!r} returned {what} of shape {values.shape}, expected {shape}")
+    if not np.all(np.isfinite(values)):
+        lane = int(np.argwhere(~np.isfinite(values))[0][0])
+        raise NonFiniteError(
+            f"model {model.name!r} returned a non-finite {what} at X={Xs[lane].tolist()}"
+        )
+    return values
+
+
+def evaluate(model, X, F):
+    """Response value at ``(X, F)`` with full input validation."""
+    X, F = _checked_jet(model, X, F)
+    W = model._evaluate(X[None], F[None])
+    return _checked_lanes(model, W, (1, model.dim), "response", X[None])[0]
 
 
 def evaluate_at_samples(model, Xs, Fs):
-    """Vectorized evaluation at paired samples; inputs are assumed valid.
+    """Responses ``(m, dim)`` at paired lanes ``Xs (m,3)``, ``Fs (m,3,3)``.
 
-    Used by the derivative and admissibility machinery, which guarantees
-    in-domain points and well-conditioned gradients itself.  Complex inputs
-    are passed through unchanged (imaginary-perturbation derivatives).
+    Inputs are assumed valid: the derivative and admissibility machinery
+    guarantees in-domain points and well-conditioned gradients itself.  The
+    result's shape is checked, and a non-finite entry raises
+    :class:`NonFiniteError` naming its body point.
     """
-    Xs = np.asarray(Xs)
-    Fs = np.asarray(Fs)
-    is_complex = np.iscomplexobj(Xs) or np.iscomplexobj(Fs)
-    dtype = complex if is_complex else float
-    Xs = Xs.astype(dtype, copy=False)
-    Fs = Fs.astype(dtype, copy=False)
-    if model._evaluate_many is not None:
-        out = np.asarray(model._evaluate_many(Xs, Fs), dtype=dtype)
-    else:
-        out = np.empty((len(Fs), model.dim), dtype=dtype)
-        for i in range(len(Fs)):
-            out[i] = np.asarray(model._evaluate_one(Xs[i], Fs[i]), dtype=dtype).ravel()
-    if not np.all(np.isfinite(out)):
-        bad = np.argwhere(~np.isfinite(out))[0]
-        raise NonFiniteError(
-            f"model {model.name!r} returned non-finite component {int(bad[1])} at sample {int(bad[0])}"
-        )
-    return out
+    Xs = np.asarray(Xs, dtype=float)
+    Fs = np.asarray(Fs, dtype=float)
+    return _checked_lanes(model, model._evaluate(Xs, Fs), (len(Fs), model.dim), "response", Xs)
 
 
 def _domain_steps(model, X, tol):
@@ -190,56 +177,26 @@ def derivatives_at_samples(model, X, Fs, tol=DEFAULT_TOL):
     is ``(dWdX, dWdF)`` of shapes ``(k, dim, 3)`` and ``(k, dim, 9)``.  With
     ``X`` of shape ``(n,3)`` and ``Fs`` of shape ``(n,k,3,3)`` (gradient set
     ``Fs[i]`` at point ``X[i]``) both gain a leading point axis.  The
-    model's analytic contract takes one point per call, so it is called
-    point by point; complex-step and central differences evaluate every
-    point in one batch.  Either way each point's blocks are bit-identical to
-    a call at that point alone.
+    ``n*k`` jets go to the model as lanes in one call (central differences
+    of its evaluation when it has no derivative), so each point's blocks are
+    bit-identical to a call at that point alone.  A non-finite block raises
+    :class:`NonFiniteError` naming its body point.
     """
     X = np.asarray(X, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
     single = X.ndim == 1
-    if single:
-        X = X[None]
-        Fs = Fs.reshape((1, -1, 3, 3))
-    if model._derivatives_many is not None:
-        parts = [model._derivatives_many(x, f) for x, f in zip(X, Fs)]
-        dWdX = np.stack([np.asarray(p[0], dtype=float) for p in parts])
-        dWdF = np.stack([np.asarray(p[1], dtype=float) for p in parts])
-    elif model.complex_step:
-        dWdX, dWdF = _complex_step_derivatives(model, X, Fs, tol)
-    else:
-        dWdX, dWdF = _fd_derivatives(model, X, Fs, tol)
-    return (dWdX[0], dWdF[0]) if single else (dWdX, dWdF)
-
-
-def _complex_step_derivatives(model, Xs, Fs, tol):
-    """Derivatives from an imaginary perturbation of each coordinate.
-
-    The real part of every evaluation point never moves, so no domain
-    shrinking is needed, and there is no subtractive cancellation: the
-    accuracy is machine precision relative to the derivative itself.
-    """
+    Xs = X.reshape(-1, 3)
+    Fs = Fs.reshape((len(Xs), -1, 3, 3))
     n, k, d = len(Xs), Fs.shape[1], model.dim
-    steps = np.maximum(tol.fd_step_rel * np.abs(Xs), tol.fd_step_abs)  # (n,3)
-
-    # X-part: rows ordered (point, coordinate, gradient sample)
-    Xc = np.repeat(Xs[:, None].astype(complex), 3, axis=1)
-    for i in range(3):
-        Xc[:, i, i] += 1j * steps[:, i]
-    Xr = np.repeat(Xc.reshape(n * 3, 3), k, axis=0)
-    Fr = np.repeat(Fs[:, None].astype(complex), 3, axis=1).reshape(n * 3 * k, 3, 3)
-    vals = evaluate_at_samples(model, Xr, Fr).reshape(n, 3, k, d)
-    dWdX = (vals.imag / steps[:, :, None, None]).transpose(0, 2, 3, 1)
-
-    HF = np.maximum(tol.fd_step_rel * np.abs(Fs), tol.fd_step_abs)  # (n,k,3,3)
-    Fp = np.repeat(Fs[:, :, None].astype(complex), 9, axis=2).reshape(n, k, 3, 3, 3, 3)
-    for l in range(3):
-        for m in range(3):
-            Fp[:, :, l, m, l, m] += 1j * HF[:, :, l, m]
-    Xr = np.repeat(Xs.astype(complex), k * 9, axis=0)
-    out = evaluate_at_samples(model, Xr, Fp.reshape(n * k * 9, 3, 3))
-    dWdF = out.reshape(n, k, 9, d).imag.transpose(0, 1, 3, 2) / HF.reshape(n, k, 1, 9)
-    return dWdX, dWdF
+    lanes = np.repeat(Xs, k, axis=0)
+    if model._derivatives is None:
+        dWdX, dWdF = _fd_derivatives(model, Xs, Fs, tol)
+        dWdX, dWdF = dWdX.reshape(n * k, d, 3), dWdF.reshape(n * k, d, 9)
+    else:
+        dWdX, dWdF = model._derivatives(lanes, Fs.reshape(n * k, 3, 3))
+    dWdX = _checked_lanes(model, dWdX, (n * k, d, 3), "dW/dX", lanes).reshape(n, k, d, 3)
+    dWdF = _checked_lanes(model, dWdF, (n * k, d, 9), "dW/dF", lanes).reshape(n, k, d, 9)
+    return (dWdX[0], dWdF[0]) if single else (dWdX, dWdF)
 
 
 def _fd_derivatives(model, Xs, Fs, tol):
@@ -274,11 +231,12 @@ def _fd_derivatives(model, Xs, Fs, tol):
 
 
 def derivatives(model, X, F, tol=DEFAULT_TOL):
-    """Derivative blocks ``(dW/dX (d,3), dW/dF (d,9))`` at a single jet."""
-    X = np.asarray(X, dtype=float)
-    if not model.in_domain(X):
-        raise DomainError(f"point {X.tolist()} is outside the domain of model {model.name!r}")
-    dWdX, dWdF = derivatives_at_samples(model, X, np.asarray(F, dtype=float)[None], tol)
+    """Derivative blocks ``(dW/dX (d,3), dW/dF (d,9))`` at a single jet.
+
+    ``X`` and ``F`` are validated as in :func:`evaluate`.
+    """
+    X, F = _checked_jet(model, X, F)
+    dWdX, dWdF = derivatives_at_samples(model, X, F[None], tol)
     return dWdX[0], dWdF[0]
 
 
@@ -316,26 +274,22 @@ class _PiecewiseStiffCube:
     def domain(self, X):
         return bool(np.all(np.abs(X) < 1.0))
 
-    def eval_one(self, X, F):
-        f = self.stiffness(X[0])
-        return (f * (F.T @ F - np.eye(3))).ravel()
-
-    def eval_many(self, Xs, Fs):
+    def evaluate(self, Xs, Fs):
         f = self.stiffness(Xs[:, 0])
         C = np.einsum("kji,kjl->kil", Fs, Fs)
         return (f[:, None, None] * (C - np.eye(3))).reshape(len(Fs), 9)
 
-    def deriv_many(self, X, Fs):
-        k = len(Fs)
-        f = float(self.stiffness(X[0]))
-        fp = float(self.stiffness_rate(X[0]))
+    def derivatives(self, Xs, Fs):
+        m = len(Fs)
+        f = self.stiffness(Xs[:, 0])
+        fp = self.stiffness_rate(Xs[:, 0])
         C = np.einsum("kji,kjl->kil", Fs, Fs)
-        dWdX = np.zeros((k, 9, 3))
-        dWdX[:, :, 0] = fp * (C - np.eye(3)).reshape(k, 9)
+        dWdX = np.zeros((m, 9, 3))
+        dWdX[:, :, 0] = fp[:, None] * (C - np.eye(3)).reshape(m, 9)
         eye = np.eye(3)
         t1 = np.einsum("jm,kli->kjilm", eye, Fs)
         t2 = np.einsum("im,klj->kjilm", eye, Fs)
-        dWdF = f * (t1 + t2).reshape(k, 9, 9)
+        dWdF = f[:, None, None] * (t1 + t2).reshape(m, 9, 9)
         return dWdX, dWdF
 
     def leaf_residual(self, seed, x):
@@ -350,12 +304,18 @@ class _PiecewiseStiffCube:
         return np.array([x1, y, z])
 
 
+def _cofactors(Fs):
+    """d(det F)/dF for a stack of invertible gradients: ``det(F) F^-T``."""
+    return np.linalg.det(Fs)[:, None, None] * np.linalg.inv(Fs).transpose(0, 2, 1)
+
+
 class _LaminatedLiquidCrystal:
     """Ball body whose response sees a director field through one gradient.
 
-    The two response components are ``g(F e(X), F e(X)) + |X|^2`` and
-    ``det F``; with the default director ``e(X) = X + radius*e1`` the
-    uniform leaves are the spheres around the origin.
+    The two response components are ``r = g(F e(X), F e(X)) + |X|^2`` and
+    ``J = det F``; with the default director ``e(X) = X + radius*e1`` the
+    uniform leaves are the spheres around the origin.  A custom director
+    field takes lanes of body points, ``(m,3) -> (m,3)``.
     """
 
     def __init__(self, radius, e_field=None, metric_diag=(1.0, 1.0, 1.0)):
@@ -364,11 +324,9 @@ class _LaminatedLiquidCrystal:
         self.gdiag = np.asarray(metric_diag, dtype=float)
 
     def director(self, Xs):
-        Xs = np.asarray(Xs)  # dtype-preserving: imaginary steps pass through
+        Xs = np.asarray(Xs, dtype=float)
         if self.e_field is not None:
-            if Xs.ndim == 1:
-                return np.asarray(self.e_field(Xs), dtype=float)
-            return np.asarray([self.e_field(x) for x in Xs], dtype=float)
+            return np.asarray(self.e_field(Xs), dtype=float)
         out = Xs.copy()
         out[..., 0] += self.radius
         return out
@@ -376,66 +334,64 @@ class _LaminatedLiquidCrystal:
     def domain(self, X):
         return bool(np.dot(X, X) < self.radius**2)
 
-    def eval_one(self, X, F):
-        u = F @ self.director(X)
-        r = float(u @ (self.gdiag * u)) + float(X @ X)
-        return np.array([r, float(np.linalg.det(F))])
-
-    def eval_many(self, Xs, Fs):
+    def evaluate(self, Xs, Fs):
         e = self.director(Xs)
         u = np.einsum("kij,kj->ki", Fs, e)
         r = np.einsum("ki,i,ki->k", u, self.gdiag, u) + np.einsum("ki,ki->k", Xs, Xs)
         return np.column_stack([r, np.linalg.det(Fs)])
 
+    def derivatives(self, Xs, Fs):
+        """Closed form for the default director (de/dX = I).
+
+        dr/dX = 2 F^T G F e + 2 X, dr/dF = 2 (G F e) e^T, dJ/dF = cof F.
+        """
+        m = len(Fs)
+        e = self.director(Xs)
+        Gu = self.gdiag * np.einsum("kij,kj->ki", Fs, e)
+        dWdX = np.zeros((m, 2, 3))
+        dWdX[:, 0] = 2.0 * np.einsum("kji,kj->ki", Fs, Gu) + 2.0 * Xs
+        dWdF = np.empty((m, 2, 9))
+        dWdF[:, 0] = 2.0 * np.einsum("ki,kj->kij", Gu, e).reshape(m, 9)
+        dWdF[:, 1] = _cofactors(Fs).reshape(m, 9)
+        return dWdX, dWdF
+
 
 class _EmbeddedCrystal:
-    """Liquid-crystal kinematics pushed through a user map of (r, J)."""
+    """Liquid-crystal kinematics pushed through a user map of (r, J).
 
-    def __init__(self, core, response_map, dim):
+    ``response_map(r (m,), J (m,))`` returns one array of shape ``(m,)`` or
+    a sequence of them, one per response component.
+    """
+
+    def __init__(self, core, response_map):
         self.core = core
         self.response_map = response_map
-        self.dim = dim
 
-    def eval_one(self, X, F):
-        r, J = self.core.eval_one(X, F)
-        return np.atleast_1d(np.asarray(self.response_map(r, J), dtype=float)).ravel()
-
-    def eval_many(self, Xs, Fs):
-        rj = self.core.eval_many(Xs, Fs)
-        return np.asarray([self.eval_one_from(rj[i]) for i in range(len(rj))])
-
-    def eval_one_from(self, rj):
-        return np.atleast_1d(np.asarray(self.response_map(rj[0], rj[1]), dtype=float)).ravel()
+    def evaluate(self, Xs, Fs):
+        r, J = self.core.evaluate(Xs, Fs).T
+        return np.atleast_2d(np.asarray(self.response_map(r, J), dtype=float)).T
 
 
 class _DeterminantResponse:
     """Calibration model W = det F; symmetry algebra is the traceless matrices."""
 
-    def eval_one(self, X, F):
-        return np.array([np.linalg.det(F)])
-
-    def eval_many(self, Xs, Fs):
+    def evaluate(self, Xs, Fs):
         return np.linalg.det(Fs)[:, None]
 
-    def deriv_many(self, X, Fs):
-        k = len(Fs)
-        dWdX = np.zeros((k, 1, 3))
-        cof = np.linalg.det(Fs)[:, None, None] * np.linalg.inv(Fs).transpose(0, 2, 1)
-        return dWdX, cof.reshape(k, 1, 9)
+    def derivatives(self, Xs, Fs):
+        m = len(Fs)
+        return np.zeros((m, 1, 3)), _cofactors(Fs).reshape(m, 1, 9)
 
 
 class _IdentityResponse:
     """Calibration model W = F (flattened); the symmetry algebra is trivial."""
 
-    def eval_one(self, X, F):
-        return F.ravel().copy()
-
-    def eval_many(self, Xs, Fs):
+    def evaluate(self, Xs, Fs):
         return Fs.reshape(len(Fs), 9).copy()
 
-    def deriv_many(self, X, Fs):
-        k = len(Fs)
-        return np.zeros((k, 9, 3)), np.broadcast_to(np.eye(9), (k, 9, 9)).copy()
+    def derivatives(self, Xs, Fs):
+        m = len(Fs)
+        return np.zeros((m, 9, 3)), np.broadcast_to(np.eye(9), (m, 9, 9)).copy()
 
 
 class _BoxLeaf:
@@ -494,11 +450,10 @@ def _make_example1():
     leaf = LeafInfo(impl.leaf_residual, impl.leaf_sample,
                     label="planes X1=c for X1>=0, open half-cube for X1<0")
     return ConstitutiveModel(
-        "example1", 9, impl.eval_one,
+        "example1", 9, impl.evaluate,
         domain=impl.domain,
         bounds=((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
-        evaluate_many=impl.eval_many,
-        derivatives_many=impl.deriv_many,
+        derivatives=impl.derivatives,
         leaf=leaf,
         params={},
         aux={"impl": impl},
@@ -516,33 +471,30 @@ def _make_example2(r=1.0, e=None, metric=(1.0, 1.0, 1.0), response_map=None):
     _probe_director(core, r)
     if response_map is None:
         impl = core
-        dim = 2
     else:
-        probe = np.atleast_1d(np.asarray(response_map(1.0, 1.0), dtype=float)).ravel()
-        impl = _EmbeddedCrystal(core, response_map, len(probe))
-        dim = len(probe)
+        impl = _EmbeddedCrystal(core, response_map)
+    dim = impl.evaluate(np.zeros((1, 3)), np.eye(3)[None]).shape[1]
+    # the closed-form derivatives assume the default director and identity
+    # map; custom pieces fall back to central differences
+    exact = e is None and response_map is None
     return ConstitutiveModel(
-        "example2", dim, impl.eval_one,
+        "example2", dim, impl.evaluate,
         domain=core.domain,
         bounds=((-r, -r, -r), (r, r, r)),
-        evaluate_many=impl.eval_many,
+        derivatives=core.derivatives if exact else None,
         leaf=_sphere_leaf(),
         params={"r": r, "metric": list(metric),
                 "e": "custom" if e is not None else "default",
                 "response_map": "custom" if response_map is not None else "identity"},
         aux={"core": core, "director": core.director},
-        # the default evaluation is polynomial in (X, F); custom pieces are
-        # of unknown analyticity, so they fall back to real differences
-        complex_step=(e is None and response_map is None),
     )
 
 
 def _make_det_cal():
     impl = _DeterminantResponse()
     return ConstitutiveModel(
-        "det_cal", 1, impl.eval_one,
-        evaluate_many=impl.eval_many,
-        derivatives_many=impl.deriv_many,
+        "det_cal", 1, impl.evaluate,
+        derivatives=impl.derivatives,
         leaf=_whole_space_leaf((-1, -1, -1), (1, 1, 1)),
         aux={"impl": impl},
     )
@@ -551,9 +503,8 @@ def _make_det_cal():
 def _make_identity_cal():
     impl = _IdentityResponse()
     return ConstitutiveModel(
-        "identity_cal", 9, impl.eval_one,
-        evaluate_many=impl.eval_many,
-        derivatives_many=impl.deriv_many,
+        "identity_cal", 9, impl.evaluate,
+        derivatives=impl.derivatives,
         leaf=_whole_space_leaf((-1, -1, -1), (1, 1, 1)),
         aux={"impl": impl},
     )
@@ -590,23 +541,14 @@ def builtin(name, **params):
 # DSL-backed models
 
 
-class _ParsedResponse:
-    """A parsed model compiled once: batched evaluation, forward-mode derivatives."""
+def _split_jet(program):
+    """The program's forward-mode derivatives as ``(dW/dX, dW/dF)`` blocks."""
 
-    def __init__(self, name, program):
-        self.name = name
-        self.program = program
-
-    def eval_one(self, X, F):
-        return self.program.evaluate(np.asarray(X)[None], np.asarray(F)[None])[0]
-
-    def deriv_many(self, X, Fs):
-        W, D = self.program.derivatives(np.broadcast_to(X, (len(Fs), 3)), Fs)
-        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(D))):
-            raise NonFiniteError(
-                f"model {self.name!r} has a non-finite response or derivative at X={np.asarray(X).tolist()}"
-            )
+    def derivatives(Xs, Fs):
+        D = program.derivatives(Xs, Fs)[1]
         return D[..., :3], D[..., 3:]
+
+    return derivatives
 
 
 def parse_model(source, name="mdl", params=None, bounds=None, domain=None):
@@ -615,8 +557,9 @@ def parse_model(source, name="mdl", params=None, bounds=None, domain=None):
     ``params`` overrides the defaults declared by ``param`` lines.  DSL
     models default to the open unit cube as bounds with an all-accepting
     domain; pass ``domain``/``bounds`` to restrict them.  The source
-    compiles once; the model evaluates batches of samples per call and has
-    exact forward-mode derivatives.
+    compiles once into a :class:`dsl.Program`, which serves the lane
+    contract directly: its evaluation, and its exact forward-mode
+    derivatives split into the dW/dX and dW/dF blocks.
     """
     mdef = dsl.parse_source(source)
     declared = {k for k, _ in mdef.params}
@@ -624,14 +567,13 @@ def parse_model(source, name="mdl", params=None, bounds=None, domain=None):
     for key in overrides:
         if key not in declared:
             raise ValueError(f"model source declares no parameter {key!r}")
-    impl = _ParsedResponse(name, dsl.compile_model(mdef, overrides))
+    program = dsl.compile_model(mdef, overrides)
     effective = {k: overrides.get(k, v) for k, v in mdef.params}
     return ConstitutiveModel(
-        name, mdef.dim, impl.eval_one,
+        name, mdef.dim, program.evaluate,
         domain=domain,
         bounds=bounds,
-        evaluate_many=impl.program.evaluate,
-        derivatives_many=impl.deriv_many,
+        derivatives=_split_jet(program),
         params={"source_params": effective},
         aux={"model_def": mdef},
     )

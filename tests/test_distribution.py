@@ -269,19 +269,16 @@ class TestIsomorphismCheck:
 
 def scaled_copy(model, factor):
     scaled_derivs = None
-    if model._derivatives_many is not None:
-        def scaled_derivs(X, Fs, _orig=model._derivatives_many):
-            dWdX, dWdF = _orig(X, Fs)
+    if model._derivatives is not None:
+        def scaled_derivs(Xs, Fs, _orig=model._derivatives):
+            dWdX, dWdF = _orig(Xs, Fs)
             return factor * np.asarray(dWdX), factor * np.asarray(dWdF)
 
     return ConstitutiveModel(
         f"{model.name}*{factor:g}", model.dim,
-        lambda X, F: factor * model._evaluate_one(X, F),
+        lambda Xs, Fs: factor * model._evaluate(Xs, Fs),
         domain=model.domain, bounds=model.bounds,
-        evaluate_many=(lambda Xs, Fs: factor * model._evaluate_many(Xs, Fs))
-        if model._evaluate_many else None,
-        derivatives_many=scaled_derivs,
-        complex_step=model.complex_step,
+        derivatives=scaled_derivs,
     )
 
 
@@ -369,12 +366,12 @@ class TestSamplerConfig:
     def test_instability_reported_with_history(self):
         rng = np.random.default_rng(10)
 
-        def noisy(X, Fs):
+        def noisy(Xs, Fs):
             return (rng.standard_normal((len(Fs), 1, 3)),
                     rng.standard_normal((len(Fs), 1, 9)))
 
-        model = ConstitutiveModel("noise", 1, lambda X, F: np.zeros(1),
-                                  derivatives_many=noisy)
+        model = ConstitutiveModel("noise", 1, lambda Xs, Fs: np.zeros((len(Fs), 1)),
+                                  derivatives=noisy)
         with pytest.raises(FibreInstabilityError) as err:
             material_fibre(model, [0.0, 0.0, 0.0], sampler=SamplerConfig(k_init=4, k_max=8))
         assert len(err.value.history) >= 2

@@ -75,13 +75,13 @@ class TestLeafTrace:
 
     def test_zero_grade_seed_rejected(self):
         # rows [I | 0] pin the base component everywhere: grade 0
-        def pinned(X, Fs):
-            k = len(Fs)
-            return (np.broadcast_to(np.eye(3), (k, 3, 3)).copy(),
-                    np.zeros((k, 3, 9)))
+        def pinned(Xs, Fs):
+            m = len(Fs)
+            return (np.broadcast_to(np.eye(3), (m, 3, 3)).copy(),
+                    np.zeros((m, 3, 9)))
 
-        model = ConstitutiveModel("pinned", 3, lambda X, F: np.zeros(3),
-                                  derivatives_many=pinned)
+        model = ConstitutiveModel("pinned", 3, lambda Xs, Fs: np.zeros((len(Fs), 3)),
+                                  derivatives=pinned)
         with pytest.raises(ValueError, match="grade"):
             leaf_trace(model, [0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 10, 0.01)
 
@@ -115,14 +115,14 @@ class TestGradeMap:
         assert field.grade[0, 0, 0] == 0
 
     def test_failed_nodes_get_sentinel_and_are_recorded(self):
-        def fragile(X, Fs):
-            if abs(X[0] - 0.5) < 1e-9:
+        def fragile(Xs, Fs):
+            if np.any(np.abs(Xs[:, 0] - 0.5) < 1e-9):
                 raise NonFiniteError("synthetic failure")
-            k = len(Fs)
-            return np.zeros((k, 1, 3)), np.zeros((k, 1, 9))
+            m = len(Fs)
+            return np.zeros((m, 1, 3)), np.zeros((m, 1, 9))
 
-        model = ConstitutiveModel("fragile", 1, lambda X, F: np.zeros(1),
-                                  derivatives_many=fragile)
+        model = ConstitutiveModel("fragile", 1, lambda Xs, Fs: np.zeros((len(Fs), 1)),
+                                  derivatives=fragile)
         field = grade_map(model, GridSpec((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (3, 1, 1)))
         assert field.grade[1, 0, 0] == -1
         assert field.grade[0, 0, 0] == 3
@@ -152,18 +152,27 @@ class TestGradeMap:
                                       np.reshape([r.validated for r in single], shape))
         assert not field.errors
 
-    @pytest.mark.parametrize("complex_step", [True, False], ids=["complex-step", "central-fd"])
-    def test_non_finite_node_of_batched_model_is_isolated(self, complex_step):
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "central-fd"])
+    def test_non_finite_node_of_batched_model_is_isolated(self, analytic):
         # derivatives of these models are evaluated for a whole chunk in one
-        # batch; a non-finite response at X1 = 0.5 must fail that node only
-        def evaluate_many(Xs, Fs):
-            W = np.einsum("kji,kjl->kil", Fs, Fs).reshape(len(Fs), 9)
-            bad = np.abs(np.real(Xs[:, 0]) - 0.5) < 1e-3
-            return np.where(bad[:, None], np.nan, W)
+        # batch; a non-finite response or derivative at X1 = 0.5 must fail
+        # that node only
+        def bad(Xs):
+            return np.abs(Xs[:, 0] - 0.5) < 1e-3
 
-        model = ConstitutiveModel("fragile_batched", 9,
-                                  lambda X, F: evaluate_many(X[None], F[None])[0],
-                                  evaluate_many=evaluate_many, complex_step=complex_step)
+        def evaluate(Xs, Fs):
+            W = np.einsum("kji,kjl->kil", Fs, Fs).reshape(len(Fs), 9)
+            return np.where(bad(Xs)[:, None], np.nan, W)
+
+        def derivatives(Xs, Fs):
+            m = len(Fs)
+            eye = np.eye(3)
+            dWdF = (np.einsum("jm,kli->kjilm", eye, Fs)
+                    + np.einsum("im,klj->kjilm", eye, Fs)).reshape(m, 9, 9)
+            return np.zeros((m, 9, 3)), np.where(bad(Xs)[:, None, None], np.nan, dWdF)
+
+        model = ConstitutiveModel("fragile_batched", 9, evaluate,
+                                  derivatives=derivatives if analytic else None)
         grid = GridSpec((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (21, 1, 1))
         field = grade_map(model, grid)
         assert [idx for idx, _ in field.errors] == [(10, 0, 0)]

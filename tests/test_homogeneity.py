@@ -98,7 +98,7 @@ class TestLeafPairs:
     def test_point_leaf_yields_degenerate_pair(self):
         leaf = LeafInfo(lambda seed, x: float(np.linalg.norm(x - seed)),
                         lambda seed, rng: np.asarray(seed, dtype=float))
-        model = ConstitutiveModel("pointleaf", 1, lambda X, F: np.zeros(1), leaf=leaf)
+        model = ConstitutiveModel("pointleaf", 1, lambda Xs, Fs: np.zeros((len(Fs), 1)), leaf=leaf)
         chart = builtin_chart("identity")
         pairs, _ = leaf_pairs(model, chart, 3)
         for Y, Z in pairs:

@@ -53,16 +53,23 @@ def zoned(name, rows, zone_rows, zone=lambda X: X[1] > 0.3):
     ``zone_rows`` may raise to make the zone fail.
     """
 
-    def derivatives(X, Fs):
-        k = len(Fs)
-        block = zone_rows(X, k) if zone(X) else rows
-        return (np.broadcast_to(np.asarray(block, dtype=float), (k, 3, 3)).copy(),
-                np.zeros((k, 3, 9)))
+    def derivatives(Xs, Fs):
+        # the k lanes of one body point are consecutive
+        blocks = np.empty((len(Xs), 3, 3))
+        start = 0
+        while start < len(Xs):
+            stop = start + 1
+            while stop < len(Xs) and np.array_equal(Xs[stop], Xs[start]):
+                stop += 1
+            X = Xs[start]
+            blocks[start:stop] = zone_rows(X, stop - start) if zone(X) else rows
+            start = stop
+        return blocks, np.zeros((len(Xs), 3, 9))
 
-    return ConstitutiveModel(name, 3, lambda X, F: np.zeros(3),
+    return ConstitutiveModel(name, 3, lambda Xs, Fs: np.zeros((len(Fs), 3)),
                              domain=lambda X: bool(np.all(np.abs(X) <= 1.0)),
                              bounds=((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
-                             derivatives_many=derivatives)
+                             derivatives=derivatives)
 
 
 def pinned_zone(X, k):

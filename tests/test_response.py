@@ -3,9 +3,10 @@ import inspect
 import numpy as np
 import pytest
 
-from matdist.errors import DomainError, SingularMatrixError
+from matdist.errors import DomainError, NonFiniteError, SingularMatrixError
 from matdist.numkit import DEFAULT_TOL
 from matdist.response import (
+    ConstitutiveModel,
     builtin,
     derivatives,
     derivatives_at_samples,
@@ -98,14 +99,16 @@ class TestDerivatives:
                 cof[l, m] = (-1) ** (l + m) * np.linalg.det(minor)
         np.testing.assert_allclose(dWdF[0].reshape(3, 3), cof, atol=1e-12)
 
-    @pytest.mark.parametrize("name", ["example1", "det_cal", "identity_cal"])
+    @pytest.mark.parametrize("name", ["example1", "example2", "det_cal", "identity_cal"])
     def test_analytic_agrees_with_finite_differences(self, name):
         model = builtin(name)
         stripped = builtin(name)
-        stripped._derivatives_many = None  # force the numerical path
+        stripped._derivatives = None  # force the numerical path
         rng = np.random.default_rng(42)
         for _ in range(5):
             X = rng.uniform(-0.9, 0.9, 3)
+            while not model.in_domain(X):
+                X = rng.uniform(-0.9, 0.9, 3)
             F = random_invertible(rng)
             aX, aF = derivatives(model, X, F)
             nX, nF = derivatives(stripped, X, F)
@@ -128,9 +131,20 @@ class TestDerivatives:
             np.testing.assert_allclose(dWdF[1].reshape(3, 3),
                                        np.linalg.det(F) * np.linalg.inv(F).T, atol=1e-11)
 
+    def test_example2_metric_enters_closed_form(self):
+        model = builtin("example2", r=1.5, metric=(1.0, 2.5, 0.7))
+        stripped = builtin("example2", r=1.5, metric=(1.0, 2.5, 0.7))
+        stripped._derivatives = None  # force the numerical path
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            X = rng.uniform(-0.8, 0.8, 3)
+            F = random_invertible(rng)
+            for got, want in zip(derivatives(model, X, F), derivatives(stripped, X, F)):
+                assert np.abs(got - want).max() < 1e-5
+
     def test_real_fd_shrinks_near_boundary(self):
         stripped = builtin("example2")
-        stripped.complex_step = False
+        stripped._derivatives = None  # force the numerical path
         # four halvings from the 1e-6 step reach 6.25e-8, just inside
         X = np.array([1.0 - 1e-7, 0.0, 0.0])
         dWdX, _ = derivatives(stripped, X, np.eye(3))
@@ -138,9 +152,67 @@ class TestDerivatives:
 
     def test_real_fd_errors_when_shrinking_is_not_enough(self):
         stripped = builtin("example2")
-        stripped.complex_step = False
+        stripped._derivatives = None  # force the numerical path
         with pytest.raises(DomainError, match="exits the domain"):
             derivatives(stripped, np.array([1.0 - 5e-9, 0.0, 0.0]), np.eye(3))
+
+    @pytest.mark.parametrize("F,error", [
+        (np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]), SingularMatrixError),
+        (np.diag([1.0, np.nan, 1.0]), ValueError),
+        (np.eye(2), ValueError),
+    ], ids=["singular", "nan", "2x2"])
+    @pytest.mark.parametrize("name", ["example1", "det_cal"])
+    def test_derivatives_validate_gradient(self, name, F, error):
+        with pytest.raises(error):
+            derivatives(builtin(name), [0.1, 0.2, 0.3], F)
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "det_cal", "identity_cal", "mdl"])
+    def test_batched_derivatives_equal_per_point_calls(self, name):
+        # grade maps promise results independent of batch composition; that
+        # rests on every point's blocks being the same bits in any batch
+        if name == "mdl":
+            import os
+
+            import matdist
+
+            model = load_model_file(os.path.join(os.path.dirname(matdist.__file__), "mdl",
+                                                 "example1.mdl"))
+        else:
+            model = builtin(name)
+        rng = np.random.default_rng(17)
+        Xs = np.array([[0.3, 0.1, -0.2], [-0.4, 0.2, 0.1], [0.05, 0.0, 0.0],
+                       [0.6, -0.3, 0.2], [0.0, 0.0, 0.0]])
+        for k in (1, 4, 11):
+            Fs = np.array([[random_invertible(rng) for _ in range(k)] for _ in Xs])
+            dWdX, dWdF = derivatives_at_samples(model, Xs, Fs)
+            assert dWdX.shape == (5, k, model.dim, 3)
+            assert dWdF.shape == (5, k, model.dim, 9)
+            for i, X in enumerate(Xs):
+                oneX, oneF = derivatives_at_samples(model, X, Fs[i])
+                np.testing.assert_array_equal(dWdX[i], oneX)
+                np.testing.assert_array_equal(dWdF[i], oneF)
+
+    def test_non_finite_derivative_raises(self):
+        def derivatives_(Xs, Fs):
+            m = len(Fs)
+            return np.full((m, 1, 3), np.nan), np.zeros((m, 1, 9))
+
+        model = ConstitutiveModel("nan_rate", 1, lambda Xs, Fs: np.zeros((len(Fs), 1)),
+                                  derivatives=derivatives_)
+        with pytest.raises(NonFiniteError, match=r"dW/dX at X=\[0.1, 0.2, 0.3\]"):
+            derivatives(model, [0.1, 0.2, 0.3], np.eye(3))
+
+    def test_wrong_result_shape_raises(self):
+        flat = ConstitutiveModel("flat", 1, lambda Xs, Fs: np.zeros(len(Fs)))
+        with pytest.raises(ValueError, match="expected"):
+            evaluate(flat, [0.0, 0.0, 0.0], np.eye(3))
+        with pytest.raises(ValueError, match="expected"):
+            derivatives(flat, [0.0, 0.0, 0.0], np.eye(3))
+        short = ConstitutiveModel("short", 2, lambda Xs, Fs: np.zeros((len(Fs), 2)),
+                                  derivatives=lambda Xs, Fs: (np.zeros((len(Fs), 2, 3)),
+                                                              np.zeros((len(Fs), 2, 3))))
+        with pytest.raises(ValueError, match="dW/dF of shape"):
+            derivatives(short, [0.0, 0.0, 0.0], np.eye(3))
 
     def test_batch_shapes(self, example2):
         Fs = np.array([np.eye(3), np.diag([1.0, 2.0, 3.0])])
@@ -162,12 +234,25 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             builtin("example2", r=-1.0)
 
+    def test_example2_custom_director_on_lanes(self, example2):
+        # the default director given as a custom lane field: same values,
+        # derivatives by central differences close to the closed form
+        shifted = builtin("example2", e=lambda Xs: Xs + np.array([1.0, 0.0, 0.0]))
+        assert shifted._derivatives is None
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            X = rng.uniform(-0.5, 0.5, 3)
+            F = random_invertible(rng)
+            np.testing.assert_array_equal(evaluate(shifted, X, F), evaluate(example2, X, F))
+            for got, want in zip(derivatives(shifted, X, F), derivatives(example2, X, F)):
+                assert np.abs(got - want).max() < 1e-5
+
     def test_example2_custom_response_map(self):
         model = builtin("example2", r=1.0, response_map=lambda r, J: [r, J, r * J])
         assert model.dim == 3
         W = evaluate(model, [0.0, 0.0, 0.0], np.eye(3))
         np.testing.assert_allclose(W, [1.0, 1.0, 1.0])
-        assert not model.complex_step
+        assert model._derivatives is None  # closed forms only for the default map
 
     def test_leaf_predicates(self, example1, example2):
         rng = np.random.default_rng(1)
