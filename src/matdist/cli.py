@@ -25,6 +25,7 @@ from .distribution import (
     GERM_RADIUS,
     MODES,
     SamplerConfig,
+    check_germ_args,
     is_material_isomorphism,
     material_fibre,
 )
@@ -357,8 +358,7 @@ def _cmd_fibre(args):
     mode = settings.get("mode", "mode", "pointwise", choices=MODES)
     model, sampler, tol = _resolve_common(settings, "fibre")
     point = _parse_floats(settings.get("point", "point", None, str), 3, "--point")
-    radius = settings.get("germ.radius", "germ_radius", GERM_RADIUS, float)
-    cloud = settings.get("germ.cloud", "germ_cloud", GERM_CLOUD, int)
+    radius, cloud = _germ_args(settings)
     fmt = _json_only(settings)
     out = settings.get("out", "out", None)
 
@@ -380,8 +380,7 @@ def _cmd_grade_map(args):
         counts = counts * 3
     if len(counts) != 3:
         raise _UsageError("--grid-n needs one or three integers")
-    radius = settings.get("germ.radius", "germ_radius", GERM_RADIUS, float)
-    cloud = settings.get("germ.cloud", "germ_cloud", GERM_CLOUD, int)
+    radius, cloud = _germ_args(settings)
     fmt = settings.get("format", "format", "json")
     out = settings.get("out", "out", None)
     slice_text = settings.get("slice", "slice", None, str)
@@ -398,6 +397,17 @@ def _cmd_grade_map(args):
                   csv_writer=lambda fh: grade_field_csv(field, fh))
     flagged = bool(field.errors) or not bool(field.validated[field.known].all())
     return EXIT_FLAGGED if flagged else EXIT_OK
+
+
+def _germ_args(settings):
+    """``germ1`` cloud radius and size, checked before any compute."""
+    radius = settings.get("germ.radius", "germ_radius", GERM_RADIUS, float)
+    cloud = settings.get("germ.cloud", "germ_cloud", GERM_CLOUD, int)
+    try:
+        check_germ_args(radius, cloud)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    return radius, cloud
 
 
 def _parse_slice(text):

@@ -41,6 +41,7 @@ __all__ = [
     "base_basis_at",
     "symmetry_algebra",
     "is_material_isomorphism",
+    "check_germ_args",
     "GERM_RADIUS",
     "GERM_CLOUD",
     "MODES",
@@ -64,7 +65,10 @@ class SamplerConfig:
     Random gradients are accepted only when ``|det| >= det_min`` and the
     2-norm condition number is at most ``cond_max``, which keeps the
     admissibility rows well scaled; the fixed anchors make the first rank
-    estimate reproducible.
+    estimate reproducible.  ``det_min`` must be finite and non-negative and
+    ``cond_max`` at least 1 (``inf`` drops the condition bound): no
+    gradient has a condition number below 1, so a smaller bound, or a NaN
+    one, would reject every draw.
     """
 
     seed: int = 0
@@ -79,6 +83,10 @@ class SamplerConfig:
             raise ValueError("k_init must be at least 4")
         if self.k_max < 2 * self.k_init:
             raise ValueError("k_max must be at least 2*k_init")
+        if not (np.isfinite(self.det_min) and self.det_min >= 0.0):
+            raise ValueError(f"det_min must be finite and at least 0, got {self.det_min!r}")
+        if not self.cond_max >= 1.0:
+            raise ValueError(f"cond_max must be at least 1, got {self.cond_max!r}")
 
     def anchor_matrices(self):
         return np.asarray(self.anchors, dtype=float)
@@ -154,6 +162,50 @@ def _point_rng(sampler, key_values, salt):
 
 
 _SAMPLER_BATCHES = 200
+_EPS = np.finfo(float).eps
+
+# the (i, j) cofactor of F is F[i+1, j+1] F[i+2, j+2] - F[i+1, j+2] F[i+2, j+1],
+# indices mod 3; the four rows pick those factors from the flattened F
+_COFACTOR_FACTORS = np.array(
+    [[3 * ((i + a) % 3) + (j + b) % 3 for i in range(3) for j in range(3)]
+     for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))]
+)
+
+
+def _accepted(Fs, sampler):
+    """Which of the gradients ``Fs (n,3,3)`` the sampler accepts: ``(n,)`` bools.
+
+    A gradient passes when ``|det F| >= det_min`` and ``cond_2(F) <=
+    cond_max``, decided exactly as ``np.linalg.det`` and ``np.linalg.cond``
+    decide them.  A cheap bound settles most condition tests: for 3x3
+    matrices ``cond_2 <= p <= 3 cond_2`` with ``p = |F|_F |F^-1|_F`` and
+    ``|F^-1|_F = |cof F|_F / |det F|``.  ``p`` below ``cond_max`` accepts and
+    ``p`` above ``3 cond_max`` rejects, each by a relative margin that
+    covers the rounding of ``p`` and of ``np.linalg.cond`` (both a small
+    multiple of ``eps * cond``).  Only the gradients left in between, about
+    3 % of normal draws at the defaults, take the exact SVD.
+    """
+    det = np.linalg.det(Fs)
+    keep = np.abs(det) >= sampler.det_min
+    f = Fs.reshape(-1, 9)
+    g = f[:, _COFACTOR_FACTORS]
+    cof = g[:, 0] * g[:, 1] - g[:, 2] * g[:, 3]
+    # p^2 det^2, so that a zero determinant needs no division
+    p2d2 = np.einsum("ni,ni->n", f, f) * np.einsum("ni,ni->n", cof, cof)
+    d2 = det * det
+    margin = min(1e-9 + 64 * _EPS * sampler.cond_max, 1.0)
+    lo = sampler.cond_max * (1.0 - margin)  # NaN for cond_max = inf: then no bound decides
+    hi = 3.0 * sampler.cond_max * (1.0 + margin)
+    exact = keep & ~(p2d2 < lo * lo * d2)
+    keep &= ~(p2d2 > hi * hi * d2)
+    exact &= keep
+    if exact.any():
+        keep[exact] = np.linalg.cond(Fs[exact]) <= sampler.cond_max
+    return keep
+
+
+def _batch_size(count):
+    return max(8, 2 * count)
 
 
 def sample_gradients(rng, count, sampler):
@@ -164,28 +216,53 @@ def sample_gradients(rng, count, sampler):
 def _sample_many(rngs, count, sampler):
     """``count`` accepted gradients from each generator: ``(len(rngs), count, 3, 3)``.
 
-    Every generator draws the same candidate batches, in the same order, as
-    it would alone; only the det/cond acceptance test is stacked over them.
+    Each generator draws batches of ``max(8, 2*count)`` standard normal
+    matrices and keeps, in draw order, the first ``count`` that
+    :func:`_accepted` passes.  Every generator draws the same batches, in the
+    same order, as it would alone; only the acceptance test is stacked over
+    them.  Raises ``RuntimeError`` if a generator is still short after
+    ``_SAMPLER_BATCHES`` batches.
     """
-    size = max(8, 2 * count)
-    accepted = [[] for _ in rngs]
-    have = [0] * len(rngs)
-    short = list(range(len(rngs)))
+    size = _batch_size(count)
+    out = np.empty((len(rngs), count, 3, 3))
+    have = np.zeros(len(rngs), dtype=int)
+    short = np.arange(len(rngs))
     for _ in range(_SAMPLER_BATCHES):
         batch = np.stack([rngs[i].standard_normal((size, 3, 3)) for i in short])
-        flat = batch.reshape(-1, 3, 3)
-        keep = ((np.abs(np.linalg.det(flat)) >= sampler.det_min)
-                & (np.linalg.cond(flat) <= sampler.cond_max)).reshape(len(short), size)
-        still_short = []
-        for j, i in enumerate(short):
-            accepted[i].append(batch[j][keep[j]])
-            have[i] += int(keep[j].sum())
-            if have[i] < count:
-                still_short.append(i)
-        short = still_short
-        if not short:
-            return np.stack([np.concatenate(parts)[:count] for parts in accepted])
+        keep = _accepted(batch.reshape(-1, 3, 3), sampler).reshape(len(short), size)
+        slot = have[short, None] + np.cumsum(keep, axis=1) - 1  # where each accepted one goes
+        rows, cols = np.nonzero(keep & (slot < count))
+        out[short[rows], slot[rows, cols]] = batch[rows, cols]
+        have[short] = np.minimum(slot[:, -1] + 1, count)
+        short = short[have[short] < count]
+        if not short.size:
+            return out
     raise RuntimeError("gradient sampler failed to find acceptable samples")
+
+
+def _cloud_draws(rng, points, count, sampler):
+    """``points`` successive :func:`sample_gradients` calls on one generator, in one batch.
+
+    Returns ``(points, count, 3, 3)`` and leaves ``rng`` where the calls
+    would.  ``standard_normal((points, size, 3, 3))`` yields the numbers of
+    ``points`` successive ``(size, 3, 3)`` draws, so when every point finds
+    ``count`` accepted gradients in its first batch, one batch is all that
+    the calls draw.  Otherwise the generator is rewound and the calls are
+    made one by one.
+    """
+    state = rng.bit_generator.state
+    batch = rng.standard_normal((points, _batch_size(count), 3, 3))
+    keep = _accepted(batch.reshape(-1, 3, 3), sampler).reshape(batch.shape[:2])
+    if keep.sum(axis=1).min() >= count:
+        return batch[keep & (np.cumsum(keep, axis=1) <= count)].reshape(points, count, 3, 3)
+    rng.bit_generator.state = state
+    return np.stack([sample_gradients(rng, count, sampler) for _ in range(points)])
+
+
+def _with_anchors(Fs, sampler):
+    """The anchors followed by each node's draws ``Fs (n,k,3,3)``: ``(n, k+3, 3, 3)``."""
+    anchors = np.repeat(sampler.anchor_matrices()[None], len(Fs), axis=0)
+    return np.concatenate([anchors, Fs], axis=1)
 
 
 def _solve_set(rng, k, sampler):
@@ -194,8 +271,7 @@ def _solve_set(rng, k, sampler):
 
 def _solve_sets(rngs, k, sampler):
     """Anchors followed by ``k`` random gradients, per generator: ``(n, k+3, 3, 3)``."""
-    anchors = np.repeat(sampler.anchor_matrices()[None], len(rngs), axis=0)
-    return np.concatenate([anchors, _sample_many(rngs, k, sampler)], axis=1)
+    return _with_anchors(_sample_many(rngs, k, sampler), sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +350,9 @@ class _GermSystem:
 
     def _assemble(self, rngs, k, sampler, with_anchors):
         (rng,) = rngs
-        # the draws stay sequential, cloud point by cloud point
-        draw = _solve_set if with_anchors else sample_gradients
-        Fs = np.stack([draw(rng, k, sampler) for _ in self.cloud])
+        Fs = _cloud_draws(rng, len(self.cloud), k, sampler)
+        if with_anchors:
+            Fs = _with_anchors(Fs, sampler)
         rows = _blocks(self.model, self.cloud, Fs, self.tol)  # (points, R, 12)
         delta = self.cloud - self.X
         p, r = rows.shape[:2]
@@ -463,6 +539,19 @@ def _check_domain(model, X):
     return X
 
 
+def check_germ_args(radius, cloud):
+    """Check the ``germ1`` cloud arguments, raising ``ValueError`` on a bad one.
+
+    ``radius`` must be finite and positive and ``cloud`` an integer of at
+    least 1: a zero, negative or NaN radius, or an empty cloud, would leave
+    the first-order ansatz unconstrained and report a wrong grade.
+    """
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"germ radius must be finite and positive, got {radius!r}")
+    if not (isinstance(cloud, (int, np.integer)) and cloud >= 1):
+        raise ValueError(f"germ cloud must be an integer of at least 1, got {cloud!r}")
+
+
 def material_fibre(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL, mode="pointwise",
                    germ_radius=GERM_RADIUS, germ_cloud=GERM_CLOUD):
     """Compute the fibre of the material distribution at a body point.
@@ -471,8 +560,10 @@ def material_fibre(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL, mode="poi
     ``mode="germ1"`` extends the unknowns to a first-order field over a
     small neighbourhood cloud, which removes spurious solutions at singular
     strata (an isolated degenerate point constrains nearby field values,
-    not just the value at the point itself).
+    not just the value at the point itself).  The cloud arguments are
+    checked by :func:`check_germ_args` in either mode.
     """
+    check_germ_args(germ_radius, germ_cloud)
     X = _check_domain(model, X)
     if mode == "pointwise":
         system = _PointwiseSystem(model, X[None], tol)

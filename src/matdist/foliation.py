@@ -18,6 +18,7 @@ from .distribution import (
     GERM_RADIUS,
     base_basis_at,  # noqa: F401  (a module name the benchmark tracer wraps)
     base_bases_at,
+    check_germ_args,
     material_fibre,
     pointwise_grades,
 )
@@ -421,7 +422,10 @@ def grade_map(model, grid, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAUL
     on how nodes are batched, because every node draws its own generator
     state from the base seed and the node coordinates.  ``threads`` is
     accepted for compatibility and ignored: the map runs in this process.
+    The ``germ1`` cloud arguments are checked before any node runs, in
+    either mode (:func:`~matdist.distribution.check_germ_args`).
     """
+    check_germ_args(germ_radius, germ_cloud)
     if not isinstance(grid, GridSpec):
         grid = GridSpec(*grid)
     pts = grid.points()

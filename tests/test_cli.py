@@ -328,6 +328,34 @@ class TestUsageErrors:
         assert "mode" in err and "bogus" in err
 
 
+    @pytest.mark.parametrize("command,compute", [
+        (["fibre", "--point", "0,0,0", "--mode", "germ1"], "material_fibre"),
+        (["grade-map", "--mode", "germ1"], "grade_map"),
+        (["grade-map"], "grade_map"),
+    ], ids=["fibre", "grade-map", "grade-map-pointwise"])
+    @pytest.mark.parametrize("flags,config", [
+        (["--germ-radius", "0"], ""), (["--germ-radius", "nan"], ""),
+        (["--germ-radius", "-0.01"], ""), (["--germ-cloud", "0"], ""),
+        (["--germ-cloud", "-2"], ""), ([], "germ.radius = 0\n"), ([], "germ.radius = nan\n"),
+        ([], "germ.cloud = 0\n"),
+    ], ids=["radius-zero", "radius-nan", "radius-negative", "cloud-zero", "cloud-negative",
+            "radius-config", "radius-nan-config", "cloud-config"])
+    def test_bad_germ_cloud_fails_before_compute(self, command, compute, flags, config, tmp_path,
+                                                 monkeypatch, capsys):
+        def no_compute(*args, **kwargs):
+            raise AssertionError(f"{compute} ran before the germ argument check")
+
+        monkeypatch.setattr(cli, compute, no_compute)
+        argv = [command[0], "--model", "example2", *command[1:]] + flags
+        if config:
+            cfg = tmp_path / "germ.cfg"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        code, _, err = run(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in err and "germ" in err
+
+
 class TestReproducibility:
     def extract_payload_bytes(self, text):
         start = text.index('"payload"')

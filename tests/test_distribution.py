@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from matdist import distribution, foliation
 from matdist.distribution import (
+    MODES,
     SamplerConfig,
     admissibility_block,
     is_material_isomorphism,
@@ -9,6 +11,7 @@ from matdist.distribution import (
     symmetry_algebra,
 )
 from matdist.errors import DomainError, FibreInstabilityError, SingularMatrixError
+from matdist.foliation import GridSpec, grade_map
 from matdist.numkit import DEFAULT_TOL, Tolerances, principal_angles
 from matdist.response import ConstitutiveModel, builtin, evaluate
 
@@ -356,12 +359,49 @@ class TestInvariants:
                 assert np.abs((Wp - Wm) / (2 * h)).max() <= 10 * DEFAULT_TOL.residual_tol
 
 
+class TestGermArguments:
+    @pytest.mark.parametrize("radius,cloud", [
+        (0.0, 20), (-1e-2, 20), (float("nan"), 20), (float("inf"), 20), (1e-2, 0), (1e-2, -3),
+        (1e-2, 2.5),
+    ], ids=["radius-zero", "radius-negative", "radius-nan", "radius-inf", "cloud-zero",
+            "cloud-negative", "cloud-fractional"])
+    def test_bad_cloud_rejected_before_compute(self, radius, cloud, example2, monkeypatch):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("the fibre kernel ran before the germ argument check")
+
+        monkeypatch.setattr(distribution, "_fibres", no_compute)
+        monkeypatch.setattr(foliation, "pointwise_grades", no_compute)
+        monkeypatch.setattr(foliation, "material_fibre", no_compute)
+        for mode in MODES:
+            with pytest.raises(ValueError, match="germ"):
+                material_fibre(example2, [0.0, 0.0, 0.0], mode=mode, germ_radius=radius,
+                               germ_cloud=cloud)
+            with pytest.raises(ValueError, match="germ"):
+                grade_map(example2, GridSpec((-0.5,) * 3, (0.5,) * 3, (2, 2, 2)), mode=mode,
+                          germ_radius=radius, germ_cloud=cloud)
+
+    def test_smallest_cloud_runs(self, example2):
+        result = material_fibre(example2, [0.3, 0.2, 0.1], mode="germ1", germ_cloud=1)
+        k = 8 * 2 ** (len(result.dim_history) - 1)
+        assert result.samples_used == (k + 3) * 2  # the centre and one neighbour
+
+
 class TestSamplerConfig:
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             SamplerConfig(k_init=2)
         with pytest.raises(ValueError):
             SamplerConfig(k_init=8, k_max=10)
+        for det_min in (float("nan"), float("inf"), -0.1):
+            with pytest.raises(ValueError, match="det_min"):
+                SamplerConfig(det_min=det_min)
+        for cond_max in (0.5, 0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="cond_max"):
+                SamplerConfig(cond_max=cond_max)
+
+    def test_boundary_configs_accepted(self):
+        SamplerConfig(det_min=0.0, cond_max=1.0)
+        SamplerConfig(cond_max=float("inf"))
 
     def test_instability_reported_with_history(self):
         rng = np.random.default_rng(10)
