@@ -24,6 +24,7 @@ from .errors import (
     FibreInstabilityError,
     MatdistError,
     NonFiniteError,
+    SamplerExhaustedError,
     SingularMatrixError,
 )
 from .numkit import DEFAULT_TOL, rank_split, stacked_svd
@@ -36,7 +37,7 @@ __all__ = [
     "IsoCheck",
     "admissibility_block",
     "material_fibre",
-    "pointwise_grades",
+    "fibres_at",
     "base_bases_at",
     "base_basis_at",
     "symmetry_algebra",
@@ -47,7 +48,6 @@ __all__ = [
     "MODES",
 ]
 
-MODES = ("pointwise", "germ1")  # fibre modes of material_fibre
 GERM_RADIUS = 1e-2
 GERM_CLOUD = 20
 
@@ -220,8 +220,8 @@ def _sample_many(rngs, count, sampler):
     matrices and keeps, in draw order, the first ``count`` that
     :func:`_accepted` passes.  Every generator draws the same batches, in the
     same order, as it would alone; only the acceptance test is stacked over
-    them.  Raises ``RuntimeError`` if a generator is still short after
-    ``_SAMPLER_BATCHES`` batches.
+    them.  Raises :class:`SamplerExhaustedError` if a generator is still
+    short after ``_SAMPLER_BATCHES`` batches.
     """
     size = _batch_size(count)
     out = np.empty((len(rngs), count, 3, 3))
@@ -237,7 +237,7 @@ def _sample_many(rngs, count, sampler):
         short = short[have[short] < count]
         if not short.size:
             return out
-    raise RuntimeError("gradient sampler failed to find acceptable samples")
+    raise SamplerExhaustedError("gradient sampler failed to find acceptable samples")
 
 
 def _cloud_draws(rng, points, count, sampler):
@@ -303,8 +303,10 @@ def admissibility_block(model, X, F, tol=DEFAULT_TOL):
 #
 # One kernel serves every fibre: a system yields admissibility rows for a set
 # of nodes, one generator per node; _saturate solves them in lockstep and
-# _fibres validates and grades the results.  material_fibre is its one-node
-# case; pointwise_grades and base_bases_at run it over chunks of points.
+# _fibres validates and grades the results.  fibres_at is its one entry, in
+# both modes: it runs chunks of points through the kernel and isolates each
+# failure to its point.  material_fibre, grade maps and base_bases_at all
+# call it.
 
 _CHUNK_NODES = 16  # nodes per lockstep batch: larger chunks gain no speed and cost memory
 
@@ -315,9 +317,10 @@ class _PointwiseSystem:
     n_unknowns = 12
     dx = slice(0, 3)
     dp = slice(3, 12)
+    salt = 0  # each node's generator is seeded by its coordinates and this salt
     points_per_node = 1
 
-    def __init__(self, model, Xs, tol):
+    def __init__(self, model, Xs, tol, radius, count):  # the cloud arguments are germ1's
         self.model = model
         self.Xs = Xs
         self.tol = tol
@@ -330,44 +333,56 @@ class _PointwiseSystem:
 
 
 class _GermSystem:
-    """First-order field ansatz over a small point cloud around one node.
+    """First-order field ansatz over a small point cloud around each node.
 
     Unknowns (48): base value dX0, base slope A (dX(X') = dX0 + A(X'-X)),
     fibre value dP0 and fibre slope Q (dP(X') = dP0 + Q(X'-X), contraction
-    on the third index of Q).
+    on the third index of Q).  Every node's cloud draws from that node's
+    generator.  Clouds near the domain boundary lose points; nodes whose
+    clouds differ in size cannot share one stacked system, so such a batch
+    raises and the caller runs its nodes one by one.
     """
 
     n_unknowns = 48
     dx = slice(0, 3)
     dp = slice(12, 21)
+    salt = 1
 
-    def __init__(self, model, X, tol, radius, count):
+    def __init__(self, model, Xs, tol, radius, count):
         self.model = model
-        self.X = X
+        self.Xs = Xs
         self.tol = tol
-        self.cloud = _cloud_points(model, X, radius, count)
-        self.points_per_node = len(self.cloud)
+        clouds = [_cloud_points(model, X, radius, count) for X in Xs]
+        if len({len(cloud) for cloud in clouds}) > 1:
+            raise MatdistError("germ clouds of unequal size do not stack")
+        self.clouds = np.stack(clouds)  # (n, points, 3)
+        self.points_per_node = self.clouds.shape[1]
 
-    def _assemble(self, rngs, k, sampler, with_anchors):
-        (rng,) = rngs
-        Fs = _cloud_draws(rng, len(self.cloud), k, sampler)
+    def _assemble(self, nodes, rngs, k, sampler, with_anchors):
+        n, p = len(nodes), self.points_per_node
+        Fs = np.stack([_cloud_draws(rng, p, k, sampler) for rng in rngs]).reshape(n * p, k, 3, 3)
         if with_anchors:
             Fs = _with_anchors(Fs, sampler)
-        rows = _blocks(self.model, self.cloud, Fs, self.tol)  # (points, R, 12)
-        delta = self.cloud - self.X
-        p, r = rows.shape[:2]
+        cloud = self.clouds[nodes].reshape(n * p, 3)
+        rows = _blocks(self.model, cloud, Fs, self.tol)  # (n*p, R, 12)
+        delta = cloud - np.repeat(self.Xs[nodes], p, axis=0)
+        q, r = rows.shape[:2]
         BX = rows[:, :, :3]
         BP = rows[:, :, 3:]
-        cols_a = np.einsum("pri,pj->prij", BX, delta).reshape(p, r, 9)
-        cols_q = np.einsum("prq,pm->prqm", BP, delta).reshape(p, r, 27)
+        cols_a = np.einsum("qri,qj->qrij", BX, delta).reshape(q, r, 9)
+        cols_q = np.einsum("qrs,qm->qrsm", BP, delta).reshape(q, r, 27)
         lifted = np.concatenate([BX, cols_a, BP, cols_q], axis=2)
-        return lifted.reshape(1, p * r, self.n_unknowns)
+        return lifted.reshape(n, p * r, self.n_unknowns)
 
     def rows(self, nodes, rngs, k, sampler):
-        return self._assemble(rngs, k, sampler, with_anchors=True)
+        return self._assemble(nodes, rngs, k, sampler, with_anchors=True)
 
     def heldout_rows(self, nodes, rngs, k, sampler):
-        return self._assemble(rngs, k, sampler, with_anchors=False)
+        return self._assemble(nodes, rngs, k, sampler, with_anchors=False)
+
+
+_SYSTEMS = {"pointwise": _PointwiseSystem, "germ1": _GermSystem}
+MODES = tuple(_SYSTEMS)  # fibre modes
 
 
 def _cloud_points(model, X, radius, count):
@@ -404,6 +419,7 @@ class _NodeFibre:
     fibre_gap: float
     dims: list
     k: int
+    samples: int  # gradients in the last solve set, over the whole cloud
     heldout: float = 0.0
     validated: bool = True
     grade: int = 0
@@ -436,7 +452,8 @@ def _saturate(system, rngs, sampler):
             rank, gap = rank_split(s[j], system.tol.rank_rel)
             dims[i].append(system.n_unknowns - rank)
             if len(dims[i]) >= 2 and dims[i][-1] == dims[i][-2]:
-                results[i] = _NodeFibre(vh[j, rank:].T.copy(), gap, dims[i], k)
+                samples = (k + len(sampler.anchors)) * system.points_per_node
+                results[i] = _NodeFibre(vh[j, rank:].T.copy(), gap, dims[i], k, samples)
             elif 2 * k > sampler.k_max:
                 results[i] = FibreInstabilityError(
                     f"null dimension did not stabilize within k_max={sampler.k_max}", dims[i]
@@ -516,29 +533,6 @@ def _fibres(system, rngs, sampler, validate=True, symmetry=False):
     return results
 
 
-def _pointwise(model, Xs, sampler, tol, validate=True, symmetry=False):
-    rngs = [_point_rng(sampler, X, salt=0) for X in Xs]
-    return _fibres(_PointwiseSystem(model, Xs, tol), rngs, sampler, validate, symmetry)
-
-
-def _one_node(results):
-    (result,) = results
-    if isinstance(result, MatdistError):
-        raise result
-    return result
-
-
-def _outside(model, X):
-    return DomainError(f"point {X.tolist()} is outside the domain of model {model.name!r}")
-
-
-def _check_domain(model, X):
-    X = np.asarray(X, dtype=float)
-    if not model.in_domain(X):
-        raise _outside(model, X)
-    return X
-
-
 def check_germ_args(radius, cloud):
     """Check the ``germ1`` cloud arguments, raising ``ValueError`` on a bad one.
 
@@ -552,6 +546,47 @@ def check_germ_args(radius, cloud):
         raise ValueError(f"germ cloud must be an integer of at least 1, got {cloud!r}")
 
 
+def fibres_at(model, Xs, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL,
+              germ_radius=GERM_RADIUS, germ_cloud=GERM_CLOUD, validate=True, symmetry=False):
+    """Fibres at many body points in either mode: the one entry to the fibre kernel.
+
+    Returns, per point, what the kernel learned there (fibre basis,
+    ``grade``, ``base``, ``rank_gap``, ``validated``, ``heldout``, the
+    symmetry basis ``sym`` when ``symmetry`` is set) or the
+    :class:`MatdistError` that failed that point alone: a
+    :class:`DomainError` for a point outside the model domain, say.
+    ``validate=False`` skips held-out validation.  The cloud arguments
+    (checked by :func:`check_germ_args`) and ``mode`` are checked before any
+    compute.  In-domain points run in chunks of ``_CHUNK_NODES``.  Every
+    point draws from its own generator, seeded by its coordinates and the
+    mode, so results do not depend on how the points are batched: a chunk
+    that raises is re-run point by point, which reproduces the others
+    exactly and pins the failure to its point.
+    """
+    check_germ_args(germ_radius, germ_cloud)
+    if mode not in _SYSTEMS:
+        raise ValueError(f"unknown mode {mode!r}")
+    Xs = np.asarray(Xs, dtype=float).reshape(-1, 3)
+    inside = np.array([model.in_domain(X) for X in Xs], dtype=bool)
+
+    def run(chunk):
+        try:
+            system = _SYSTEMS[mode](model, chunk, tol, germ_radius, germ_cloud)
+            rngs = [_point_rng(sampler, X, system.salt) for X in chunk]
+            return _fibres(system, rngs, sampler, validate, symmetry)
+        except MatdistError as exc:
+            if len(chunk) == 1:
+                return [exc]
+            return [node for X in chunk for node in run(X[None])]
+
+    points = Xs[inside]
+    found = iter([node for start in range(0, len(points), _CHUNK_NODES)
+                  for node in run(points[start:start + _CHUNK_NODES])])
+    return [next(found) if ok else
+            DomainError(f"point {X.tolist()} is outside the domain of model {model.name!r}")
+            for X, ok in zip(Xs, inside)]
+
+
 def material_fibre(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL, mode="pointwise",
                    germ_radius=GERM_RADIUS, germ_cloud=GERM_CLOUD):
     """Compute the fibre of the material distribution at a body point.
@@ -560,20 +595,14 @@ def material_fibre(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL, mode="poi
     ``mode="germ1"`` extends the unknowns to a first-order field over a
     small neighbourhood cloud, which removes spurious solutions at singular
     strata (an isolated degenerate point constrains nearby field values,
-    not just the value at the point itself).  The cloud arguments are
-    checked by :func:`check_germ_args` in either mode.
+    not just the value at the point itself).  This is the one-point case of
+    :func:`fibres_at`, in either mode, with the symmetry algebra extracted;
+    it raises the point's error.
     """
-    check_germ_args(germ_radius, germ_cloud)
-    X = _check_domain(model, X)
-    if mode == "pointwise":
-        system = _PointwiseSystem(model, X[None], tol)
-    elif mode == "germ1":
-        system = _GermSystem(model, X, tol, germ_radius, germ_cloud)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    rng = _point_rng(sampler, X, salt=0 if mode == "pointwise" else 1)
-    node = _one_node(_fibres(system, [rng], sampler, validate=True, symmetry=True))
+    X = np.asarray(X, dtype=float)
+    (node,) = fibres_at(model, X[None], mode, sampler, tol, germ_radius, germ_cloud, symmetry=True)
+    if isinstance(node, MatdistError):
+        raise node
     return FibreResult(
         point=X,
         mode=mode,
@@ -581,7 +610,7 @@ def material_fibre(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL, mode="poi
         base_basis=node.base,
         grade=node.grade,
         sym_basis=node.sym,
-        samples_used=(node.k + len(sampler.anchors)) * system.points_per_node,
+        samples_used=node.samples,
         rank_gap=node.rank_gap,
         validated=node.validated,
         heldout_residual=node.heldout,
@@ -589,64 +618,18 @@ def material_fibre(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL, mode="poi
     )
 
 
-def pointwise_grades(model, Xs, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
-    """Pointwise fibres at many in-domain body points, for grade fields.
-
-    Returns one result per point with ``grade``, ``rank_gap`` and
-    ``validated`` (the symmetry algebra is not extracted), or the
-    :class:`MatdistError` that failed that point.
-    """
-    return _pointwise_chunks(model, np.asarray(Xs, dtype=float).reshape(-1, 3), sampler, tol,
-                             validate=True)
-
-
-def _pointwise_chunks(model, Xs, sampler, tol, validate):
-    """One kernel result or :class:`MatdistError` per point.
-
-    Points run through the kernel in chunks of ``_CHUNK_NODES``.  Every point
-    draws from its own generator, seeded by its coordinates, so results do
-    not depend on how the points are batched: a chunk that raises is re-run
-    point by point, which reproduces the others exactly and pins the failure
-    to its point (a one-point chunk keeps its error without a re-run).
-    """
-    out = []
-    for start in range(0, len(Xs), _CHUNK_NODES):
-        chunk = Xs[start:start + _CHUNK_NODES]
-        try:
-            out.extend(_pointwise(model, chunk, sampler, tol, validate))
-        except MatdistError as exc:
-            if len(chunk) == 1:
-                out.append(exc)
-            else:
-                out.extend(_isolated(model, X, sampler, tol, validate) for X in chunk)
-    return out
-
-
-def _isolated(model, X, sampler, tol, validate):
-    try:
-        return _pointwise(model, X[None], sampler, tol, validate)[0]
-    except MatdistError as exc:
-        return exc
-
-
 def base_bases_at(model, Xs, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
-    """Base projections at many body points, one kernel batch per chunk.
+    """Base projections at many body points, through :func:`fibres_at`.
 
-    Returns, per point, ``(basis (3,grade), grade, gap)`` or the
-    :class:`MatdistError` that failed that point alone: a
+    Returns, per point, ``(basis (3,grade), grade, gap)`` of the pointwise
+    fibre, or the :class:`MatdistError` that failed that point alone: a
     :class:`DomainError` for a point outside the model domain, say.  Held-out
     validation and symmetry extraction are skipped; the flow tracer and the
     homogeneity sample bases query many points this way.  Each result is
     bit-identical to :func:`base_basis_at` at that point.
     """
-    Xs = np.asarray(Xs, dtype=float).reshape(-1, 3)
-    inside = np.array([model.in_domain(X) for X in Xs], dtype=bool)
-    nodes = iter(_pointwise_chunks(model, Xs[inside], sampler, tol, validate=False))
-    return [_base_of(next(nodes)) if ok else _outside(model, X) for X, ok in zip(Xs, inside)]
-
-
-def _base_of(node):
-    return node if isinstance(node, MatdistError) else (node.base, node.grade, node.rank_gap)
+    return [node if isinstance(node, MatdistError) else (node.base, node.grade, node.rank_gap)
+            for node in fibres_at(model, Xs, sampler=sampler, tol=tol, validate=False)]
 
 
 def base_basis_at(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):

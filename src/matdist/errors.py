@@ -38,3 +38,7 @@ class FibreInstabilityError(MatdistError, RuntimeError):
     def __init__(self, message, history):
         super().__init__(f"{message}; dimension history {list(history)}")
         self.history = list(history)
+
+
+class SamplerExhaustedError(MatdistError, RuntimeError):
+    """The gradient sampler found too few acceptable gradients within its batch budget."""

@@ -18,9 +18,8 @@ from .distribution import (
     GERM_RADIUS,
     base_basis_at,  # noqa: F401  (a module name the benchmark tracer wraps)
     base_bases_at,
-    check_germ_args,
-    material_fibre,
-    pointwise_grades,
+    fibres_at,
+    material_fibre,  # noqa: F401  (a module name the benchmark tracer wraps)
 )
 from .errors import DomainError, MatdistError, NonFiniteError
 from .numkit import DEFAULT_TOL, rk4_step
@@ -403,29 +402,20 @@ def leaf_trace(model, seed, dir_select, steps, h, sampler=DEFAULT_SAMPLER, tol=D
 # grade maps
 
 
-def _fibre_or_error(model, X, sampler, tol, mode, germ_radius, germ_cloud):
-    try:
-        return material_fibre(model, X, sampler=sampler, tol=tol, mode=mode,
-                              germ_radius=germ_radius, germ_cloud=germ_cloud)
-    except MatdistError as exc:
-        return exc
-
-
 def grade_map(model, grid, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL,
               threads=None, germ_radius=GERM_RADIUS, germ_cloud=GERM_CLOUD):
     """Grade of uniformity at every grid node, with stratum labels.
 
     Nodes outside the model domain are skipped (grade -1); per-node solver
-    failures are recorded in ``errors`` and marked the same way.  Pointwise
-    nodes run through the batched fibre kernel
-    (:func:`~matdist.distribution.pointwise_grades`); results do not depend
-    on how nodes are batched, because every node draws its own generator
-    state from the base seed and the node coordinates.  ``threads`` is
-    accepted for compatibility and ignored: the map runs in this process.
-    The ``germ1`` cloud arguments are checked before any node runs, in
-    either mode (:func:`~matdist.distribution.check_germ_args`).
+    failures are recorded in ``errors`` and marked the same way.  Nodes of
+    either mode run in chunks through the one fibre entry
+    (:func:`~matdist.distribution.fibres_at`), which checks the ``germ1``
+    cloud arguments and the mode before any node runs; results do not
+    depend on how nodes are batched, because every node draws its own
+    generator state from the base seed and the node coordinates.
+    ``threads`` is accepted for compatibility and ignored: the map runs in
+    this process.
     """
-    check_germ_args(germ_radius, germ_cloud)
     if not isinstance(grid, GridSpec):
         grid = GridSpec(*grid)
     pts = grid.points()
@@ -436,16 +426,10 @@ def grade_map(model, grid, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAUL
     gap = np.full(len(flat), np.nan)
     validated = np.ones(len(flat), dtype=bool)
     errors = []
-    inside = [i for i, p in enumerate(flat) if model.in_domain(p)]
-    if mode == "pointwise":
-        outputs = pointwise_grades(model, flat[inside], sampler, tol)
-    else:
-        outputs = [_fibre_or_error(model, flat[i], sampler, tol, mode, germ_radius, germ_cloud)
-                   for i in inside]
-    for i, out in zip(inside, outputs):
+    for i, out in enumerate(fibres_at(model, flat, mode, sampler, tol, germ_radius, germ_cloud)):
         if isinstance(out, MatdistError):
-            # a finite-difference step leaving the domain marks the node
-            # unknown without counting as a solver failure
+            # a node outside the domain, or a finite-difference step leaving
+            # it, marks the node unknown without counting as a solver failure
             if not isinstance(out, DomainError):
                 errors.append((tuple(int(v) for v in np.unravel_index(i, shape)), str(out)))
             continue

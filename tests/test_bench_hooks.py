@@ -6,8 +6,10 @@ test suite rather than the first traced benchmark run, and uninstalling it
 must leave every module exactly as it was.
 """
 
+import glob
 import importlib.util
 import os
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from matdist import cli, distribution, dsl, foliation, homogeneity, numkit, resp
 from matdist.foliation import GridSpec
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "matdist")
+TRACER_MARK = "a module name the benchmark tracer wraps"
 
 MODULES = {"cli": cli, "distribution": distribution, "dsl": dsl, "foliation": foliation,
            "homogeneity": homogeneity, "numkit": numkit, "response": response}
@@ -32,6 +36,7 @@ HOOKED = [
     (homogeneity, "leaf_trace"),
     (distribution, "sample_gradients"),
     (distribution, "material_fibre"),
+    (foliation, "material_fibre"),
     (foliation, "grade_map"),
     (homogeneity, "leaf_pairs"),
     (dsl, "evaluate_model_def"),
@@ -79,3 +84,18 @@ def test_hooks_see_a_grade_map(tracing, det_cal):
     assert calls["response.deriv"] >= 1
     assert tracer.counters["response.deriv_rows"] >= 2
     assert tracer.counters["foliation.nodes"] == 2
+
+
+def test_names_kept_for_the_tracer_are_hooked():
+    # an import kept only for the tracer is dead code once the tracer stops
+    # wrapping it; listing it in HOOKED makes that show here
+    hooked = {(module.__name__, name) for module, name in HOOKED}
+    kept = set()
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        module = "matdist." + os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                if TRACER_MARK in line:
+                    kept.add((module, re.search(r"(\w+),?\s*# noqa", line).group(1)))
+    assert kept, "no import is marked as kept for the tracer"
+    assert kept <= hooked, f"imports kept for the tracer but not hooked: {sorted(kept - hooked)}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matdist import cli
+from matdist.distribution import SamplerConfig
 
 
 def run(argv, capsys):
@@ -51,6 +52,21 @@ class TestFibreCommand:
         code, _, err = run(["fibre", "--model", "example1", "--point", "2,0,0"], capsys)
         assert code == cli.EXIT_RUNTIME
         assert "error" in err
+
+    @pytest.mark.parametrize("mode", ["pointwise", "germ1"])
+    def test_exhausted_sampler_is_runtime_error(self, mode, capsys, monkeypatch):
+        # the CLI does not expose the sampler bounds; a bound no random
+        # gradient meets makes the sampler give up in either mode
+        monkeypatch.setattr(cli, "SamplerConfig",
+                            lambda seed: SamplerConfig(seed=seed, cond_max=1.0))
+        code, _, err = run(["fibre", "--model", "example1", "--point", "0.5,0,0",
+                            "--mode", mode], capsys)
+        assert code == cli.EXIT_RUNTIME
+        assert err == "matdist: error: gradient sampler failed to find acceptable samples\n"
+        code, out, _ = run(["grade-map", "--model", "example1", "--grid-lo", "0.2,0,0",
+                            "--grid-hi", "0.5,0,0", "--grid-n", "2,1,1", "--mode", mode], capsys)
+        assert code == cli.EXIT_FLAGGED
+        assert payload_of(out)["result"]["n_errors"] == 2
 
     def test_flagged_result_exit_code(self, capsys):
         code, out, _ = run(["fibre", "--model", "example2", "--point", "0.3,0.2,0.1",

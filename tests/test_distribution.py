@@ -1,16 +1,25 @@
 import numpy as np
 import pytest
 
-from matdist import distribution, foliation
+from matdist import distribution
 from matdist.distribution import (
+    GERM_CLOUD,
+    GERM_RADIUS,
     MODES,
     SamplerConfig,
     admissibility_block,
+    fibres_at,
     is_material_isomorphism,
     material_fibre,
     symmetry_algebra,
 )
-from matdist.errors import DomainError, FibreInstabilityError, SingularMatrixError
+from matdist.errors import (
+    DomainError,
+    FibreInstabilityError,
+    MatdistError,
+    SamplerExhaustedError,
+    SingularMatrixError,
+)
 from matdist.foliation import GridSpec, grade_map
 from matdist.numkit import DEFAULT_TOL, Tolerances, principal_angles
 from matdist.response import ConstitutiveModel, builtin, evaluate
@@ -359,6 +368,84 @@ class TestInvariants:
                 assert np.abs((Wp - Wm) / (2 * h)).max() <= 10 * DEFAULT_TOL.residual_tol
 
 
+def assert_node_is_the_fibre(model, X, node, mode):
+    """``node``, one result of :func:`fibres_at`, equals the one-point fibre at ``X``."""
+    try:
+        want = material_fibre(model, X, mode=mode)
+    except MatdistError as exc:
+        assert type(node) is type(exc) and str(node) == str(exc)
+        return
+    assert not isinstance(node, Exception), f"{X}: {node}"
+    assert node.grade == want.grade
+    assert node.rank_gap == want.rank_gap
+    assert np.array_equal(node.base, want.base_basis)
+    assert node.validated == want.validated
+    assert node.heldout == want.heldout_residual
+
+
+class TestFibreEntry:
+    # per model: a point whose germ cloud the boundary cuts short, two with
+    # full clouds and one outside the domain
+    MIXED = {
+        "example1": [[0.99995, 0.99995, 0.3], [0.5, 0.0, 0.0], [0.0, 0.0, 1.5], [-0.5, 0.2, 0.1]],
+        "example2": [[0.99995, 0.0, 0.0], [0.3, 0.2, 0.1], [2.0, 0.0, 0.0], [-0.4, 0.1, 0.0]],
+    }
+
+    @pytest.mark.parametrize("name", list(MIXED))
+    def test_germ_batches_match_one_point_fibres(self, name):
+        model = builtin(name)
+        points = self.MIXED[name]
+        cloud = distribution._cloud_points(model, np.array(points[0]), GERM_RADIUS, GERM_CLOUD)
+        assert len(cloud) < GERM_CLOUD + 1
+        for batch in (points, [points[1], points[3]]):  # with and without the short cloud
+            for X, node in zip(batch, fibres_at(model, batch, mode="germ1")):
+                assert_node_is_the_fibre(model, X, node, "germ1")
+
+    def test_each_mode_seeds_its_own_streams(self, example2, monkeypatch):
+        # the salts are part of every payload: pointwise nodes draw from
+        # stream 0 and germ1 nodes from stream 1 of their coordinates
+        seeded = []
+        point_rng = distribution._point_rng
+
+        def spy(sampler, key_values, salt):
+            seeded.append((tuple(key_values), salt))
+            return point_rng(sampler, key_values, salt)
+
+        monkeypatch.setattr(distribution, "_point_rng", spy)
+        points = [(0.3, 0.2, 0.1), (-0.4, 0.1, 0.0)]
+        for mode, salt in (("pointwise", 0), ("germ1", 1)):
+            seeded.clear()
+            fibres_at(example2, points, mode=mode)
+            assert seeded == [(X, salt) for X in points]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_exhausted_sampler_fails_each_node(self, example1, mode):
+        # a valid bound that no random gradient meets: the sampler gives up
+        # after its batch budget, and that fails each node, not the batch
+        sampler = SamplerConfig(cond_max=1.0)
+        nodes = fibres_at(example1, [[0.5, 0.0, 0.0], [0.2, 0.0, 0.0]], mode=mode, sampler=sampler)
+        assert [type(node) for node in nodes] == [SamplerExhaustedError] * 2
+        assert isinstance(nodes[0], RuntimeError)
+        with pytest.raises(SamplerExhaustedError, match="gradient sampler"):
+            material_fibre(example1, [0.5, 0.0, 0.0], mode=mode, sampler=sampler)
+        field = grade_map(example1, GridSpec((0.2, 0.0, 0.0), (0.5, 0.0, 0.0), (2, 1, 1)),
+                          mode=mode, sampler=sampler)
+        assert [idx for idx, _ in field.errors] == [(0, 0, 0), (1, 0, 0)]
+        assert np.all(field.grade == -1)
+
+    def test_unknown_mode_rejected_before_compute(self, example2, monkeypatch):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("the fibre kernel ran before the mode check")
+
+        monkeypatch.setattr(distribution, "_fibres", no_compute)
+        for run in (lambda: fibres_at(example2, [[0.0, 0.0, 0.0]], mode="germ2"),
+                    lambda: material_fibre(example2, [2.0, 0.0, 0.0], mode="germ2"),
+                    lambda: grade_map(example2, GridSpec((0,) * 3, (0,) * 3, (1, 1, 1)),
+                                      mode="germ2")):
+            with pytest.raises(ValueError, match="unknown mode"):
+                run()
+
+
 class TestGermArguments:
     @pytest.mark.parametrize("radius,cloud", [
         (0.0, 20), (-1e-2, 20), (float("nan"), 20), (float("inf"), 20), (1e-2, 0), (1e-2, -3),
@@ -369,10 +456,12 @@ class TestGermArguments:
         def no_compute(*args, **kwargs):
             raise AssertionError("the fibre kernel ran before the germ argument check")
 
+        # every fibre query goes through fibres_at, the one caller of the kernel
         monkeypatch.setattr(distribution, "_fibres", no_compute)
-        monkeypatch.setattr(foliation, "pointwise_grades", no_compute)
-        monkeypatch.setattr(foliation, "material_fibre", no_compute)
         for mode in MODES:
+            with pytest.raises(ValueError, match="germ"):
+                fibres_at(example2, [[0.0, 0.0, 0.0]], mode=mode, germ_radius=radius,
+                          germ_cloud=cloud)
             with pytest.raises(ValueError, match="germ"):
                 material_fibre(example2, [0.0, 0.0, 0.0], mode=mode, germ_radius=radius,
                                germ_cloud=cloud)

@@ -20,6 +20,26 @@ from matdist.distribution import base_basis_at, material_fibre
 from matdist.response import ConstitutiveModel, builtin
 
 
+def fragile_batched(analytic):
+    """An isotropic model whose response (and derivatives) are NaN near X1 = 0.5."""
+    def bad(Xs):
+        return np.abs(Xs[:, 0] - 0.5) < 1e-3
+
+    def evaluate(Xs, Fs):
+        W = np.einsum("kji,kjl->kil", Fs, Fs).reshape(len(Fs), 9)
+        return np.where(bad(Xs)[:, None], np.nan, W)
+
+    def derivatives(Xs, Fs):
+        m = len(Fs)
+        eye = np.eye(3)
+        dWdF = (np.einsum("jm,kli->kjilm", eye, Fs)
+                + np.einsum("im,klj->kjilm", eye, Fs)).reshape(m, 9, 9)
+        return np.zeros((m, 9, 3)), np.where(bad(Xs)[:, None, None], np.nan, dWdF)
+
+    return ConstitutiveModel("fragile_batched", 9, evaluate,
+                             derivatives=derivatives if analytic else None)
+
+
 class TestLeafTrace:
     def test_crystal_trace_stays_on_sphere(self, example2):
         trace = leaf_trace(example2, [0.3, 0.2, 0.1], [0.0, 1.0, 0.0], 200, 0.01)
@@ -152,27 +172,28 @@ class TestGradeMap:
                                       np.reshape([r.validated for r in single], shape))
         assert not field.errors
 
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_germ1_batching_matches_single_node_fibres(self, name):
+        # germ1 nodes run in chunks too (18 nodes: two chunks), each cloud
+        # drawing from its own node's generator
+        model = builtin(name)
+        grid = GridSpec((-0.6, -0.3, -0.2), (0.6, 0.3, 0.2), (3, 3, 2))
+        field = grade_map(model, grid, mode="germ1")
+        single = [material_fibre(model, X, mode="germ1") for X in grid.points().reshape(-1, 3)]
+        shape = field.grade.shape
+        np.testing.assert_array_equal(field.grade, np.reshape([r.grade for r in single], shape))
+        np.testing.assert_array_equal(field.rank_gap,
+                                      np.reshape([r.rank_gap for r in single], shape))
+        np.testing.assert_array_equal(field.validated,
+                                      np.reshape([r.validated for r in single], shape))
+        assert not field.errors
+
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "central-fd"])
     def test_non_finite_node_of_batched_model_is_isolated(self, analytic):
         # derivatives of these models are evaluated for a whole chunk in one
         # batch; a non-finite response or derivative at X1 = 0.5 must fail
         # that node only
-        def bad(Xs):
-            return np.abs(Xs[:, 0] - 0.5) < 1e-3
-
-        def evaluate(Xs, Fs):
-            W = np.einsum("kji,kjl->kil", Fs, Fs).reshape(len(Fs), 9)
-            return np.where(bad(Xs)[:, None], np.nan, W)
-
-        def derivatives(Xs, Fs):
-            m = len(Fs)
-            eye = np.eye(3)
-            dWdF = (np.einsum("jm,kli->kjilm", eye, Fs)
-                    + np.einsum("im,klj->kjilm", eye, Fs)).reshape(m, 9, 9)
-            return np.zeros((m, 9, 3)), np.where(bad(Xs)[:, None, None], np.nan, dWdF)
-
-        model = ConstitutiveModel("fragile_batched", 9, evaluate,
-                                  derivatives=derivatives if analytic else None)
+        model = fragile_batched(analytic)
         grid = GridSpec((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (21, 1, 1))
         field = grade_map(model, grid)
         assert [idx for idx, _ in field.errors] == [(10, 0, 0)]
@@ -182,6 +203,22 @@ class TestGradeMap:
         assert np.all(field.grade[others, 0, 0] == 3)
         for i in (0, 9, 11, 20):
             r = material_fibre(model, grid.points()[i, 0, 0])
+            assert field.rank_gap[i, 0, 0] == r.rank_gap
+            assert field.validated[i, 0, 0] == r.validated
+
+    def test_non_finite_node_fails_alone_in_a_germ1_chunk(self):
+        # the cloud of the node at X1 = 0.5 (radius 1e-2) meets the NaN band;
+        # its neighbours' clouds, 0.1 away, do not
+        model = fragile_batched(analytic=True)
+        grid = GridSpec((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (11, 1, 1))
+        field = grade_map(model, grid, mode="germ1")
+        with pytest.raises(NonFiniteError) as alone:
+            material_fibre(model, grid.points()[5, 0, 0], mode="germ1")
+        assert field.errors == [((5, 0, 0), str(alone.value))]
+        assert field.grade[5, 0, 0] == -1
+        for i in (0, 4, 6, 10):
+            r = material_fibre(model, grid.points()[i, 0, 0], mode="germ1")
+            assert field.grade[i, 0, 0] == r.grade
             assert field.rank_gap[i, 0, 0] == r.rank_gap
             assert field.validated[i, 0, 0] == r.validated
 

@@ -16,9 +16,9 @@ from matdist import distribution
 from matdist.distribution import (
     SamplerConfig,
     base_bases_at,
+    fibres_at,
     is_material_isomorphism,
     material_fibre,
-    pointwise_grades,
 )
 from matdist.response import builtin, load_model_file
 
@@ -253,8 +253,8 @@ class TestWholeRunsMatchTheOracle:
         axis = np.linspace(-0.6, 0.6, 4)
         grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
         Xs = np.array([X for X in grid if model.in_domain(X)])
-        got = pointwise_grades(model, Xs)
-        want = with_reference(monkeypatch, lambda: pointwise_grades(model, Xs))
+        got = fibres_at(model, Xs)
+        want = with_reference(monkeypatch, lambda: fibres_at(model, Xs))
         assert len(got) == len(want) == len(Xs)
         for a, b in zip(got, want):
             assert_same_node(a, b)
