@@ -27,7 +27,7 @@ from .errors import (
     SamplerExhaustedError,
     SingularMatrixError,
 )
-from .numkit import DEFAULT_TOL, rank_split, stacked_svd
+from .numkit import DEFAULT_TOL, rank_split, stacked_factor, stacked_svd
 from .response import derivatives_at_samples, evaluate_at_samples
 
 __all__ = [
@@ -129,6 +129,9 @@ class FibreResult:
             "mode": self.mode,
             "base_basis": [[float(v) for v in self.base_basis[:, j]] for j in range(self.grade)],
             "validated": bool(self.validated),
+            "samples_used": int(self.samples_used),
+            "dim_history": [int(d) for d in self.dim_history],
+            "heldout_residual": float(self.heldout_residual),
         }
 
 
@@ -265,15 +268,6 @@ def _with_anchors(Fs, sampler):
     return np.concatenate([anchors, Fs], axis=1)
 
 
-def _solve_set(rng, k, sampler):
-    return _solve_sets([rng], k, sampler)[0]
-
-
-def _solve_sets(rngs, k, sampler):
-    """Anchors followed by ``k`` random gradients, per generator: ``(n, k+3, 3, 3)``."""
-    return _with_anchors(_sample_many(rngs, k, sampler), sampler)
-
-
 # ---------------------------------------------------------------------------
 # admissibility rows
 
@@ -325,11 +319,12 @@ class _PointwiseSystem:
         self.Xs = Xs
         self.tol = tol
 
-    def rows(self, nodes, rngs, k, sampler):
-        return _blocks(self.model, self.Xs[nodes], _solve_sets(rngs, k, sampler), self.tol)
+    def rows(self, nodes, rngs, k, sampler, anchors=False):
+        Fs = _sample_many(rngs, k, sampler)
+        Fs = _with_anchors(Fs, sampler) if anchors else Fs
+        return _blocks(self.model, self.Xs[nodes], Fs, self.tol)
 
-    def heldout_rows(self, nodes, rngs, k, sampler):
-        return _blocks(self.model, self.Xs[nodes], _sample_many(rngs, k, sampler), self.tol)
+    heldout_rows = rows
 
 
 class _GermSystem:
@@ -341,6 +336,12 @@ class _GermSystem:
     generator.  Clouds near the domain boundary lose points; nodes whose
     clouds differ in size cannot share one stacked system, so such a batch
     raises and the caller runs its nodes one by one.
+
+    Each cloud point's pointwise block ``B_p`` enters through a fixed
+    12->48 lift, so the solve needs only ``B_p^T B_p``: a block of more than
+    24 rows (``example1``: 99 or 72) is replaced by its 12-row QR factor
+    before the lift.  Shorter ones (``example2``: 22 or 16) gain nothing
+    and stay raw, and so do held-out rows, which validation reads.
     """
 
     n_unknowns = 48
@@ -358,13 +359,15 @@ class _GermSystem:
         self.clouds = np.stack(clouds)  # (n, points, 3)
         self.points_per_node = self.clouds.shape[1]
 
-    def _assemble(self, nodes, rngs, k, sampler, with_anchors):
+    def _assemble(self, nodes, rngs, k, sampler, anchors, compress):
         n, p = len(nodes), self.points_per_node
         Fs = np.stack([_cloud_draws(rng, p, k, sampler) for rng in rngs]).reshape(n * p, k, 3, 3)
-        if with_anchors:
+        if anchors:
             Fs = _with_anchors(Fs, sampler)
         cloud = self.clouds[nodes].reshape(n * p, 3)
         rows = _blocks(self.model, cloud, Fs, self.tol)  # (n*p, R, 12)
+        if compress and rows.shape[1] > 24:
+            rows = np.linalg.qr(rows, mode="r")  # (n*p, 12, 12)
         delta = cloud - np.repeat(self.Xs[nodes], p, axis=0)
         q, r = rows.shape[:2]
         BX = rows[:, :, :3]
@@ -374,11 +377,11 @@ class _GermSystem:
         lifted = np.concatenate([BX, cols_a, BP, cols_q], axis=2)
         return lifted.reshape(n, p * r, self.n_unknowns)
 
-    def rows(self, nodes, rngs, k, sampler):
-        return self._assemble(nodes, rngs, k, sampler, with_anchors=True)
+    def rows(self, nodes, rngs, k, sampler, anchors=False):
+        return self._assemble(nodes, rngs, k, sampler, anchors, compress=True)
 
     def heldout_rows(self, nodes, rngs, k, sampler):
-        return self._assemble(nodes, rngs, k, sampler, with_anchors=False)
+        return self._assemble(nodes, rngs, k, sampler, anchors=False, compress=False)
 
 
 _SYSTEMS = {"pointwise": _PointwiseSystem, "germ1": _GermSystem}
@@ -435,18 +438,21 @@ class _NodeFibre:
 def _saturate(system, rngs, sampler):
     """Double the sample count until each node's null dimension repeats.
 
-    The nodes run in lockstep: a round draws ``k`` gradients per open node,
-    factorizes all their systems with one stacked SVD and closes every node
-    whose null dimension repeats.  Returns a :class:`_NodeFibre` or a
+    The nodes run in lockstep.  The first round solves the anchors and
+    ``k_init`` gradients per node; each later round doubles ``k`` with ``k/2``
+    new gradients and factorizes ``[C; new rows]``, where ``C = diag(s)·Vh``
+    is the last round's factor (``C^T C = M^T M``), so the singular values
+    are those of the whole solve set in exact arithmetic and no row is
+    drawn or solved twice.  Returns a :class:`_NodeFibre` or a
     :class:`FibreInstabilityError` per node.
     """
     results = [None] * len(rngs)
     dims = [[] for _ in rngs]
     open_nodes = list(range(len(rngs)))
     k = sampler.k_init
-    while open_nodes:
-        M = system.rows(open_nodes, [rngs[i] for i in open_nodes], k, sampler)
-        _, s, vh = stacked_svd(M)
+    M = system.rows(open_nodes, rngs, k, sampler, anchors=True)
+    while True:
+        s, vh = stacked_factor(M)
         still_open = []
         for j, i in enumerate(open_nodes):
             rank, gap = rank_split(s[j], system.tol.rank_rel)
@@ -459,10 +465,14 @@ def _saturate(system, rngs, sampler):
                     f"null dimension did not stabilize within k_max={sampler.k_max}", dims[i]
                 )
             else:
-                still_open.append(i)
-        open_nodes = still_open
+                still_open.append(j)
+        if not still_open:
+            return results
+        open_nodes = [open_nodes[j] for j in still_open]
+        C = s[still_open, :, None] * vh[still_open, :s.shape[1]]
+        M = np.concatenate([C, system.rows(open_nodes, [rngs[i] for i in open_nodes], k, sampler)],
+                           axis=1)
         k *= 2
-    return results
 
 
 def _validate(system, rngs, sampler, solved):
@@ -665,7 +675,7 @@ def is_material_isomorphism(model, X, Y, P, sampler=DEFAULT_SAMPLER, tol=DEFAULT
         if not model.in_domain(point):
             raise DomainError(f"{name}={point.tolist()} is outside the domain of model {model.name!r}")
     rng = _point_rng(sampler, np.concatenate([X, Y]), salt=2)
-    Fs = _solve_set(rng, sampler.k_init, sampler)
+    Fs = _with_anchors(_sample_many([rng], sampler.k_init, sampler), sampler)[0]
     WX = evaluate_at_samples(model, np.broadcast_to(X, (len(Fs), 3)), Fs @ P)
     WY = evaluate_at_samples(model, np.broadcast_to(Y, (len(Fs), 3)), Fs)
     diffs = np.abs(WX - WY).max(axis=1)

@@ -847,6 +847,9 @@ def _inputs(Xs, Fs, m, reads):
     return env
 
 
+_LANE_CHUNK = 128  # lanes per forward-mode pass; results are the same bits in any chunks
+
+
 class Program:
     """Trees compiled once and evaluated together over lanes of ``(X, F)``.
 
@@ -874,8 +877,13 @@ class Program:
 
         The derivative axis runs over ``X1 X2 X3`` and, when gradients are
         given, then over the entries of ``F`` row-major (``m`` = 3 or 12).
+        Lanes run in chunks, which large tangent arrays make faster per lane.
         """
-        return self._run(Xs, Fs, tangents=True)
+        Xs = _lanes(Xs, 1)
+        Fs = None if Fs is None else _lanes(Fs, 2)
+        chunks = [slice(i, i + _LANE_CHUNK) for i in range(0, max(len(Xs), 1), _LANE_CHUNK)]
+        parts = [self._run(Xs[c], None if Fs is None else Fs[c], True) for c in chunks]
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
     def _run(self, Xs, Fs, tangents):
         Xs = _lanes(Xs, 1)

@@ -20,6 +20,7 @@ __all__ = [
     "nullspace_info",
     "rank_split",
     "stacked_svd",
+    "stacked_factor",
     "jacobian_fd",
     "rk4_step",
     "principal_angles",
@@ -97,11 +98,24 @@ def stacked_svd(M):
     the full one.  Wide systems (fewer rows than columns) keep the full
     ``(n, n)`` ``Vh``: a thin one would silently drop the null vectors the
     missing rows leave unconstrained.  A stack is factorized matrix by
-    matrix, so stacking never changes a bit of any result.
+    matrix, so stacking never changes a bit of any result.  Callers that
+    never read ``U`` use :func:`stacked_factor`.
     """
     A = np.asarray(M, dtype=float)
     m, n = A.shape[-2:]
     return np.linalg.svd(A, full_matrices=m < n)
+
+
+def stacked_factor(M):
+    """``(s, Vh)`` of :func:`stacked_svd` without forming ``U``.
+
+    A tall system is first reduced to its triangular factor ``R``
+    (``R^T R = M^T M``), so ``s`` and ``Vh`` agree with the SVD's up to rounding.
+    """
+    A = np.asarray(M, dtype=float)
+    if A.shape[-2] > A.shape[-1]:
+        A = np.linalg.qr(A, mode="r")
+    return stacked_svd(A)[1:]
 
 
 def nullspace(M, tol=DEFAULT_TOL):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from matdist import cli
-from matdist.distribution import SamplerConfig
+from matdist.distribution import SamplerConfig, material_fibre
+from matdist.response import builtin
 
 
 def run(argv, capsys):
@@ -67,6 +68,21 @@ class TestFibreCommand:
                             "--grid-hi", "0.5,0,0", "--grid-n", "2,1,1", "--mode", mode], capsys)
         assert code == cli.EXIT_FLAGGED
         assert payload_of(out)["result"]["n_errors"] == 2
+
+    @pytest.mark.parametrize("model,point,mode", [
+        ("example1", "0.5,0,0", "pointwise"),
+        ("example2", "0,0,0", "germ1"),
+    ])
+    def test_saturation_diagnostics_match_library(self, model, point, mode, capsys):
+        code, out, _ = run(["fibre", "--model", model, "--point", point, "--mode", mode,
+                            "--seed", "3"], capsys)
+        assert code == cli.EXIT_OK
+        result = payload_of(out)["result"]
+        want = material_fibre(builtin(model), [float(v) for v in point.split(",")],
+                              sampler=SamplerConfig(seed=3), mode=mode)
+        assert result["samples_used"] == want.samples_used
+        assert result["dim_history"] == want.dim_history
+        assert result["heldout_residual"] == want.heldout_residual
 
     def test_flagged_result_exit_code(self, capsys):
         code, out, _ = run(["fibre", "--model", "example2", "--point", "0.3,0.2,0.1",

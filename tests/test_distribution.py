@@ -162,7 +162,7 @@ class TestPointwiseFibre:
         payload = material_fibre(example1, [0.5, 0.0, 0.0]).to_json_dict()
         assert sorted(payload) == sorted(
             ["point", "grade", "fibre_dim", "sym_dim", "rank_gap", "mode",
-             "base_basis", "validated"]
+             "base_basis", "validated", "samples_used", "dim_history", "heldout_residual"]
         )
         assert payload["mode"] == "pointwise"
         assert len(payload["base_basis"]) == payload["grade"]

@@ -259,6 +259,26 @@ def test_forward_mode_matches_central_differences(mdef, jet):
     assert np.all(np.abs(D[0] - coarse) <= 1e-5 * np.maximum(scale, np.abs(coarse)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(mdef=models(), seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from([dsl._LANE_CHUNK + 1, 2 * dsl._LANE_CHUNK + 37]),
+       with_gradients=st.booleans())
+def test_chunked_derivatives_equal_one_pass(mdef, seed, n, with_gradients):
+    rng = np.random.default_rng(seed)
+    Xs = rng.uniform(0.15, 0.95, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
+    Fs = _WELL + rng.uniform(-0.3, 0.3, (n, 3, 3)) if with_gradients else None
+    program = dsl.compile_model(mdef)
+    with np.errstate(all="ignore"):
+        try:
+            whole = program._run(Xs, Fs, tangents=True)  # every lane in one pass
+        except EvaluationError:
+            assume(False)
+        chunked = program.derivatives(Xs, Fs)
+    for got, want in zip(chunked, whole):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
 def test_shipped_example1_derivatives_match_builtin(example1):
     import os
 
