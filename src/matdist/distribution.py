@@ -338,10 +338,10 @@ class _GermSystem:
     raises and the caller runs its nodes one by one.
 
     Each cloud point's pointwise block ``B_p`` enters through a fixed
-    12->48 lift, so the solve needs only ``B_p^T B_p``: a block of more than
-    24 rows (``example1``: 99 or 72) is replaced by its 12-row QR factor
-    before the lift.  Shorter ones (``example2``: 22 or 16) gain nothing
-    and stay raw, and so do held-out rows, which validation reads.
+    12->48 lift, so the solve needs only ``B_p^T B_p``: every solve block
+    (``example1``: 99 or 72 rows, ``example2``: 22 or 16) is replaced by its
+    12-row QR factor before the lift.  Held-out rows stay raw, since
+    validation reads their residuals.
     """
 
     n_unknowns = 48
@@ -366,8 +366,8 @@ class _GermSystem:
             Fs = _with_anchors(Fs, sampler)
         cloud = self.clouds[nodes].reshape(n * p, 3)
         rows = _blocks(self.model, cloud, Fs, self.tol)  # (n*p, R, 12)
-        if compress and rows.shape[1] > 24:
-            rows = np.linalg.qr(rows, mode="r")  # (n*p, 12, 12)
+        if compress:
+            rows = np.linalg.qr(rows, mode="r")  # (n*p, min(R, 12), 12)
         delta = cloud - np.repeat(self.Xs[nodes], p, axis=0)
         q, r = rows.shape[:2]
         BX = rows[:, :, :3]

@@ -879,16 +879,16 @@ class Program:
         given, then over the entries of ``F`` row-major (``m`` = 3 or 12).
         Lanes run in chunks, which large tangent arrays make faster per lane.
         """
-        Xs = _lanes(Xs, 1)
-        Fs = None if Fs is None else _lanes(Fs, 2)
-        chunks = [slice(i, i + _LANE_CHUNK) for i in range(0, max(len(Xs), 1), _LANE_CHUNK)]
-        parts = [self._run(Xs[c], None if Fs is None else Fs[c], True) for c in chunks]
-        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+        return self._run(Xs, Fs, tangents=True)
 
     def _run(self, Xs, Fs, tangents):
         Xs = _lanes(Xs, 1)
         Fs = None if Fs is None else _lanes(Fs, 2)
         n = len(Xs)
+        if tangents and n > _LANE_CHUNK:
+            parts = [self._run(Xs[i:i + _LANE_CHUNK], None if Fs is None else Fs[i:i + _LANE_CHUNK],
+                               True) for i in range(0, n, _LANE_CHUNK)]
+            return tuple(map(np.concatenate, zip(*parts)))
         m = (3 if Fs is None else 12) if tangents else 0
         env = dict(self._consts)
         env.update(_inputs(Xs, Fs, m, self._reads))

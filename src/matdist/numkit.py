@@ -92,14 +92,15 @@ def rank_split(s, rank_rel, scale=None):
 def stacked_svd(M):
     """SVD ``(U, s, Vh)`` of one matrix or a stack that keeps every null vector.
 
-    Every rank decision in the package goes through here.  Tall and square
-    systems get the thin factorization, so ``U`` is ``(m, n)`` instead of a
-    full ``(m, m)`` that nobody reads; ``s`` and ``Vh`` are bit-identical to
-    the full one.  Wide systems (fewer rows than columns) keep the full
-    ``(n, n)`` ``Vh``: a thin one would silently drop the null vectors the
-    missing rows leave unconstrained.  A stack is factorized matrix by
-    matrix, so stacking never changes a bit of any result.  Callers that
-    never read ``U`` use :func:`stacked_factor`.
+    The factorization for callers that read ``U`` (base bases and symmetry
+    directions); rank decisions that need only ``s`` and ``Vh`` go through
+    :func:`stacked_factor`.  Tall and square systems get the thin
+    factorization, so ``U`` is ``(m, n)`` instead of a full ``(m, m)`` that
+    nobody reads; ``s`` and ``Vh`` are bit-identical to the full one.  Wide
+    systems (fewer rows than columns) keep the full ``(n, n)`` ``Vh``: a
+    thin one would silently drop the null vectors the missing rows leave
+    unconstrained.  A stack is factorized matrix by matrix, so stacking
+    never changes a bit of any result.
     """
     A = np.asarray(M, dtype=float)
     m, n = A.shape[-2:]
@@ -109,13 +110,11 @@ def stacked_svd(M):
 def stacked_factor(M):
     """``(s, Vh)`` of :func:`stacked_svd` without forming ``U``.
 
-    A tall system is first reduced to its triangular factor ``R``
-    (``R^T R = M^T M``), so ``s`` and ``Vh`` agree with the SVD's up to rounding.
+    The system is first reduced to its triangular factor ``R`` (at most as
+    many rows as columns, ``R^T R = M^T M``), so ``s`` and ``Vh`` agree with
+    the SVD's up to rounding.
     """
-    A = np.asarray(M, dtype=float)
-    if A.shape[-2] > A.shape[-1]:
-        A = np.linalg.qr(A, mode="r")
-    return stacked_svd(A)[1:]
+    return stacked_svd(np.linalg.qr(np.asarray(M, dtype=float), mode="r"))[1:]
 
 
 def nullspace(M, tol=DEFAULT_TOL):
@@ -133,7 +132,7 @@ def nullspace_info(M, tol=DEFAULT_TOL):
     n = A.shape[1]
     if not A.any():
         return np.eye(n), 0, np.inf
-    _, s, vh = stacked_svd(A)
+    s, vh = stacked_factor(A)
     rank, gap = rank_split(s, tol.rank_rel)
     return vh[rank:].T.copy(), rank, gap
 

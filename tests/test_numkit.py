@@ -96,6 +96,21 @@ class TestNullspace:
             assert principal_angles(b1, b2).max() < 1e-8
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([(11, 12), (12, 12), (99, 12)]))
+    def test_agrees_with_plain_svd(self, seed, shape):
+        # nullspace_info factorizes through QR: its rank and null space are
+        # those of one plain SVD of M
+        rng = np.random.default_rng(seed)
+        m, n = shape
+        rank = int(rng.integers(1, min(m, n)))
+        M = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        basis, got_rank, _ = nullspace_info(M)
+        _, s, vh = np.linalg.svd(M)
+        assert got_rank == rank_split(s, DEFAULT_TOL.rank_rel)[0] == rank
+        assert principal_angles(basis, vh[rank:].T).max() < 1e-8
+
+
 class TestStackedSvd:
     # wide (det_cal's first-round 11x12 system and 3xf base rows), square and tall
     SHAPES = [(11, 12), (3, 9), (12, 12), (9, 5), (99, 12)]

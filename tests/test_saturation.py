@@ -1,8 +1,8 @@
 """Incremental saturation: the carried factor, compressed germ1 rows, and their edge points.
 
 Each saturation round factorizes the last round's ``diag(s)·Vh`` stacked
-on the new rows only, and a ``germ1`` solve replaces each long pointwise
-block by its triangular factor before the lift.  Both keep ``M^T M``, so
+on the new rows only, and a ``germ1`` solve replaces each pointwise block
+by its triangular factor before the lift.  Both keep ``M^T M``, so
 singular values and rank decisions must match one SVD of all the raw rows.
 """
 
@@ -125,12 +125,15 @@ def test_rounds_solve_all_rows_and_validate_raw_ones(request, monkeypatch, name,
 
 class TestCompressedGermRows:
     @settings(max_examples=15, deadline=None)
-    @given(x1=st.one_of(st.floats(1e-4, 0.05), st.floats(0.05, 0.9)),
-           x23=st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
-           k=st.sampled_from([8, 16]), anchors=st.booleans())
-    def test_same_spectrum_as_raw_lifted_rows(self, example1, x1, x23, k, anchors):
+    @given(x1=st.one_of(st.floats(1e-4, 0.05), st.floats(0.05, 0.5)),
+           x23=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+           k=st.sampled_from([8, 16]), anchors=st.booleans(),
+           name=st.sampled_from(["example1", "example2"]))
+    def test_same_spectrum_as_raw_lifted_rows(self, example1, example2, x1, x23, k, anchors,
+                                              name):
+        model = {"example1": example1, "example2": example2}[name]
         Xs = np.array([[x1, *x23]])
-        system = distribution._GermSystem(example1, Xs, DEFAULT_TOL, GERM_RADIUS, GERM_CLOUD)
+        system = distribution._GermSystem(model, Xs, DEFAULT_TOL, GERM_RADIUS, GERM_CLOUD)
 
         def rows(compress):
             rngs = [distribution._point_rng(DEFAULT_SAMPLER, X, system.salt) for X in Xs]
