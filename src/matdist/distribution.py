@@ -68,7 +68,9 @@ class SamplerConfig:
     estimate reproducible.  ``det_min`` must be finite and non-negative and
     ``cond_max`` at least 1 (``inf`` drops the condition bound): no
     gradient has a condition number below 1, so a smaller bound, or a NaN
-    one, would reject every draw.
+    one, would reject every draw.  ``seed``, ``k_init`` and ``k_max`` must
+    be integers, and ``anchors`` a non-empty ``(a, 3, 3)`` stack of finite
+    matrices with ``|det| >= 1e-12``.
     """
 
     seed: int = 0
@@ -79,6 +81,18 @@ class SamplerConfig:
     anchors: tuple = field(default=_DEFAULT_ANCHORS)
 
     def __post_init__(self):
+        for name in ("seed", "k_init", "k_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        try:
+            anchors = np.asarray(self.anchors, dtype=float)
+        except (TypeError, ValueError):
+            anchors = None
+        if anchors is None or anchors.ndim != 3 or anchors.shape[1:] != (3, 3) or not len(anchors):
+            raise ValueError(f"anchors must be a non-empty (a, 3, 3) stack, got {self.anchors!r}")
+        if not np.all(np.isfinite(anchors)) or np.any(np.abs(np.linalg.det(anchors)) < 1e-12):
+            raise ValueError("anchors must be finite and nonsingular (|det| >= 1e-12)")
         if self.k_init < 4:
             raise ValueError("k_init must be at least 4")
         if self.k_max < 2 * self.k_init:
@@ -125,7 +139,7 @@ class FibreResult:
             "grade": int(self.grade),
             "fibre_dim": int(self.fibre_dim),
             "sym_dim": int(self.sym_dim),
-            "rank_gap": _finite_gap(self.rank_gap),
+            "rank_gap": float(min(self.rank_gap, 1e18)),  # JSON has no infinity: saturate
             "mode": self.mode,
             "base_basis": [[float(v) for v in self.base_basis[:, j]] for j in range(self.grade)],
             "validated": bool(self.validated),
@@ -133,14 +147,6 @@ class FibreResult:
             "dim_history": [int(d) for d in self.dim_history],
             "heldout_residual": float(self.heldout_residual),
         }
-
-
-_GAP_CAP = 1e18
-
-
-def _finite_gap(gap):
-    # JSON has no infinity; saturate the diagnostic instead
-    return float(min(gap, _GAP_CAP))
 
 
 @dataclass
@@ -212,54 +218,48 @@ def _batch_size(count):
 
 
 def sample_gradients(rng, count, sampler):
-    """Draw accepted random gradients (finite |det| and condition bounds)."""
-    return _sample_many([rng], count, sampler)[0]
+    """``count`` accepted random gradients from one generator: ``(count, 3, 3)``.
 
-
-def _sample_many(rngs, count, sampler):
-    """``count`` accepted gradients from each generator: ``(len(rngs), count, 3, 3)``.
-
-    Each generator draws batches of ``max(8, 2*count)`` standard normal
-    matrices and keeps, in draw order, the first ``count`` that
-    :func:`_accepted` passes.  Every generator draws the same batches, in the
-    same order, as it would alone; only the acceptance test is stacked over
-    them.  Raises :class:`SamplerExhaustedError` if a generator is still
+    The generator draws batches of ``max(8, 2*count)`` standard normal
+    matrices, and the first ``count`` that :func:`_accepted` passes are kept
+    in draw order.  Raises :class:`SamplerExhaustedError` if it is still
     short after ``_SAMPLER_BATCHES`` batches.
     """
-    size = _batch_size(count)
-    out = np.empty((len(rngs), count, 3, 3))
-    have = np.zeros(len(rngs), dtype=int)
-    short = np.arange(len(rngs))
+    kept, have = [], 0
     for _ in range(_SAMPLER_BATCHES):
-        batch = np.stack([rngs[i].standard_normal((size, 3, 3)) for i in short])
-        keep = _accepted(batch.reshape(-1, 3, 3), sampler).reshape(len(short), size)
-        slot = have[short, None] + np.cumsum(keep, axis=1) - 1  # where each accepted one goes
-        rows, cols = np.nonzero(keep & (slot < count))
-        out[short[rows], slot[rows, cols]] = batch[rows, cols]
-        have[short] = np.minimum(slot[:, -1] + 1, count)
-        short = short[have[short] < count]
-        if not short.size:
-            return out
+        batch = rng.standard_normal((_batch_size(count), 3, 3))
+        kept.append(batch[_accepted(batch, sampler)])
+        have += len(kept[-1])
+        if have >= count:
+            return np.concatenate(kept)[:count]
     raise SamplerExhaustedError("gradient sampler failed to find acceptable samples")
 
 
-def _cloud_draws(rng, points, count, sampler):
-    """``points`` successive :func:`sample_gradients` calls on one generator, in one batch.
+def _draws(rngs, points, count, sampler):
+    """``points`` successive :func:`sample_gradients` calls on each generator, in one batch.
 
-    Returns ``(points, count, 3, 3)`` and leaves ``rng`` where the calls
-    would.  ``standard_normal((points, size, 3, 3))`` yields the numbers of
-    ``points`` successive ``(size, 3, 3)`` draws, so when every point finds
-    ``count`` accepted gradients in its first batch, one batch is all that
-    the calls draw.  Otherwise the generator is rewound and the calls are
-    made one by one.
+    Returns ``(len(rngs), points, count, 3, 3)`` and leaves every generator
+    where the calls would.  ``standard_normal((points, size, 3, 3))`` yields
+    the numbers of ``points`` successive ``(size, 3, 3)`` draws, so the first
+    batch of every point of every generator is drawn at once and judged by
+    one :func:`_accepted` call.  A generator with a point that comes up short
+    is rewound and its calls are made one by one.
     """
-    state = rng.bit_generator.state
-    batch = rng.standard_normal((points, _batch_size(count), 3, 3))
-    keep = _accepted(batch.reshape(-1, 3, 3), sampler).reshape(batch.shape[:2])
-    if keep.sum(axis=1).min() >= count:
-        return batch[keep & (np.cumsum(keep, axis=1) <= count)].reshape(points, count, 3, 3)
-    rng.bit_generator.state = state
-    return np.stack([sample_gradients(rng, count, sampler) for _ in range(points)])
+    states = [rng.bit_generator.state for rng in rngs]
+    batch = np.stack([rng.standard_normal((points, _batch_size(count), 3, 3)) for rng in rngs])
+    keep = _accepted(batch.reshape(-1, 3, 3), sampler).reshape(batch.shape[:3])
+    have = np.cumsum(keep, axis=2)
+    keep &= have <= count  # the first count of each point
+    if have[..., -1].min() >= count:  # every first batch suffices
+        return batch[keep].reshape(len(rngs), points, count, 3, 3)
+    full = (have[..., -1] >= count).all(axis=1)  # generators to keep, the others replay
+    keep[~full] = False
+    out = np.empty((len(rngs), points, count, 3, 3))
+    out[full] = batch[keep].reshape(-1, points, count, 3, 3)
+    for i in np.flatnonzero(~full):
+        rngs[i].bit_generator.state = states[i]
+        out[i] = [sample_gradients(rngs[i], count, sampler) for _ in range(points)]
+    return out
 
 
 def _with_anchors(Fs, sampler):
@@ -305,87 +305,76 @@ def admissibility_block(model, X, F, tol=DEFAULT_TOL):
 _CHUNK_NODES = 16  # nodes per lockstep batch: larger chunks gain no speed and cost memory
 
 
-class _PointwiseSystem:
-    """Admissibility rows at a batch of body points."""
-
-    n_unknowns = 12
-    dx = slice(0, 3)
-    dp = slice(3, 12)
-    salt = 0  # each node's generator is seeded by its coordinates and this salt
-    points_per_node = 1
-
-    def __init__(self, model, Xs, tol, radius, count):  # the cloud arguments are germ1's
-        self.model = model
-        self.Xs = Xs
-        self.tol = tol
-
-    def rows(self, nodes, rngs, k, sampler, anchors=False):
-        Fs = _sample_many(rngs, k, sampler)
-        Fs = _with_anchors(Fs, sampler) if anchors else Fs
-        return _blocks(self.model, self.Xs[nodes], Fs, self.tol)
-
-    heldout_rows = rows
+MODES = ("pointwise", "germ1")  # fibre modes, by jet order
 
 
-class _GermSystem:
-    """First-order field ansatz over a small point cloud around each node.
+class _System:
+    """Admissibility rows of a batch of nodes, at jet order 0 or 1.
 
-    Unknowns (48): base value dX0, base slope A (dX(X') = dX0 + A(X'-X)),
-    fibre value dP0 and fibre slope Q (dP(X') = dP0 + Q(X'-X), contraction
-    on the third index of Q).  Every node's cloud draws from that node's
-    generator.  Clouds near the domain boundary lose points; nodes whose
-    clouds differ in size cannot share one stacked system, so such a batch
-    raises and the caller runs its nodes one by one.
+    Each node has a cloud of points; each cloud point has a pointwise block
+    ``B_p`` (12 columns ``dX, dP``), which the node's unknowns enter through
+    a fixed lift ``L_p`` (12 x unknowns, :func:`_lift`).  ``pointwise`` is
+    the one-point germ: the cloud is the node alone and the lift is the
+    identity.  ``germ1`` fits a first-order field over a small cloud around
+    the node (:func:`_cloud_points`).  The solve needs only ``B_p^T B_p``,
+    so each solve block is replaced by its QR factor before the lift;
+    validation applies the lift to the basis and reads the raw blocks.
 
-    Each cloud point's pointwise block ``B_p`` enters through a fixed
-    12->48 lift, so the solve needs only ``B_p^T B_p``: every solve block
-    (``example1``: 99 or 72 rows, ``example2``: 22 or 16) is replaced by its
-    12-row QR factor before the lift.  Held-out rows stay raw, since
-    validation reads their residuals.
+    Every node's cloud draws from that node's generator, seeded by its
+    coordinates and the jet order.  Clouds near the domain boundary lose
+    points; nodes whose clouds differ in size cannot share one stacked
+    system, so such a batch raises and the caller runs its nodes one by one.
     """
 
-    n_unknowns = 48
-    dx = slice(0, 3)
-    dp = slice(12, 21)
-    salt = 1
+    dx = slice(0, 3)  # the base velocity dX0 leads the unknowns in both orders
 
-    def __init__(self, model, Xs, tol, radius, count):
+    def __init__(self, model, Xs, mode, tol, radius, count):
         self.model = model
-        self.Xs = Xs
         self.tol = tol
-        clouds = [_cloud_points(model, X, radius, count) for X in Xs]
+        self.order = MODES.index(mode)
+        clouds = [_cloud_points(model, X, radius, count) for X in Xs] if self.order else Xs[:, None]
         if len({len(cloud) for cloud in clouds}) > 1:
             raise MatdistError("germ clouds of unequal size do not stack")
-        self.clouds = np.stack(clouds)  # (n, points, 3)
+        self.clouds = np.asarray(clouds)  # (n, points, 3)
         self.points_per_node = self.clouds.shape[1]
+        self.lift = _lift(self.clouds - Xs[:, None], self.order)  # (n, points, 12, unknowns)
+        self.n_unknowns = self.lift.shape[-1]
+        self.dp = slice(3 + 9 * self.order, 12 + 9 * self.order)  # dP0, after dX0 and A
 
-    def _assemble(self, nodes, rngs, k, sampler, anchors, compress):
+    def blocks(self, nodes, rngs, k, sampler, anchors=False):
+        """Raw pointwise blocks of the nodes' cloud points: ``(n, points, rows, 12)``."""
         n, p = len(nodes), self.points_per_node
-        Fs = np.stack([_cloud_draws(rng, p, k, sampler) for rng in rngs]).reshape(n * p, k, 3, 3)
+        Fs = _draws(rngs, p, k, sampler).reshape(n * p, k, 3, 3)
         if anchors:
             Fs = _with_anchors(Fs, sampler)
-        cloud = self.clouds[nodes].reshape(n * p, 3)
-        rows = _blocks(self.model, cloud, Fs, self.tol)  # (n*p, R, 12)
-        if compress:
-            rows = np.linalg.qr(rows, mode="r")  # (n*p, min(R, 12), 12)
-        delta = cloud - np.repeat(self.Xs[nodes], p, axis=0)
-        q, r = rows.shape[:2]
-        BX = rows[:, :, :3]
-        BP = rows[:, :, 3:]
-        cols_a = np.einsum("qri,qj->qrij", BX, delta).reshape(q, r, 9)
-        cols_q = np.einsum("qrs,qm->qrsm", BP, delta).reshape(q, r, 27)
-        lifted = np.concatenate([BX, cols_a, BP, cols_q], axis=2)
-        return lifted.reshape(n, p * r, self.n_unknowns)
+        rows = _blocks(self.model, self.clouds[nodes].reshape(n * p, 3), Fs, self.tol)
+        return rows.reshape(n, p, -1, 12)
 
     def rows(self, nodes, rngs, k, sampler, anchors=False):
-        return self._assemble(nodes, rngs, k, sampler, anchors, compress=True)
+        """Solve rows ``qr(B_p) @ L_p`` of the nodes: ``(n, points * min(rows, 12), unknowns)``."""
+        R = np.linalg.qr(self.blocks(nodes, rngs, k, sampler, anchors), mode="r")
+        return (R @ self.lift[nodes]).reshape(len(nodes), -1, self.n_unknowns)
 
-    def heldout_rows(self, nodes, rngs, k, sampler):
-        return self._assemble(nodes, rngs, k, sampler, anchors=False, compress=False)
 
+def _lift(delta, order):
+    """The fixed maps from a node's unknowns to the pointwise unknowns ``(dX, dP)``
+    at cloud points ``delta (..., 3)`` away from it: ``(..., 12, unknowns)``.
 
-_SYSTEMS = {"pointwise": _PointwiseSystem, "germ1": _GermSystem}
-MODES = tuple(_SYSTEMS)  # fibre modes
+    Order 0 has the 12 pointwise unknowns themselves.  Order 1 has 48: base
+    value ``dX0`` and slope ``A`` (``dX = dX0 + A delta``), then fibre value
+    ``dP0`` and slope ``Q`` (``dP = dP0 + Q delta``, contracting the third
+    index of ``Q``).  Each column holds one nonzero, so a lifted row is made
+    of single products.
+    """
+    if order == 0:
+        return np.broadcast_to(np.eye(12), delta.shape[:-1] + (12, 12))
+    L = np.zeros(delta.shape[:-1] + (12, 48))
+    value = [0, 1, 2, *range(12, 21)]
+    slope = [3, 6, 9, *range(21, 48, 3)]
+    for row in range(12):
+        L[..., row, value[row]] = 1.0
+        L[..., row, slope[row]:slope[row] + 3] = delta
+    return L
 
 
 def _cloud_points(model, X, radius, count):
@@ -486,9 +475,9 @@ def _validate(system, rngs, sampler, solved):
         if node.basis.shape[1] > 0:
             by_k[node.k].append(i)
     for k, nodes in by_k.items():
-        H = system.heldout_rows(nodes, [rngs[i] for i in nodes], k, sampler)
+        B = system.blocks(nodes, [rngs[i] for i in nodes], k, sampler)
         for j, i in enumerate(nodes):
-            per_vector = np.abs(H[j] @ solved[i].basis).max(axis=0)
+            per_vector = np.abs(B[j] @ (system.lift[i] @ solved[i].basis)).max(axis=(0, 1))
             solved[i].heldout = float(per_vector.max())
             solved[i].validated = bool(np.all(per_vector <= system.tol.residual_tol))
 
@@ -574,15 +563,15 @@ def fibres_at(model, Xs, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_
     exactly and pins the failure to its point.
     """
     check_germ_args(germ_radius, germ_cloud)
-    if mode not in _SYSTEMS:
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     Xs = np.asarray(Xs, dtype=float).reshape(-1, 3)
     inside = np.array([model.in_domain(X) for X in Xs], dtype=bool)
 
     def run(chunk):
         try:
-            system = _SYSTEMS[mode](model, chunk, tol, germ_radius, germ_cloud)
-            rngs = [_point_rng(sampler, X, system.salt) for X in chunk]
+            system = _System(model, chunk, mode, tol, germ_radius, germ_cloud)
+            rngs = [_point_rng(sampler, X, system.order) for X in chunk]
             return _fibres(system, rngs, sampler, validate, symmetry)
         except MatdistError as exc:
             if len(chunk) == 1:
@@ -675,7 +664,7 @@ def is_material_isomorphism(model, X, Y, P, sampler=DEFAULT_SAMPLER, tol=DEFAULT
         if not model.in_domain(point):
             raise DomainError(f"{name}={point.tolist()} is outside the domain of model {model.name!r}")
     rng = _point_rng(sampler, np.concatenate([X, Y]), salt=2)
-    Fs = _with_anchors(_sample_many([rng], sampler.k_init, sampler), sampler)[0]
+    Fs = _with_anchors(sample_gradients(rng, sampler.k_init, sampler)[None], sampler)[0]
     WX = evaluate_at_samples(model, np.broadcast_to(X, (len(Fs), 3)), Fs @ P)
     WY = evaluate_at_samples(model, np.broadcast_to(Y, (len(Fs), 3)), Fs)
     diffs = np.abs(WX - WY).max(axis=1)

@@ -515,6 +515,9 @@ def grade_field_csv(field, fh):
                 ])
 
 
+_JSON_ERRORS = 20  # failed nodes the JSON lists; n_errors counts them all
+
+
 def grade_field_json_dict(field):
     report = regularity_report(field)
     return {
@@ -534,6 +537,8 @@ def grade_field_json_dict(field):
         "unknown_nodes": report.unknown_nodes,
         "tolerance_sensitive": [list(idx) for idx in field.tolerance_sensitive()],
         "n_errors": len(field.errors),
+        "errors": [{"node": list(node), "message": message}
+                   for node, message in field.errors[:_JSON_ERRORS]],
     }
 
 

@@ -108,13 +108,15 @@ def stacked_svd(M):
 
 
 def stacked_factor(M):
-    """``(s, Vh)`` of :func:`stacked_svd` without forming ``U``.
+    """``(s, Vh)`` of :func:`stacked_svd` without forming a tall ``U``.
 
-    The system is first reduced to its triangular factor ``R`` (at most as
-    many rows as columns, ``R^T R = M^T M``), so ``s`` and ``Vh`` agree with
-    the SVD's up to rounding.
+    A tall system is first reduced to its triangular factor ``R`` (as many
+    rows as columns, ``R^T R = M^T M``), so ``s`` and ``Vh`` agree with the
+    SVD's up to rounding; one with no more rows than columns has nothing to
+    reduce and goes to the SVD as it is.
     """
-    return stacked_svd(np.linalg.qr(np.asarray(M, dtype=float), mode="r"))[1:]
+    A = np.asarray(M, dtype=float)
+    return stacked_svd(np.linalg.qr(A, mode="r") if A.shape[-2] > A.shape[-1] else A)[1:]
 
 
 def nullspace(M, tol=DEFAULT_TOL):

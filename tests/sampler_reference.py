@@ -1,9 +1,9 @@
 """Reference oracle for the gradient sampler: the plain acceptance test and draws.
 
 A gradient is accepted when ``np.linalg.det`` and ``np.linalg.cond`` pass it,
-each generator keeps its own candidate loop, and a ``germ1`` cloud is drawn
-one point after the other, exactly as matdist sampled before its condition
-test was bounded and its cloud draws batched.  Tests compare the package's
+each generator keeps its own candidate loop, and the points of a cloud are
+drawn one after the other, exactly as matdist sampled before its condition
+test was bounded and its draws batched.  Tests compare the package's
 sampler against it; nothing in the package uses it.
 """
 
@@ -18,38 +18,27 @@ def accepted(Fs, sampler):
             & (np.linalg.cond(Fs) <= sampler.cond_max))
 
 
-def sample_many(rngs, count, sampler):
-    """``count`` accepted gradients from each generator: ``(len(rngs), count, 3, 3)``."""
+def sample_gradients(rng, count, sampler):
+    """``count`` accepted gradients from one generator, in draw order: ``(count, 3, 3)``."""
     size = max(8, 2 * count)
-    kept = [[] for _ in rngs]
-    have = [0] * len(rngs)
-    short = list(range(len(rngs)))
+    kept = []
     for _ in range(SAMPLER_BATCHES):
-        batch = np.stack([rngs[i].standard_normal((size, 3, 3)) for i in short])
-        keep = accepted(batch.reshape(-1, 3, 3), sampler).reshape(len(short), size)
-        still_short = []
-        for j, i in enumerate(short):
-            kept[i].append(batch[j][keep[j]])
-            have[i] += int(keep[j].sum())
-            if have[i] < count:
-                still_short.append(i)
-        short = still_short
-        if not short:
-            return np.stack([np.concatenate(parts)[:count] for parts in kept])
+        batch = rng.standard_normal((size, 3, 3))
+        kept.extend(batch[accepted(batch, sampler)])
+        if len(kept) >= count:
+            return np.stack(kept[:count])
     raise RuntimeError("gradient sampler failed to find acceptable samples")
 
 
-def sample_gradients(rng, count, sampler):
-    return sample_many([rng], count, sampler)[0]
-
-
-def cloud_draws(rng, points, count, sampler):
-    """One :func:`sample_gradients` call per cloud point, in order: ``(points, count, 3, 3)``."""
-    return np.stack([sample_gradients(rng, count, sampler) for _ in range(points)])
+def draws(rngs, points, count, sampler):
+    """One :func:`sample_gradients` call per point, point after point, generator after
+    generator: ``(len(rngs), points, count, 3, 3)``."""
+    return np.stack([[sample_gradients(rng, count, sampler) for _ in range(points)]
+                     for rng in rngs])
 
 
 def install(monkeypatch, distribution):
     """Make ``distribution`` sample through this oracle for the rest of a test."""
     monkeypatch.setattr(distribution, "_accepted", accepted)
-    monkeypatch.setattr(distribution, "_sample_many", sample_many)
-    monkeypatch.setattr(distribution, "_cloud_draws", cloud_draws)
+    monkeypatch.setattr(distribution, "sample_gradients", sample_gradients)
+    monkeypatch.setattr(distribution, "_draws", draws)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from matdist import cli, distribution, dsl, foliation, homogeneity, numkit, response
+from matdist.distribution import SamplerConfig
 from matdist.foliation import GridSpec
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
@@ -83,6 +84,29 @@ def test_hooks_see_a_grade_map(tracing, det_cal):
     assert calls["foliation.grade_map"] == 1
     assert calls["response.deriv"] >= 1
     assert tracer.counters["response.deriv_rows"] >= 2
+    assert tracer.counters["foliation.nodes"] == 2
+
+
+def test_traced_runs_replay_draws_and_probe_the_pool(tracing, example2, det_cal):
+    # a tight sampler leaves some first batches short, so the fibre's draws are
+    # rewound and replayed through the traced sample_gradients and its proxy
+    # generators; grade_map(threads=2) is the call bench/run.py:pool_probe makes
+    sampler = SamplerConfig(cond_max=8.0)
+    point = [0.3, 0.2, 0.1]
+    grid = GridSpec((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2, 1, 1))
+    want = distribution.material_fibre(example2, point, sampler=sampler, mode="germ1")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(MODULES)
+        got = distribution.material_fibre(example2, point, sampler=sampler, mode="germ1")
+        field = foliation.grade_map(det_cal, grid, threads=2)
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["distribution.grad_candidates"] > 0, "no draw was replayed"
+    assert tracer.counters["distribution.grad_accepted"] > 0
+    assert np.array_equal(got.fibre_basis, want.fibre_basis)
+    assert got.dim_history == want.dim_history and got.heldout_residual == want.heldout_residual
+    assert np.array_equal(field.grade, foliation.grade_map(det_cal, grid).grade)
     assert tracer.counters["foliation.nodes"] == 2
 
 

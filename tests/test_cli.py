@@ -140,6 +140,26 @@ class TestGradeMapCommand:
         assert code == cli.EXIT_USAGE
         assert "usage error" in err
 
+    def test_failed_nodes_are_listed(self, tmp_path, capsys):
+        # sqrt(X1) is not finite for X1 < 0, and its derivative is not at X1 = 0
+        path = tmp_path / "root.mdl"
+        path.write_text("response = sqrt(X1) * (F' * F - I)\n")
+        code, out, _ = run(["grade-map", "--mdl", str(path), "--grid-lo", "-0.5,-0.1,0",
+                            "--grid-hi", "0.5,0.1,0", "--grid-n", "3,2,1"], capsys)
+        assert code == cli.EXIT_FLAGGED
+        result = payload_of(out)["result"]
+        assert result["n_errors"] == 4
+        assert [e["node"] for e in result["errors"]] == [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]]
+        assert all(e["message"] and set(e) == {"node", "message"} for e in result["errors"])
+        assert result["grade"] == [[[-1], [-1]], [[-1], [-1]], [[2], [2]]]
+
+        code, out, _ = run(["grade-map", "--mdl", str(path), "--grid-lo", "-0.9,-0.9,-0.9",
+                            "--grid-hi", "-0.1,0.9,0.9", "--grid-n", "3"], capsys)
+        result = payload_of(out)["result"]
+        assert result["n_errors"] == 27
+        assert len(result["errors"]) == 20  # the first 20, in node order
+        assert result["errors"][-1]["node"] == [2, 0, 1]
+
     def test_threads_flag_is_gone(self, capsys):
         code, out, _ = run(["grade-map", "--model", "det_cal", "--grid-n", "1"], capsys)
         assert code == cli.EXIT_OK

@@ -492,6 +492,36 @@ class TestSamplerConfig:
         SamplerConfig(det_min=0.0, cond_max=1.0)
         SamplerConfig(cond_max=float("inf"))
 
+    def test_fractional_sample_counts_rejected(self):
+        # k_init = 8.5 used to pass here and raise a bare TypeError mid-batch
+        for kwargs in ({"k_init": 8.5}, {"k_max": 128.0}, {"k_init": True}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                SamplerConfig(**kwargs)
+        SamplerConfig(k_init=np.int64(8), k_max=np.int32(16))
+
+    def test_fractional_seed_rejected(self):
+        # seed = 1.5 used to be truncated to 1 without a word
+        for seed in (1.5, "1", None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                SamplerConfig(seed=seed)
+        assert SamplerConfig(seed=np.uint32(7)).seed == 7
+
+    def test_singular_anchor_rejected(self, example2):
+        eye = np.eye(3)
+        for bad in (np.zeros((3, 3)), np.diag([1.0, 1.0, 1e-13]), np.full((3, 3), np.nan),
+                    np.diag([1.0, np.inf, 1.0])):
+            with pytest.raises(ValueError, match="anchors must be finite and nonsingular"):
+                SamplerConfig(anchors=(eye, bad))
+        sampler = SamplerConfig(anchors=(eye, np.diag([1.0, 2.0, 1e-12])))
+        assert material_fibre(example2, [0.3, 0.2, 0.1], sampler=sampler).grade == 2
+
+    def test_wrong_shape_anchors_rejected(self):
+        for bad in ((), np.eye(3), np.ones((2, 2, 2)), np.ones((1, 3, 4)), [np.eye(3), np.eye(2)],
+                    "eye"):
+            with pytest.raises(ValueError, match=r"anchors must be a non-empty \(a, 3, 3\) stack"):
+                SamplerConfig(anchors=bad)
+        assert SamplerConfig(anchors=[np.eye(3)]).anchor_matrices().shape == (1, 3, 3)
+
     def test_instability_reported_with_history(self):
         rng = np.random.default_rng(10)
 

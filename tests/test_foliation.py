@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -263,6 +264,12 @@ class TestSerialization:
         assert payload["regular"] is True
         assert payload["stratum_count"] == 1
         assert payload["unknown_nodes"] == 0
+        assert payload["n_errors"] == 0
+        assert payload["errors"] == []
+        assert set(payload) == {"grid", "mode", "grade", "rank_gap", "stratum", "regular",
+                                "grades_present", "node_counts", "stratum_count",
+                                "unknown_nodes", "tolerance_sensitive", "n_errors", "errors"}
+        json.dumps(payload)
 
     def test_leaf_trace_csv(self, example2):
         trace = leaf_trace(example2, [0.3, 0.2, 0.1], [0.0, 1.0, 0.0], 5, 0.01)

@@ -1,9 +1,10 @@
 """The gradient sampler against its reference oracle.
 
-The package decides the condition test mostly by a bound and draws each
-``germ1`` cloud in one batch; ``sampler_reference`` keeps the plain
-``det`` + ``cond`` test and the sequential draws.  Every decision, draw and
-generator state must match it bit for bit, and so must whole fibres.
+The package decides the condition test mostly by a bound and draws the
+first batch of every point of every generator at once; ``sampler_reference``
+keeps the plain ``det`` + ``cond`` test and the sequential draws.  Every
+decision, draw and generator state must match it bit for bit, and so must
+whole fibres.
 """
 
 import os
@@ -156,51 +157,52 @@ def doubling(sampler):
         k *= 2
 
 
+def assert_same_draws(rngs, points, count, sampler):
+    """``_draws`` on ``rngs`` against the oracle on copies: draws and end states."""
+    theirs = [np.random.Generator(type(rng.bit_generator)()) for rng in rngs]
+    for a, b in zip(rngs, theirs):
+        b.bit_generator.state = a.bit_generator.state
+    got = distribution._draws(rngs, points, count, sampler)
+    assert got.shape == (len(rngs), points, count, 3, 3)
+    assert np.array_equal(got, reference.draws(theirs, points, count, sampler))
+    # so the held-out draws that follow are the same too
+    for a, b in zip(rngs, theirs):
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 class TestDraws:
     @pytest.mark.parametrize("n_rngs", [1, 3, 16])
-    def test_sample_many_matches_reference(self, n_rngs):
+    def test_sample_many_matches_reference(self, n_rngs, monkeypatch):
         sampler = SamplerConfig()
-        for count in doubling(sampler):
-            ours = [np.random.default_rng([count, i]) for i in range(n_rngs)]
-            theirs = [np.random.default_rng([count, i]) for i in range(n_rngs)]
-            got = distribution._sample_many(ours, count, sampler)
-            want = reference.sample_many(theirs, count, sampler)
-            assert got.shape == (n_rngs, count, 3, 3)
-            assert np.array_equal(got, want)
-            for a, b in zip(ours, theirs):
-                assert a.bit_generator.state == b.bit_generator.state
+        replays = counting_replays(monkeypatch)
+        for points in (1, 21):
+            for count in doubling(sampler):
+                rngs = [np.random.default_rng([count, points, i]) for i in range(n_rngs)]
+                assert_same_draws(rngs, points, count, sampler)
+        assert replays == [], "default draws should come in one batch"
 
-    def test_short_generators_draw_more_batches(self):
+    def test_short_generators_draw_more_batches(self, monkeypatch):
         sampler = sampler_with(cond_max=8.0)  # about half the draws pass
-        ours = [np.random.default_rng([5, i]) for i in range(16)]
-        theirs = [np.random.default_rng([5, i]) for i in range(16)]
-        assert np.array_equal(distribution._sample_many(ours, 16, sampler),
-                              reference.sample_many(theirs, 16, sampler))
-        for a, b in zip(ours, theirs):
-            assert a.bit_generator.state == b.bit_generator.state
+        replays = counting_replays(monkeypatch)
+        for n_rngs in (1, 3, 16):
+            for points in (1, 21):
+                rngs = [np.random.default_rng([5, n_rngs, points, i]) for i in range(n_rngs)]
+                assert_same_draws(rngs, points, 16, sampler)
+        assert replays, "no first batch came up short"
 
     @pytest.mark.parametrize("points", [1, 21])
     def test_cloud_draws_match_sequential_draws(self, points, monkeypatch):
         sampler = SamplerConfig()
         replays = counting_replays(monkeypatch)
         for k in doubling(sampler):
-            ours = np.random.default_rng([k, points])
-            theirs = np.random.default_rng([k, points])
-            got = distribution._cloud_draws(ours, points, k, sampler)
-            assert np.array_equal(got, reference.cloud_draws(theirs, points, k, sampler))
-            # so the held-out draws that follow are the same too
-            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert_same_draws([np.random.default_rng([k, points])], points, k, sampler)
         assert replays == [], "a default cloud should be drawn in one batch"
 
     def test_shortfall_replays_sequential_draws(self, monkeypatch):
         sampler = sampler_with(cond_max=8.0)
         replays = counting_replays(monkeypatch)
         for k in (8, 16):
-            ours = np.random.default_rng([7, k])
-            theirs = np.random.default_rng([7, k])
-            got = distribution._cloud_draws(ours, 21, k, sampler)
-            assert np.array_equal(got, reference.cloud_draws(theirs, 21, k, sampler))
-            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert_same_draws([np.random.default_rng([7, k])], 21, k, sampler)
         assert replays == [8] * 21 + [16] * 21
 
 
