@@ -63,6 +63,8 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
+        # no prefix matching: "--mode" must not be taken for "--model"
+        kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
         # accept comma-joined negative coordinates like "-0.5,0,0" as values
         self._negative_number_matcher = re.compile(r"^-\d+[\d.,eE+-]*$|^-\.\d[\d.,eE+-]*$")
@@ -263,14 +265,12 @@ def _add_common(parser):
     parser.add_argument("--param", action="append", help="model parameter name=value")
     parser.add_argument("--config", help="flat key=value config file (flags override)")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--tol-rank", type=float, dest="tol_rank")
     parser.add_argument("--tol-residual", type=float, dest="tol_residual")
     parser.add_argument("--tol-fd-rel", type=float, dest="tol_fd_rel")
     parser.add_argument("--tol-fd-abs", type=float, dest="tol_fd_abs")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=["json", "csv"])
-    parser.add_argument("--svg", help="write an SVG rendering to this path")
     parser.add_argument("--emit-config", dest="emit_config",
                         help="also write the effective flat config here")
 
@@ -577,6 +577,7 @@ def build_parser():
 
     p_fibre = sub.add_parser("fibre", help="fibre, grade and symmetry algebra at one point")
     _add_common(p_fibre)
+    p_fibre.add_argument("--mode", choices=MODES)
     p_fibre.add_argument("--point")
     p_fibre.add_argument("--germ-radius", type=float, dest="germ_radius")
     p_fibre.add_argument("--germ-cloud", type=int, dest="germ_cloud")
@@ -584,6 +585,8 @@ def build_parser():
 
     p_map = sub.add_parser("grade-map", help="grade field over a grid")
     _add_common(p_map)
+    p_map.add_argument("--mode", choices=MODES)
+    p_map.add_argument("--svg", help="write an SVG rendering of a --slice to this path")
     p_map.add_argument("--grid-lo", dest="grid_lo")
     p_map.add_argument("--grid-hi", dest="grid_hi")
     p_map.add_argument("--grid-n", dest="grid_n")
@@ -594,6 +597,8 @@ def build_parser():
 
     p_leaf = sub.add_parser("leaf", help="trace a leaf of the body-material foliation")
     _add_common(p_leaf)
+    p_leaf.add_argument("--mode", choices=MODES, help="pointwise, the only mode leaves use")
+    p_leaf.add_argument("--svg", help="write an SVG projection of the trace to this path")
     p_leaf.add_argument("--point")
     p_leaf.add_argument("--dir")
     p_leaf.add_argument("--steps", type=int)

@@ -38,7 +38,6 @@ __all__ = [
     "admissibility_block",
     "material_fibre",
     "fibres_at",
-    "base_bases_at",
     "base_basis_at",
     "symmetry_algebra",
     "is_material_isomorphism",
@@ -297,10 +296,10 @@ def admissibility_block(model, X, F, tol=DEFAULT_TOL):
 #
 # One kernel serves every fibre: a system yields admissibility rows for a set
 # of nodes, one generator per node; _saturate solves them in lockstep and
-# _fibres validates and grades the results.  fibres_at is its one entry, in
-# both modes: it runs chunks of points through the kernel and isolates each
-# failure to its point.  material_fibre, grade maps and base_bases_at all
-# call it.
+# _fibres validates and grades the results, one FibreResult per node.
+# fibres_at is its one entry, in both modes: it runs chunks of points through
+# the kernel and isolates each failure to its point.  material_fibre, grade
+# maps, leaf traces and the homogeneity check all call it.
 
 _CHUNK_NODES = 16  # nodes per lockstep batch: larger chunks gain no speed and cost memory
 
@@ -403,27 +402,6 @@ def _fibonacci_directions(n):
     )
 
 
-@dataclass
-class _NodeFibre:
-    """What the kernel learns at one node; grade fields keep three fields of it."""
-
-    basis: np.ndarray
-    fibre_gap: float
-    dims: list
-    k: int
-    samples: int  # gradients in the last solve set, over the whole cloud
-    heldout: float = 0.0
-    validated: bool = True
-    grade: int = 0
-    base: np.ndarray = None
-    grade_gap: float = np.inf
-    sym: list = field(default_factory=list)
-
-    @property
-    def rank_gap(self):
-        return min(self.fibre_gap, self.grade_gap)
-
-
 def _saturate(system, rngs, sampler):
     """Double the sample count until each node's null dimension repeats.
 
@@ -432,8 +410,10 @@ def _saturate(system, rngs, sampler):
     new gradients and factorizes ``[C; new rows]``, where ``C = diag(s)·Vh``
     is the last round's factor (``C^T C = M^T M``), so the singular values
     are those of the whole solve set in exact arithmetic and no row is
-    drawn or solved twice.  Returns a :class:`_NodeFibre` or a
-    :class:`FibreInstabilityError` per node.
+    drawn or solved twice.  Returns a :class:`FibreResult` or a
+    :class:`FibreInstabilityError` per node.  Each result starts validated,
+    of grade 0 and without symmetries, with the fibre's own ``rank_gap``;
+    :func:`_validate` and :func:`_grade` fill it in.
     """
     results = [None] * len(rngs)
     dims = [[] for _ in rngs]
@@ -447,8 +427,11 @@ def _saturate(system, rngs, sampler):
             rank, gap = rank_split(s[j], system.tol.rank_rel)
             dims[i].append(system.n_unknowns - rank)
             if len(dims[i]) >= 2 and dims[i][-1] == dims[i][-2]:
-                samples = (k + len(sampler.anchors)) * system.points_per_node
-                results[i] = _NodeFibre(vh[j, rank:].T.copy(), gap, dims[i], k, samples)
+                results[i] = FibreResult(
+                    point=system.clouds[i, 0], mode=MODES[system.order],
+                    fibre_basis=vh[j, rank:].T.copy(), base_basis=np.zeros((3, 0)), grade=0,
+                    sym_basis=[], samples_used=(k + len(sampler.anchors)) * system.points_per_node,
+                    rank_gap=gap, validated=True, heldout_residual=0.0, dim_history=dims[i])
             elif 2 * k > sampler.k_max:
                 results[i] = FibreInstabilityError(
                     f"null dimension did not stabilize within k_max={sampler.k_max}", dims[i]
@@ -467,45 +450,47 @@ def _saturate(system, rngs, sampler):
 def _validate(system, rngs, sampler, solved):
     """Held-out residuals on fresh samples disjoint from the solve sets.
 
-    The samples continue each node's generator; nodes are batched by their
-    final sample count.  ``solved`` maps node index to :class:`_NodeFibre`.
+    The samples continue each node's generator, as many gradients per cloud
+    point as its last solve round drew; nodes are batched by that count.
+    ``solved`` maps node index to :class:`FibreResult`.
     """
-    by_k = defaultdict(list)
-    for i, node in solved.items():
-        if node.basis.shape[1] > 0:
-            by_k[node.k].append(i)
-    for k, nodes in by_k.items():
+    by_samples = defaultdict(list)
+    for i, fibre in solved.items():
+        if fibre.fibre_dim > 0:
+            by_samples[fibre.samples_used].append(i)
+    for samples, nodes in by_samples.items():
+        k = samples // system.points_per_node - len(sampler.anchors)
         B = system.blocks(nodes, [rngs[i] for i in nodes], k, sampler)
         for j, i in enumerate(nodes):
-            per_vector = np.abs(B[j] @ (system.lift[i] @ solved[i].basis)).max(axis=(0, 1))
-            solved[i].heldout = float(per_vector.max())
+            per_vector = np.abs(B[j] @ (system.lift[i] @ solved[i].fibre_basis)).max(axis=(0, 1))
+            solved[i].heldout_residual = float(per_vector.max())
             solved[i].validated = bool(np.all(per_vector <= system.tol.residual_tol))
 
 
-def _grade(system, nodes, symmetry):
+def _grade(system, fibres, symmetry):
     """Grade, base basis and (optionally) symmetry algebra from each fibre basis.
 
-    One SVD of the base rows ``basis[dx, :]`` per node, stacked over nodes of
-    equal fibre dimension, gives both the grade (its rank) and the symmetry
-    coefficients (its null space).
+    One SVD of the base rows ``fibre_basis[dx, :]`` per node, stacked over
+    nodes of equal fibre dimension, gives both the grade (its rank) and the
+    symmetry coefficients (its null space).  ``rank_gap`` becomes the
+    smaller of the fibre's and the grade's gap.  A zero fibre keeps grade 0.
     """
     rank_rel = system.tol.rank_rel
     by_dim = defaultdict(list)
-    for node in nodes:
-        by_dim[node.basis.shape[1]].append(node)
-    for f, group in by_dim.items():
-        if f == 0:
-            for node in group:
-                node.base = np.zeros((3, 0))
-            continue
-        U, s, vh = stacked_svd(np.stack([node.basis[system.dx, :] for node in group]))
-        for j, node in enumerate(group):
+    for fibre in fibres:
+        if fibre.fibre_dim > 0:
+            by_dim[fibre.fibre_dim].append(fibre)
+    for group in by_dim.values():
+        U, s, vh = stacked_svd(np.stack([fibre.fibre_basis[system.dx, :] for fibre in group]))
+        for j, fibre in enumerate(group):
             # basis columns are unit vectors, so 1 is the natural scale; anchoring
             # the cutoff there keeps pure-noise rows from faking base directions
-            node.grade, node.grade_gap = rank_split(s[j], rank_rel, scale=max(float(s[j][0]), 1.0))
-            node.base = U[j, :, :node.grade].copy()
+            fibre.grade, gap = rank_split(s[j], rank_rel, scale=max(float(s[j][0]), 1.0))
+            fibre.rank_gap = min(fibre.rank_gap, gap)
+            fibre.base_basis = U[j, :, :fibre.grade].copy()
             if symmetry:
-                node.sym = _symmetry_basis(node.basis, vh[j, node.grade:].T, system.dp, rank_rel)
+                coeff = vh[j, fibre.grade:].T
+                fibre.sym_basis = _symmetry_basis(fibre.fibre_basis, coeff, system.dp, rank_rel)
 
 
 def _symmetry_basis(basis, coeff, dp, rank_rel):
@@ -520,12 +505,12 @@ def _symmetry_basis(basis, coeff, dp, rank_rel):
 def _fibres(system, rngs, sampler, validate=True, symmetry=False):
     """Saturate, validate and grade every node of ``system``.
 
-    Returns one :class:`_NodeFibre` or :class:`MatdistError` per node.  A
+    Returns one :class:`FibreResult` or :class:`MatdistError` per node.  A
     failure that the batch cannot attribute to one node (a non-finite
     response, say) raises instead.
     """
     results = _saturate(system, rngs, sampler)
-    solved = {i: r for i, r in enumerate(results) if isinstance(r, _NodeFibre)}
+    solved = {i: r for i, r in enumerate(results) if isinstance(r, FibreResult)}
     if validate:
         _validate(system, rngs, sampler, solved)
     _grade(system, solved.values(), symmetry)
@@ -549,18 +534,18 @@ def fibres_at(model, Xs, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_
               germ_radius=GERM_RADIUS, germ_cloud=GERM_CLOUD, validate=True, symmetry=False):
     """Fibres at many body points in either mode: the one entry to the fibre kernel.
 
-    Returns, per point, what the kernel learned there (fibre basis,
-    ``grade``, ``base``, ``rank_gap``, ``validated``, ``heldout``, the
-    symmetry basis ``sym`` when ``symmetry`` is set) or the
+    Returns, per point, its :class:`FibreResult` or the
     :class:`MatdistError` that failed that point alone: a
     :class:`DomainError` for a point outside the model domain, say.
-    ``validate=False`` skips held-out validation.  The cloud arguments
-    (checked by :func:`check_germ_args`) and ``mode`` are checked before any
-    compute.  In-domain points run in chunks of ``_CHUNK_NODES``.  Every
-    point draws from its own generator, seeded by its coordinates and the
-    mode, so results do not depend on how the points are batched: a chunk
-    that raises is re-run point by point, which reproduces the others
-    exactly and pins the failure to its point.
+    ``validate=False`` skips held-out validation (``validated`` stays True
+    and ``heldout_residual`` 0), and ``sym_basis`` is filled only when
+    ``symmetry`` is set.  The cloud arguments (checked by
+    :func:`check_germ_args`) and ``mode`` are checked before any compute.
+    In-domain points run in chunks of ``_CHUNK_NODES``.  Every point draws
+    from its own generator, seeded by its coordinates and the mode, so
+    results do not depend on how the points are batched: a chunk that
+    raises is re-run point by point, which reproduces the others exactly
+    and pins the failure to its point.
     """
     check_germ_args(germ_radius, germ_cloud)
     if mode not in MODES:
@@ -576,11 +561,11 @@ def fibres_at(model, Xs, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_
         except MatdistError as exc:
             if len(chunk) == 1:
                 return [exc]
-            return [node for X in chunk for node in run(X[None])]
+            return [fibre for X in chunk for fibre in run(X[None])]
 
     points = Xs[inside]
-    found = iter([node for start in range(0, len(points), _CHUNK_NODES)
-                  for node in run(points[start:start + _CHUNK_NODES])])
+    found = iter([fibre for start in range(0, len(points), _CHUNK_NODES)
+                  for fibre in run(points[start:start + _CHUNK_NODES])])
     return [next(found) if ok else
             DomainError(f"point {X.tolist()} is outside the domain of model {model.name!r}")
             for X, ok in zip(Xs, inside)]
@@ -598,48 +583,25 @@ def material_fibre(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL, mode="poi
     :func:`fibres_at`, in either mode, with the symmetry algebra extracted;
     it raises the point's error.
     """
-    X = np.asarray(X, dtype=float)
-    (node,) = fibres_at(model, X[None], mode, sampler, tol, germ_radius, germ_cloud, symmetry=True)
-    if isinstance(node, MatdistError):
-        raise node
-    return FibreResult(
-        point=X,
-        mode=mode,
-        fibre_basis=node.basis,
-        base_basis=node.base,
-        grade=node.grade,
-        sym_basis=node.sym,
-        samples_used=node.samples,
-        rank_gap=node.rank_gap,
-        validated=node.validated,
-        heldout_residual=node.heldout,
-        dim_history=node.dims,
-    )
-
-
-def base_bases_at(model, Xs, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
-    """Base projections at many body points, through :func:`fibres_at`.
-
-    Returns, per point, ``(basis (3,grade), grade, gap)`` of the pointwise
-    fibre, or the :class:`MatdistError` that failed that point alone: a
-    :class:`DomainError` for a point outside the model domain, say.  Held-out
-    validation and symmetry extraction are skipped; the flow tracer and the
-    homogeneity sample bases query many points this way.  Each result is
-    bit-identical to :func:`base_basis_at` at that point.
-    """
-    return [node if isinstance(node, MatdistError) else (node.base, node.grade, node.rank_gap)
-            for node in fibres_at(model, Xs, sampler=sampler, tol=tol, validate=False)]
+    (fibre,) = fibres_at(model, np.asarray(X, dtype=float)[None], mode, sampler, tol,
+                         germ_radius, germ_cloud, symmetry=True)
+    if isinstance(fibre, MatdistError):
+        raise fibre
+    return fibre
 
 
 def base_basis_at(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
     """Lightweight base projection at ``X``: ``(basis (3,grade), grade, gap)``.
 
-    The one-point case of :func:`base_bases_at`; raises the point's error.
+    The tuple view of the pointwise fibre at ``X`` without held-out
+    validation or symmetry extraction (:func:`fibres_at` with
+    ``validate=False``); raises the point's error.
     """
-    (result,) = base_bases_at(model, np.asarray(X, dtype=float)[None], sampler, tol)
-    if isinstance(result, MatdistError):
-        raise result
-    return result
+    (fibre,) = fibres_at(model, np.asarray(X, dtype=float)[None], sampler=sampler, tol=tol,
+                         validate=False)
+    if isinstance(fibre, MatdistError):
+        raise fibre
+    return fibre.base_basis, fibre.grade, fibre.rank_gap
 
 
 def symmetry_algebra(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):

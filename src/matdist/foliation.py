@@ -17,7 +17,6 @@ from .distribution import (
     GERM_CLOUD,
     GERM_RADIUS,
     base_basis_at,  # noqa: F401  (a module name the benchmark tracer wraps)
-    base_bases_at,
     fibres_at,
     material_fibre,  # noqa: F401  (a module name the benchmark tracer wraps)
 )
@@ -234,25 +233,25 @@ class _Leaf:
         self.error = error
         self.done = True
 
-    def start(self, base):
-        """Take the base query at the seed; the first direction is the hint."""
-        if isinstance(base, MatdistError):
-            self.fail(base)
-        elif base[1] < 1:
-            self.fail(ValueError(f"grade at the seed is {base[1]}; need at least 1 to trace"))
+    def start(self, fibre):
+        """Take the fibre at the seed; the first direction is the hint."""
+        if isinstance(fibre, MatdistError):
+            self.fail(fibre)
+        elif fibre.grade < 1:
+            self.fail(ValueError(f"grade at the seed is {fibre.grade}; need at least 1 to trace"))
         else:
-            self.basis, grade, _ = base
-            self.grades.append(grade)
+            self.basis = fibre.base_basis
+            self.grades.append(fibre.grade)
             self._head(self.hint)
 
-    def arrive(self, base):
-        """Take the base query at the point just reached."""
-        if isinstance(base, MatdistError):
-            self.fail(base)
+    def arrive(self, fibre):
+        """Take the fibre at the point just reached."""
+        if isinstance(fibre, MatdistError):
+            self.fail(fibre)
             return
-        self.basis, grade, _ = base
-        self.grades.append(grade)
-        if grade < 1:
+        self.basis = fibre.base_basis
+        self.grades.append(fibre.grade)
+        if fibre.grade < 1:
             self.stop("grade_lost")
         else:
             self._head(self.points[-1] - self.points[-2])
@@ -297,16 +296,17 @@ def _stage_flow(model, leaves, sampler, tol):
         name = next(stages)
         out = np.zeros_like(P)
         live = [j for j, leaf in enumerate(leaves) if not leaf.done]
-        for j, base in zip(live, base_bases_at(model, P[live], sampler, tol)):
+        for j, fibre in zip(live, fibres_at(model, P[live], sampler=sampler, tol=tol,
+                                            validate=False)):
             leaf = leaves[j]
-            if isinstance(base, DomainError):
+            if isinstance(fibre, DomainError):
                 leaf.stop("domain_boundary")
-            elif isinstance(base, MatdistError):
-                leaf.fail(base)
-            elif base[1] < 1:
+            elif isinstance(fibre, MatdistError):
+                leaf.fail(fibre)
+            elif fibre.grade < 1:
                 leaf.stop("grade_lost")
             else:
-                value = _flow_value(base[0], leaf.direction)
+                value = _flow_value(fibre.base_basis, leaf.direction)
                 if value is None:
                     leaf.stop("alignment_lost")
                 elif not np.all(np.isfinite(value)):
@@ -323,8 +323,8 @@ def trace_leaves(model, seeds, dir_selects, steps, h, sampler=DEFAULT_SAMPLER, t
 
     ``seeds`` and ``dir_selects`` hold one point and one direction hint per
     leaf and ``steps`` one step count per leaf; all leaves share the step
-    size ``h``.  Every RK4 stage makes one batched base query
-    (:func:`~matdist.distribution.base_bases_at`) over the leaves still
+    size ``h``.  Every RK4 stage makes one batched, unvalidated fibre query
+    (:func:`~matdist.distribution.fibres_at`) over the leaves still
     moving, and the base basis found at a new point serves as the first
     stage of the next step, so a step costs three queries plus one at the
     point it reaches.  Each leaf keeps its own stop reason, tie-breaks or
@@ -337,9 +337,9 @@ def trace_leaves(model, seeds, dir_selects, steps, h, sampler=DEFAULT_SAMPLER, t
         if not model.in_domain(leaf.seed):
             leaf.fail(DomainError(f"seed {leaf.seed.tolist()} is outside the model domain"))
     starting = [leaf for leaf in leaves if not leaf.done]
-    for leaf, base in zip(starting, base_bases_at(model, [leaf.seed for leaf in starting],
-                                                  sampler, tol)):
-        leaf.start(base)
+    for leaf, fibre in zip(starting, fibres_at(model, [leaf.seed for leaf in starting],
+                                               sampler=sampler, tol=tol, validate=False)):
+        leaf.start(fibre)
 
     for step_index in range(max((leaf.steps for leaf in leaves), default=0)):
         moving = []
@@ -373,9 +373,9 @@ def trace_leaves(model, seeds, dir_selects, steps, h, sampler=DEFAULT_SAMPLER, t
             leaf.directions.append(leaf.direction)
             leaf.points.append(point)
             arrived.append(leaf)
-        for leaf, base in zip(arrived, base_bases_at(model, [leaf.points[-1] for leaf in arrived],
-                                                     sampler, tol)):
-            leaf.arrive(base)
+        for leaf, fibre in zip(arrived, fibres_at(model, [leaf.points[-1] for leaf in arrived],
+                                                  sampler=sampler, tol=tol, validate=False)):
+            leaf.arrive(fibre)
     return [leaf.result(model, h) for leaf in leaves]
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsl
-from .distribution import DEFAULT_SAMPLER, base_bases_at, is_material_isomorphism
+from .distribution import DEFAULT_SAMPLER, fibres_at, is_material_isomorphism
 from .distribution import base_basis_at  # noqa: F401  (a module name the benchmark tracer wraps)
 from .errors import DomainError, MatdistError, SingularMatrixError
 from .foliation import leaf_trace  # noqa: F401  (a module name the benchmark tracer wraps)
@@ -46,6 +46,11 @@ ANGLE_TOL = 1e-5
 _ROUNDTRIP_TOL = 1e-10
 _JAC_DET_MIN = 1e-8
 LEAF_ORACLES = ("analytic", "trace")
+
+
+def _regular(jacobian):
+    """Whether ``jacobian`` is finite with ``|det| >= _JAC_DET_MIN``: NaN fails."""
+    return bool(np.isfinite(jacobian).all()) and abs(float(np.linalg.det(jacobian))) >= _JAC_DET_MIN
 
 
 @dataclass
@@ -112,7 +117,7 @@ class _AffineChart:
     def __init__(self, A, b):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        if abs(float(np.linalg.det(self.A))) < _JAC_DET_MIN:
+        if not _regular(self.A):
             raise SingularMatrixError("affine chart matrix is singular")
         self.Ainv = np.linalg.inv(self.A)
 
@@ -263,7 +268,7 @@ def translation_jet(chart, Y, Z, tol=DEFAULT_TOL):
     """Derivative at Y of (chart inverse) o (translation) o chart: D(Z)^-1 D(Y)."""
     DY = chart.jac(Y, tol)
     DZ = chart.jac(Z, tol)
-    if abs(float(np.linalg.det(DZ))) < _JAC_DET_MIN or abs(float(np.linalg.det(DY))) < _JAC_DET_MIN:
+    if not _regular(DZ) or not _regular(DY):
         raise SingularMatrixError("chart Jacobian is numerically singular")
     return np.linalg.solve(DZ, DY)
 
@@ -450,15 +455,16 @@ class HomogeneityReport:
 
 
 def _validate_chart(chart, samples, tol):
+    # each test is written so that a NaN fails it
     for X in samples:
         forward = np.asarray(chart.forward(X), dtype=float)
         back = np.asarray(chart.inverse(forward), dtype=float)
         err = float(np.max(np.abs(back - X)))
-        if err > _ROUNDTRIP_TOL:
+        if not err <= _ROUNDTRIP_TOL:
             raise ValueError(
                 f"chart {chart.name!r} inverse fails round-trip at {X.tolist()} (error {err:.3e})"
             )
-        if abs(float(np.linalg.det(chart.jac(X, tol)))) < _JAC_DET_MIN:
+        if not _regular(chart.jac(X, tol)):
             raise SingularMatrixError(f"chart {chart.name!r} Jacobian is singular at {X.tolist()}")
 
 
@@ -530,10 +536,10 @@ def homogeneity_check(model, chart, n_pairs=12, n_samples=10, sampler=DEFAULT_SA
 
     ``leafwise_count`` above the minimal sampled grade aborts (a) and (c)
     (the chart cannot be foliated); the translation test still runs.  The
-    base bases at the ``n_samples`` region samples come from one batched
-    query (:func:`~matdist.distribution.base_bases_at`); the first sample
-    whose query fails raises its error.  With the trace oracle the pairs
-    of (b) come from lockstep traces (:func:`leaf_pairs`).
+    base bases at the ``n_samples`` region samples come from one batched,
+    unvalidated fibre query (:func:`~matdist.distribution.fibres_at`); the
+    first sample whose query fails raises its error.  With the trace oracle
+    the pairs of (b) come from lockstep traces (:func:`leaf_pairs`).
     """
     if n_samples < 1 or n_pairs < 1:
         raise ValueError(f"n_samples and n_pairs must be at least 1, got {n_samples} and {n_pairs}")
@@ -550,12 +556,12 @@ def homogeneity_check(model, chart, n_pairs=12, n_samples=10, sampler=DEFAULT_SA
                                  _base_diagnostics(model, chart, samples, p, tol),
                                  _echo_params(model, chart, n_pairs, n_samples, sampler))
 
-    queried = base_bases_at(model, samples, sampler, tol)
-    for base in queried:
-        if isinstance(base, MatdistError):
-            raise base
-    bases = [base[0] for base in queried]
-    min_grade = int(min(base[1] for base in queried))
+    fibres = fibres_at(model, samples, sampler=sampler, tol=tol, validate=False)
+    for fibre in fibres:
+        if isinstance(fibre, MatdistError):
+            raise fibre
+    bases = [fibre.base_basis for fibre in fibres]
+    min_grade = int(min(fibre.grade for fibre in fibres))
     aborted = ""
     if p > min_grade:
         aborted = (

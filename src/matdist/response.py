@@ -113,6 +113,12 @@ def _checked_jet(model, X, F):
     return X, F
 
 
+def _quiet():
+    """A fresh ``errstate`` (numpy enters none twice) silencing warnings around
+    a model call: :func:`_checked_lanes` raises on every non-finite lane anyway."""
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
 def _checked_lanes(model, values, shape, what, Xs):
     """``values`` as a float array of ``shape``; non-finite entries raise."""
     values = np.asarray(values, dtype=float)
@@ -129,7 +135,8 @@ def _checked_lanes(model, values, shape, what, Xs):
 def evaluate(model, X, F):
     """Response value at ``(X, F)`` with full input validation."""
     X, F = _checked_jet(model, X, F)
-    W = model._evaluate(X[None], F[None])
+    with _quiet():
+        W = model._evaluate(X[None], F[None])
     return _checked_lanes(model, W, (1, model.dim), "response", X[None])[0]
 
 
@@ -143,7 +150,9 @@ def evaluate_at_samples(model, Xs, Fs):
     """
     Xs = np.asarray(Xs, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
-    return _checked_lanes(model, model._evaluate(Xs, Fs), (len(Fs), model.dim), "response", Xs)
+    with _quiet():
+        W = model._evaluate(Xs, Fs)
+    return _checked_lanes(model, W, (len(Fs), model.dim), "response", Xs)
 
 
 def _domain_steps(model, X, tol):
@@ -193,7 +202,8 @@ def derivatives_at_samples(model, X, Fs, tol=DEFAULT_TOL):
         dWdX, dWdF = _fd_derivatives(model, Xs, Fs, tol)
         dWdX, dWdF = dWdX.reshape(n * k, d, 3), dWdF.reshape(n * k, d, 9)
     else:
-        dWdX, dWdF = model._derivatives(lanes, Fs.reshape(n * k, 3, 3))
+        with _quiet():
+            dWdX, dWdF = model._derivatives(lanes, Fs.reshape(n * k, 3, 3))
     dWdX = _checked_lanes(model, dWdX, (n * k, d, 3), "dW/dX", lanes).reshape(n, k, d, 3)
     dWdF = _checked_lanes(model, dWdF, (n * k, d, 9), "dW/dF", lanes).reshape(n, k, d, 9)
     return (dWdX[0], dWdF[0]) if single else (dWdX, dWdF)

@@ -349,6 +349,22 @@ class TestUsageErrors:
                           "--bogus", "1"], capsys)
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["fibre", "--model", "example1", "--point", "0.5,0,0"], "--svg"),
+        (["homog", "--model", "example1", "--chart", "identity"], "--mode"),
+        (["homog", "--model", "example1", "--chart", "identity"], "--svg"),
+        (["check-iso", "--model", "example1", "--from", "0.5,0,0", "--to", "0.7,0,0"], "--mode"),
+        (["check-iso", "--model", "example1", "--from", "0.5,0,0", "--to", "0.7,0,0"], "--svg"),
+    ], ids=["fibre-svg", "homog-mode", "homog-svg", "check-iso-mode", "check-iso-svg"])
+    def test_flag_the_subcommand_never_reads(self, argv, flag, tmp_path, capsys):
+        # --mode belongs to fibre, grade-map and leaf; --svg to grade-map and leaf
+        svg = tmp_path / "x.svg"
+        value = str(svg) if flag == "--svg" else "germ1"
+        code, out, err = run(argv + [flag, value], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in err and flag in err
+        assert not out and not svg.exists()
+
 
     @pytest.mark.parametrize("argv,config,key", [
         (["homog", "--model", "example1", "--chart", "identity"], "pairs = abc\n", "pairs"),

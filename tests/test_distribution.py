@@ -376,11 +376,14 @@ def assert_node_is_the_fibre(model, X, node, mode):
         assert type(node) is type(exc) and str(node) == str(exc)
         return
     assert not isinstance(node, Exception), f"{X}: {node}"
+    assert np.array_equal(node.point, want.point) and node.mode == want.mode
     assert node.grade == want.grade
     assert node.rank_gap == want.rank_gap
-    assert np.array_equal(node.base, want.base_basis)
+    assert np.array_equal(node.base_basis, want.base_basis)
+    assert np.array_equal(node.fibre_basis, want.fibre_basis)
     assert node.validated == want.validated
-    assert node.heldout == want.heldout_residual
+    assert node.heldout_residual == want.heldout_residual
+    assert node.samples_used == want.samples_used and node.dim_history == want.dim_history
 
 
 class TestFibreEntry:

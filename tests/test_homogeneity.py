@@ -214,6 +214,12 @@ class TestChartConstruction:
         with pytest.raises(ValueError, match="permutation"):
             builtin_chart("identity", order=(1, 1, 3))
 
+    @pytest.mark.parametrize("A", [np.zeros((3, 3)), np.full((3, 3), np.nan)],
+                             ids=["singular", "nan"])
+    def test_affine_matrix_must_be_regular(self, A):
+        with pytest.raises(SingularMatrixError):
+            builtin_chart("affine", A=A)
+
     def test_expression_chart_with_jacobian_passes(self, example1):
         chart = chart_from_expressions(
             ["X2", "X3", "X1"], ["X3", "X1", "X2"], leafwise_count=2,
@@ -252,6 +258,29 @@ class TestChartConstruction:
         )
         with pytest.raises(ValueError, match="round-trip"):
             homogeneity_check(example1, chart, n_pairs=4, n_samples=4)
+
+    @pytest.mark.parametrize("broken,error,match", [
+        ("inverse", ValueError, "round-trip"),
+        ("jacobian", SingularMatrixError, "singular"),
+    ])
+    def test_nan_chart_is_caught_before_any_base_query(self, example1, monkeypatch, broken,
+                                                        error, match):
+        def nan(X):
+            return np.full((3, 3) if broken == "jacobian" else 3, np.nan)
+
+        def no_query(*args, **kwargs):
+            raise AssertionError("a base query ran on a chart with NaN entries")
+
+        parts = {"inverse": lambda q: np.asarray(q, dtype=float), "jacobian": lambda X: np.eye(3)}
+        parts[broken] = nan
+        chart = Chart("nan", lambda X: np.asarray(X, dtype=float), parts["inverse"],
+                      leafwise_count=2, jacobian=parts["jacobian"], region=region_right_slab)
+        monkeypatch.setattr(homogeneity, "fibres_at", no_query)
+        with pytest.raises(error, match=match):
+            homogeneity_check(example1, chart, n_pairs=4, n_samples=4)
+        if broken == "jacobian":
+            with pytest.raises(SingularMatrixError):
+                translation_jet(chart, [0.5, 0.0, 0.0], [0.6, 0.0, 0.0])
 
     def test_spherical_chart_consistency(self, example2):
         chart = builtin_chart("spherical_cap")

@@ -13,7 +13,7 @@ import pytest
 
 import leaf_reference as reference
 import matdist
-from matdist.distribution import SamplerConfig, base_bases_at, base_basis_at
+from matdist.distribution import SamplerConfig, base_basis_at, fibres_at
 from matdist.errors import DomainError, FibreInstabilityError, NonFiniteError
 from matdist.foliation import leaf_trace, trace_leaves
 from matdist.homogeneity import builtin_chart, leaf_pairs
@@ -311,23 +311,27 @@ class TestBatchedBaseQuery:
     def test_bit_equal_to_single_points(self, name):
         model = builtin(name)
         points = np.random.default_rng(7).uniform(-0.7, 0.7, (21, 3))
-        for got, X in zip(base_bases_at(model, points), points):
+        for got, X in zip(fibres_at(model, points, validate=False), points):
             basis, grade, gap = base_basis_at(model, X)
-            np.testing.assert_array_equal(got[0], basis)
-            assert got[1] == grade and got[2] == gap
+            np.testing.assert_array_equal(got.base_basis, basis)
+            assert got.grade == grade and got.rank_gap == gap
+            # no held-out check ran
+            assert got.validated and got.heldout_residual == 0.0
 
     def test_out_of_domain_point_fails_alone(self, example1):
         points = [[0.5, 0.0, 0.0], [1.5, 0.0, 0.0], [-0.5, 0.2, 0.0]]
-        got = base_bases_at(example1, points)
+        got = fibres_at(example1, points, validate=False)
         assert isinstance(got[1], DomainError)
         with pytest.raises(DomainError) as single:
             base_basis_at(example1, points[1])
         assert str(got[1]) == str(single.value)
         for i in (0, 2):
-            np.testing.assert_array_equal(got[i][0], base_basis_at(example1, points[i])[0])
+            np.testing.assert_array_equal(got[i].base_basis,
+                                          base_basis_at(example1, points[i])[0])
 
     def test_kernel_error_fails_alone(self):
         model = zoned("fragile", STRIPES, non_finite_zone)
-        got = base_bases_at(model, [[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, -0.5, 0.0]])
+        got = fibres_at(model, [[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, -0.5, 0.0]],
+                        validate=False)
         assert isinstance(got[1], NonFiniteError)
-        assert got[0][1] == got[2][1] == 1
+        assert got[0].grade == got[2].grade == 1

@@ -108,27 +108,32 @@ def test_rounds_solve_all_rows_and_validate_raw_ones(request, monkeypatch, name,
         return distribution._point_rng(DEFAULT_SAMPLER, X[0], system.order)
 
     generator = rng()
-    (node,) = distribution._saturate(system, [generator], DEFAULT_SAMPLER)
-    assert len(node.dims) == len(spectra) >= 2
-    distribution._validate(system, [generator], DEFAULT_SAMPLER, {0: node})
+    (fibre,) = distribution._saturate(system, [generator], DEFAULT_SAMPLER)
+    assert len(fibre.dim_history) == len(spectra) >= 2
+    distribution._validate(system, [generator], DEFAULT_SAMPLER, {0: fibre})
 
     def raw_blocks(generator, k, anchors):
         return system.blocks([0], [generator], k, DEFAULT_SAMPLER, anchors)[0]
 
+    # the rounds, from the gradients per cloud point of the last solve set
+    k_last = fibre.samples_used // system.points_per_node - len(DEFAULT_SAMPLER.anchors)
     # every round's raw rows, drawn again in order from a fresh generator
     fresh, k = rng(), DEFAULT_SAMPLER.k_init
     raw = [lifted(system, raw_blocks(fresh, k, anchors=True))]
-    while k < node.k:
+    while k < k_last:
         raw.append(lifted(system, raw_blocks(fresh, k, anchors=False)))
         k *= 2
-    assert node.samples == (k + len(DEFAULT_SAMPLER.anchors)) * system.points_per_node
+    assert len(raw) == len(spectra)
+    assert fibre.samples_used == (k + len(DEFAULT_SAMPLER.anchors)) * system.points_per_node
     assert_same_spectrum(spectra[-1][0], np.concatenate(raw))
     # validation reads the next k gradients' raw blocks, never compressed ones,
     # with the lift applied to the basis
     heldout = raw_blocks(fresh, k, anchors=False)
-    assert node.heldout == np.abs(heldout @ (system.lift[0] @ node.basis)).max()
-    want = np.abs(lifted(system, heldout) @ node.basis).max()
-    assert abs(node.heldout - want) <= 1e-12 * max(np.abs(lifted(system, heldout)).max(), 1.0)
+    basis = fibre.fibre_basis
+    assert fibre.heldout_residual == np.abs(heldout @ (system.lift[0] @ basis)).max()
+    want = np.abs(lifted(system, heldout) @ basis).max()
+    scale = max(np.abs(lifted(system, heldout)).max(), 1.0)
+    assert abs(fibre.heldout_residual - want) <= 1e-12 * scale
 
 
 class TestCompressedGermRows:
