@@ -139,6 +139,7 @@ class _Settings:
         self.args = args
         self.file_cfg = file_cfg
         self.effective = {}
+        self.read = set()  # config keys the subcommand has looked up
 
     def get(self, key, arg_name, default, convert=str, choices=None):
         """Flag, else config value, else ``default``.
@@ -146,6 +147,7 @@ class _Settings:
         A config value that ``convert`` rejects, or a value outside
         ``choices``, is a usage error.
         """
+        self.read.add(key)
         value = getattr(self.args, arg_name, None)
         if value is None:
             raw = self.file_cfg.get(key)
@@ -155,6 +157,19 @@ class _Settings:
         if value is not None:
             self.effective[key] = _to_config_string(value)
         return value
+
+    def check_keys(self):
+        """Fail unless the subcommand reads or writes every config-file key.
+
+        Called before any compute.  ``command``, which emitted configs hold,
+        must name this subcommand.
+        """
+        command = self.effective["command"]
+        if self.file_cfg.get("command", command) != command:
+            raise _UsageError(f"config file is for {self.file_cfg['command']!r}, not {command!r}")
+        unread = sorted(set(self.file_cfg) - self.read - set(self.effective))
+        if unread:
+            raise _UsageError(f"{command} reads no config key {', '.join(unread)}")
 
 
 _KINDS = {int: "an integer", float: "a number"}
@@ -280,6 +295,7 @@ def _resolve_common(settings, command):
     model_name = settings.get("model", "model", None)
     mdl_path = settings.get("mdl", "mdl", None)
     params_text = getattr(settings.args, "param", None)
+    settings.read.add("params")
     if params_text is None and "params" in settings.file_cfg:
         params_text = [p for p in settings.file_cfg["params"].split(";") if p]
     params = _parse_params(params_text)
@@ -361,6 +377,7 @@ def _cmd_fibre(args):
     radius, cloud = _germ_args(settings)
     fmt = _json_only(settings)
     out = settings.get("out", "out", None)
+    settings.check_keys()
 
     result = material_fibre(model, point, sampler=sampler, tol=tol, mode=mode,
                             germ_radius=radius, germ_cloud=cloud)
@@ -387,6 +404,7 @@ def _cmd_grade_map(args):
     svg_path = settings.get("svg", "svg", None, str)
     if svg_path:
         axis, value = _parse_slice(slice_text)
+    settings.check_keys()
 
     field = grade_map(model, GridSpec(tuple(lo), tuple(hi), tuple(counts)), mode=mode,
                       sampler=sampler, tol=tol, germ_radius=radius, germ_cloud=cloud)
@@ -440,6 +458,7 @@ def _cmd_leaf(args):
     fmt = settings.get("format", "format", "json")
     out = settings.get("out", "out", None)
     svg_path = settings.get("svg", "svg", None, str)
+    settings.check_keys()
 
     trace = leaf_trace(model, point, direction, steps, h, sampler=sampler, tol=tol)
     if svg_path:
@@ -478,7 +497,11 @@ def _build_chart(settings):
     if name is None:
         raise _UsageError("--chart is required")
     leafwise = settings.get("leafwise", "leafwise", 2, int)
-    chart_params = _parse_params(getattr(settings.args, "chart_param", None))
+    chart_items = getattr(settings.args, "chart_param", None)
+    if chart_items is None:  # the chart.<name> keys an emitted config holds
+        chart_items = [f"{key[len('chart.'):]}={value}" for key, value in settings.file_cfg.items()
+                       if key.startswith("chart.") and key != "chart.order"]
+    chart_params = _parse_params(chart_items)
     for key, value in chart_params.items():
         settings.effective[f"chart.{key}"] = format_float(value)
     if name.startswith("@"):
@@ -508,6 +531,7 @@ def _cmd_homog(args):
     chart = _build_chart(settings)
     fmt = _json_only(settings)
     out = settings.get("out", "out", None)
+    settings.check_keys()
 
     report = homogeneity_check(model, chart, n_pairs=n_pairs, n_samples=n_samples,
                                sampler=sampler, tol=tol, leaf_oracle=oracle)
@@ -529,6 +553,7 @@ def _cmd_check_iso(args):
         P = np.array(_parse_floats(p_text, 9, "--P")).reshape(3, 3)
     fmt = _json_only(settings)
     out = settings.get("out", "out", None)
+    settings.check_keys()
 
     check = is_material_isomorphism(model, source, target, P, sampler=sampler, tol=tol)
     result = {

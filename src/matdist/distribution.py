@@ -27,7 +27,7 @@ from .errors import (
     SamplerExhaustedError,
     SingularMatrixError,
 )
-from .numkit import DEFAULT_TOL, rank_split, stacked_factor, stacked_svd
+from .numkit import DEFAULT_TOL, rank_split, rank_splits, stacked_factor, stacked_svd
 from .response import derivatives_at_samples, evaluate_at_samples
 
 __all__ = [
@@ -163,10 +163,10 @@ class IsoCheck:
 
 
 def _point_rng(sampler, key_values, salt):
-    data = np.ascontiguousarray(np.asarray(key_values, dtype=float))
-    words = np.frombuffer(data.tobytes(), dtype=np.uint32)
-    entropy = [int(sampler.seed) & 0xFFFFFFFF, int(salt)] + [int(w) for w in words]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    """The generator of one node: the seed, the salt and the key's float bits, as 32-bit words."""
+    words = np.frombuffer(np.asarray(key_values, dtype=float).tobytes(), dtype=np.uint32)
+    head = np.array([int(sampler.seed) & 0xFFFFFFFF, int(salt)], dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(np.concatenate([head, words])))
 
 
 _SAMPLER_BATCHES = 200
@@ -234,30 +234,40 @@ def sample_gradients(rng, count, sampler):
     raise SamplerExhaustedError("gradient sampler failed to find acceptable samples")
 
 
-def _draws(rngs, points, count, sampler):
-    """``points`` successive :func:`sample_gradients` calls on each generator, in one batch.
+def _draws(rngs, points, counts, sampler):
+    """Successive :func:`sample_gradients` calls on each generator, in one batch:
+    ``points`` calls of each count in ``counts``, count after count.
 
-    Returns ``(len(rngs), points, count, 3, 3)`` and leaves every generator
-    where the calls would.  ``standard_normal((points, size, 3, 3))`` yields
-    the numbers of ``points`` successive ``(size, 3, 3)`` draws, so the first
-    batch of every point of every generator is drawn at once and judged by
-    one :func:`_accepted` call.  A generator with a point that comes up short
-    is rewound and its calls are made one by one.
+    Returns one ``(len(rngs), points, count, 3, 3)`` array per count and
+    leaves every generator where the calls would.  One ``standard_normal``
+    call yields the numbers of successive ones, so the first batch of every
+    call of every generator is drawn at once and judged by one
+    :func:`_accepted` call.  A generator with a call that comes up short is
+    rewound and its calls are made one by one, in order.
     """
     states = [rng.bit_generator.state for rng in rngs]
-    batch = np.stack([rng.standard_normal((points, _batch_size(count), 3, 3)) for rng in rngs])
-    keep = _accepted(batch.reshape(-1, 3, 3), sampler).reshape(batch.shape[:3])
-    have = np.cumsum(keep, axis=2)
-    keep &= have <= count  # the first count of each point
-    if have[..., -1].min() >= count:  # every first batch suffices
-        return batch[keep].reshape(len(rngs), points, count, 3, 3)
-    full = (have[..., -1] >= count).all(axis=1)  # generators to keep, the others replay
-    keep[~full] = False
-    out = np.empty((len(rngs), points, count, 3, 3))
-    out[full] = batch[keep].reshape(-1, points, count, 3, 3)
+    sizes = [_batch_size(count) for count in counts]
+    batch = np.stack([rng.standard_normal((points * sum(sizes), 3, 3)) for rng in rngs])
+    keep = _accepted(batch.reshape(-1, 3, 3), sampler).reshape(batch.shape[:2])
+    full = np.ones(len(rngs), dtype=bool)  # generators to keep, the others replay
+    firsts, start = [], 0
+    for count, size in zip(counts, sizes):
+        part = batch[:, start:start + points * size].reshape(len(rngs), points, size, 3, 3)
+        kept = keep[:, start:start + points * size].reshape(len(rngs), points, size)
+        start += points * size
+        have = np.cumsum(kept, axis=2)
+        kept &= have <= count  # the first count of each call
+        full &= (have[..., -1] >= count).all(axis=1)
+        firsts.append((part, kept))
+    out = []
+    for count, (part, kept) in zip(counts, firsts):
+        kept[~full] = False
+        out.append(np.empty((len(rngs), points, count, 3, 3)))
+        out[-1][full] = part[kept].reshape(-1, points, count, 3, 3)
     for i in np.flatnonzero(~full):
         rngs[i].bit_generator.state = states[i]
-        out[i] = [sample_gradients(rngs[i], count, sampler) for _ in range(points)]
+        for draw, count in zip(out, counts):
+            draw[i] = [sample_gradients(rngs[i], count, sampler) for _ in range(points)]
     return out
 
 
@@ -271,13 +281,26 @@ def _with_anchors(Fs, sampler):
 # admissibility rows
 
 
+_DERIV_LANES = 1024  # lanes per derivative call: a cap on the model's temporaries
+
+
 def _blocks(model, Xs, Fs, tol):
-    """Stacked admissibility rows, gradients ``Fs[i]`` at point ``Xs[i]``: (n, k*d, 12)."""
-    dWdX, dWdF = derivatives_at_samples(model, Xs, Fs, tol)
-    n, k, d = dWdF.shape[:3]
-    G = dWdF.reshape(n * k, d, 3, 3)
-    BP = np.einsum("kcji,kjl->kcli", G, Fs.reshape(n * k, 3, 3)).reshape(n, k, d, 9)
-    return np.concatenate([dWdX, BP], axis=3).reshape(n, k * d, 12)
+    """Stacked admissibility rows, gradients ``Fs[i]`` at point ``Xs[i]``: (n, k*d, 12).
+
+    The points go to the model in runs of at most ``_DERIV_LANES`` lanes;
+    lanes are independent, so the runs give the bits of one call.
+    """
+    n, k, d = len(Xs), Fs.shape[1], model.dim
+    rows = np.empty((n, k, d, 12))
+    step = max(1, _DERIV_LANES // k)
+    for i in range(0, n, step):
+        dWdX, dWdF = derivatives_at_samples(model, Xs[i:i + step], Fs[i:i + step], tol)
+        lanes = dWdF.shape[0] * k
+        rows[i:i + step, ..., :3] = dWdX
+        BP = np.einsum("kcji,kjl->kcli", dWdF.reshape(lanes, d, 3, 3),
+                       Fs[i:i + step].reshape(lanes, 3, 3))
+        rows[i:i + step, ..., 3:] = BP.reshape(-1, k, d, 9)
+    return rows.reshape(n, k * d, 12)
 
 
 def admissibility_block(model, X, F, tol=DEFAULT_TOL):
@@ -320,16 +343,21 @@ class _System:
     validation applies the lift to the basis and reads the raw blocks.
 
     Every node's cloud draws from that node's generator, seeded by its
-    coordinates and the jet order.  Clouds near the domain boundary lose
-    points; nodes whose clouds differ in size cannot share one stacked
-    system, so such a batch raises and the caller runs its nodes one by one.
+    coordinates and the jet order, in a fixed schedule of gradient draws
+    per cloud point: ``k_init`` (led by the anchors), ``k_init``,
+    ``2 k_init``, ``4 k_init`` and so on.  Each read takes a node's next
+    draw, as a solve round or as held-out samples.  Clouds near the domain
+    boundary lose points; nodes whose clouds differ in size cannot share
+    one stacked system, so such a batch raises and the caller runs its
+    nodes one by one.
     """
 
     dx = slice(0, 3)  # the base velocity dX0 leads the unknowns in both orders
 
-    def __init__(self, model, Xs, mode, tol, radius, count):
+    def __init__(self, model, Xs, mode, tol, radius, count, sampler):
         self.model = model
         self.tol = tol
+        self.sampler = sampler
         self.order = MODES.index(mode)
         clouds = [_cloud_points(model, X, radius, count) for X in Xs] if self.order else Xs[:, None]
         if len({len(cloud) for cloud in clouds}) > 1:
@@ -339,19 +367,54 @@ class _System:
         self.lift = _lift(self.clouds - Xs[:, None], self.order)  # (n, points, 12, unknowns)
         self.n_unknowns = self.lift.shape[-1]
         self.dp = slice(3 + 9 * self.order, 12 + 9 * self.order)  # dP0, after dX0 and A
+        self.rngs = [_point_rng(sampler, X, self.order) for X in Xs]
+        self.read = np.zeros(len(Xs), dtype=int)  # draws each node has read
+        self.ahead = []  # raw blocks of the draws every node drew in advance
 
-    def blocks(self, nodes, rngs, k, sampler, anchors=False):
-        """Raw pointwise blocks of the nodes' cloud points: ``(n, points, rows, 12)``."""
-        n, p = len(nodes), self.points_per_node
-        Fs = _draws(rngs, p, k, sampler).reshape(n * p, k, 3, 3)
-        if anchors:
-            Fs = _with_anchors(Fs, sampler)
-        rows = _blocks(self.model, self.clouds[nodes].reshape(n * p, 3), Fs, self.tol)
-        return rows.reshape(n, p, -1, 12)
+    def prepare(self, draws):
+        """Draw and derive every node's first ``draws`` draws at once, before any read.
 
-    def rows(self, nodes, rngs, k, sampler, anchors=False):
-        """Solve rows ``qr(B_p) @ L_p`` of the nodes: ``(n, points * min(rows, 12), unknowns)``."""
-        R = np.linalg.qr(self.blocks(nodes, rngs, k, sampler, anchors), mode="r")
+        A failure there (an exhausted sampler, a non-finite lane) may lie in
+        a draw that some node never reads, so it fails no node: the
+        generators start over, and each read draws its own, as if nothing
+        had been prepared.
+        """
+        try:
+            self.ahead = self._raw(list(range(len(self.rngs))), range(draws))
+        except MatdistError:
+            self.rngs = [_point_rng(self.sampler, X, self.order) for X in self.clouds[:, 0]]
+
+    def _raw(self, nodes, draws):
+        """Raw blocks of the successive ``draws`` of ``nodes``: ``(n, points, rows, 12)`` each."""
+        n, p, sampler = len(nodes), self.points_per_node, self.sampler
+        counts = [sampler.k_init << max(t - 1, 0) for t in draws]
+        Fs = [F.reshape(n * p, -1, 3, 3) for F in _draws([self.rngs[i] for i in nodes], p, counts,
+                                                        sampler)]
+        if draws[0] == 0:
+            Fs[0] = _with_anchors(Fs[0], sampler)
+        rows = _blocks(self.model, self.clouds[nodes].reshape(n * p, 3),
+                       np.concatenate(Fs, axis=1), self.tol)
+        ends = np.cumsum([0] + [F.shape[1] * self.model.dim for F in Fs]).tolist()
+        return [rows[:, a:b].reshape(n, p, -1, 12) for a, b in zip(ends, ends[1:])]
+
+    def blocks(self, nodes):
+        """Raw pointwise blocks of each node's next draw: ``(n, points, rows, 12)``.
+
+        ``nodes`` are distinct indices in increasing order, and each has read
+        equally many draws.
+        """
+        t = int(self.read[nodes[0]])
+        self.read[nodes] += 1
+        if t >= len(self.ahead):
+            return self._raw(nodes, [t])[0]
+        return self.ahead[t] if len(nodes) == len(self.read) else self.ahead[t][nodes]  # all: no copy
+
+    def rows(self, nodes):
+        """Solve rows ``qr(B_p) @ L_p`` of each node's next draw.
+
+        Shape ``(n, points * min(rows, 12), unknowns)``.
+        """
+        R = np.linalg.qr(self.blocks(nodes), mode="r")
         return (R @ self.lift[nodes]).reshape(len(nodes), -1, self.n_unknowns)
 
 
@@ -402,7 +465,7 @@ def _fibonacci_directions(n):
     )
 
 
-def _saturate(system, rngs, sampler):
+def _saturate(system, validate):
     """Double the sample count until each node's null dimension repeats.
 
     The nodes run in lockstep.  The first round solves the anchors and
@@ -410,28 +473,34 @@ def _saturate(system, rngs, sampler):
     new gradients and factorizes ``[C; new rows]``, where ``C = diag(s)·Vh``
     is the last round's factor (``C^T C = M^T M``), so the singular values
     are those of the whole solve set in exact arithmetic and no row is
-    drawn or solved twice.  Returns a :class:`FibreResult` or a
-    :class:`FibreInstabilityError` per node.  Each result starts validated,
-    of grade 0 and without symmetries, with the fibre's own ``rank_gap``;
-    :func:`_validate` and :func:`_grade` fill it in.
+    drawn or solved twice.  Round 2 always runs, and a node that stops there
+    with a fibre is validated on its third draw, so the first two draws, and
+    the third when ``validate`` is set, are prepared in one batch.  Returns a
+    :class:`FibreResult` or a :class:`FibreInstabilityError` per node.  Each
+    result starts validated, of grade 0 and without symmetries, with the
+    fibre's own ``rank_gap``; :func:`_validate` and :func:`_grade` fill it in.
     """
-    results = [None] * len(rngs)
-    dims = [[] for _ in rngs]
-    open_nodes = list(range(len(rngs)))
+    sampler = system.sampler
+    system.prepare(3 if validate else 2)
+    results = [None] * len(system.rngs)
+    dims = [[] for _ in system.rngs]
+    open_nodes = list(range(len(system.rngs)))
     k = sampler.k_init
-    M = system.rows(open_nodes, rngs, k, sampler, anchors=True)
+    M = system.rows(open_nodes)
     while True:
         s, vh = stacked_factor(M)
+        ranks, gaps = rank_splits(s, system.tol.rank_rel)
         still_open = []
         for j, i in enumerate(open_nodes):
-            rank, gap = rank_split(s[j], system.tol.rank_rel)
+            rank = ranks[j]
             dims[i].append(system.n_unknowns - rank)
             if len(dims[i]) >= 2 and dims[i][-1] == dims[i][-2]:
                 results[i] = FibreResult(
                     point=system.clouds[i, 0], mode=MODES[system.order],
                     fibre_basis=vh[j, rank:].T.copy(), base_basis=np.zeros((3, 0)), grade=0,
                     sym_basis=[], samples_used=(k + len(sampler.anchors)) * system.points_per_node,
-                    rank_gap=gap, validated=True, heldout_residual=0.0, dim_history=dims[i])
+                    rank_gap=gaps[j], validated=True, heldout_residual=0.0,
+                    dim_history=dims[i])
             elif 2 * k > sampler.k_max:
                 results[i] = FibreInstabilityError(
                     f"null dimension did not stabilize within k_max={sampler.k_max}", dims[i]
@@ -442,25 +511,23 @@ def _saturate(system, rngs, sampler):
             return results
         open_nodes = [open_nodes[j] for j in still_open]
         C = s[still_open, :, None] * vh[still_open, :s.shape[1]]
-        M = np.concatenate([C, system.rows(open_nodes, [rngs[i] for i in open_nodes], k, sampler)],
-                           axis=1)
+        M = np.concatenate([C, system.rows(open_nodes)], axis=1)
         k *= 2
 
 
-def _validate(system, rngs, sampler, solved):
+def _validate(system, solved):
     """Held-out residuals on fresh samples disjoint from the solve sets.
 
-    The samples continue each node's generator, as many gradients per cloud
-    point as its last solve round drew; nodes are batched by that count.
-    ``solved`` maps node index to :class:`FibreResult`.
+    The samples are each node's next draw, as many gradients per cloud
+    point as its solve set holds besides the anchors; nodes are batched by
+    the rounds they ran.  ``solved`` maps node index to :class:`FibreResult`.
     """
-    by_samples = defaultdict(list)
+    by_rounds = defaultdict(list)
     for i, fibre in solved.items():
         if fibre.fibre_dim > 0:
-            by_samples[fibre.samples_used].append(i)
-    for samples, nodes in by_samples.items():
-        k = samples // system.points_per_node - len(sampler.anchors)
-        B = system.blocks(nodes, [rngs[i] for i in nodes], k, sampler)
+            by_rounds[len(fibre.dim_history)].append(i)
+    for nodes in by_rounds.values():
+        B = system.blocks(nodes)
         for j, i in enumerate(nodes):
             per_vector = np.abs(B[j] @ (system.lift[i] @ solved[i].fibre_basis)).max(axis=(0, 1))
             solved[i].heldout_residual = float(per_vector.max())
@@ -482,11 +549,12 @@ def _grade(system, fibres, symmetry):
             by_dim[fibre.fibre_dim].append(fibre)
     for group in by_dim.values():
         U, s, vh = stacked_svd(np.stack([fibre.fibre_basis[system.dx, :] for fibre in group]))
+        # basis columns are unit vectors, so 1 is the natural scale; anchoring
+        # the cutoff there keeps pure-noise rows from faking base directions
+        grades, gaps = rank_splits(s, rank_rel, scale=np.maximum(s[:, 0], 1.0))
         for j, fibre in enumerate(group):
-            # basis columns are unit vectors, so 1 is the natural scale; anchoring
-            # the cutoff there keeps pure-noise rows from faking base directions
-            fibre.grade, gap = rank_split(s[j], rank_rel, scale=max(float(s[j][0]), 1.0))
-            fibre.rank_gap = min(fibre.rank_gap, gap)
+            fibre.grade = grades[j]
+            fibre.rank_gap = min(fibre.rank_gap, gaps[j])
             fibre.base_basis = U[j, :, :fibre.grade].copy()
             if symmetry:
                 coeff = vh[j, fibre.grade:].T
@@ -502,17 +570,17 @@ def _symmetry_basis(basis, coeff, dp, rank_rel):
     return [U[:, j].reshape(3, 3).copy() for j in range(keep)]
 
 
-def _fibres(system, rngs, sampler, validate=True, symmetry=False):
+def _fibres(system, validate=True, symmetry=False):
     """Saturate, validate and grade every node of ``system``.
 
     Returns one :class:`FibreResult` or :class:`MatdistError` per node.  A
     failure that the batch cannot attribute to one node (a non-finite
     response, say) raises instead.
     """
-    results = _saturate(system, rngs, sampler)
+    results = _saturate(system, validate)
     solved = {i: r for i, r in enumerate(results) if isinstance(r, FibreResult)}
     if validate:
-        _validate(system, rngs, sampler, solved)
+        _validate(system, solved)
     _grade(system, solved.values(), symmetry)
     return results
 
@@ -555,9 +623,8 @@ def fibres_at(model, Xs, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_
 
     def run(chunk):
         try:
-            system = _System(model, chunk, mode, tol, germ_radius, germ_cloud)
-            rngs = [_point_rng(sampler, X, system.order) for X in chunk]
-            return _fibres(system, rngs, sampler, validate, symmetry)
+            system = _System(model, chunk, mode, tol, germ_radius, germ_cloud, sampler)
+            return _fibres(system, validate, symmetry)
         except MatdistError as exc:
             if len(chunk) == 1:
                 return [exc]

@@ -19,6 +19,7 @@ __all__ = [
     "nullspace",
     "nullspace_info",
     "rank_split",
+    "rank_splits",
     "stacked_svd",
     "stacked_factor",
     "jacobian_fd",
@@ -77,16 +78,28 @@ def rank_split(s, rank_rel, scale=None):
 
     Returns ``(rank, gap)`` where ``gap`` is the ratio of the smallest kept
     to the largest dropped singular value (``inf`` when nothing was dropped
-    or nothing was kept).
+    or nothing was kept).  The one-row case of :func:`rank_splits`.
+    """
+    ranks, gaps = rank_splits(np.asarray(s, dtype=float)[None], rank_rel,
+                              None if scale is None else [scale])
+    return ranks[0], gaps[0]
+
+
+def rank_splits(s, rank_rel, scale=None):
+    """:func:`rank_split` of each row of a stack ``s (n, m)``, in one pass.
+
+    Returns ``(ranks, gaps)``, lists of ``n`` ints and floats; ``scale``,
+    when given, holds one value per row and replaces the row's largest
+    singular value as the base of the cutoff.  The cutoffs are compared at
+    once; each gap is one division of two Python floats, which rounds as
+    numpy's does.
     """
     s = np.asarray(s, dtype=float)
-    if s.size == 0:
-        return 0, np.inf
-    cutoff = rank_rel * (s[0] if scale is None else scale)
-    rank = int(np.sum(s > cutoff))
-    if rank == 0 or rank >= s.size or s[rank] == 0.0:
-        return rank, np.inf
-    return rank, float(s[rank - 1] / s[rank])
+    cutoff = rank_rel * (s[:, :1] if scale is None else np.asarray(scale, dtype=float)[:, None])
+    ranks = (s > cutoff).sum(axis=1).tolist()
+    gaps = [row[r - 1] / row[r] if 0 < r < len(row) and row[r] != 0.0 else np.inf
+            for row, r in zip(s.tolist(), ranks)]
+    return ranks, gaps
 
 
 def stacked_svd(M):

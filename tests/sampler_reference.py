@@ -41,4 +41,5 @@ def install(monkeypatch, distribution):
     """Make ``distribution`` sample through this oracle for the rest of a test."""
     monkeypatch.setattr(distribution, "_accepted", accepted)
     monkeypatch.setattr(distribution, "sample_gradients", sample_gradients)
-    monkeypatch.setattr(distribution, "_draws", draws)
+    monkeypatch.setattr(distribution, "_draws", lambda rngs, points, counts, sampler: [
+        draws(rngs, points, count, sampler) for count in counts])

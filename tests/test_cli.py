@@ -365,6 +365,58 @@ class TestUsageErrors:
         assert "usage error" in err and flag in err
         assert not out and not svg.exists()
 
+    @pytest.mark.parametrize("argv,config,compute", [
+        (["check-iso", "--model", "example1", "--from", "0.5,0,0", "--to", "0.7,0,0"],
+         "mode = germ1\nsvg = {svg}\nbogus = 1\n", "is_material_isomorphism"),
+        (["fibre", "--model", "example1", "--point", "0.5,0,0"], "svg = {svg}\n", "material_fibre"),
+        (["homog", "--model", "example1", "--chart", "identity"], "mode = germ1\n",
+         "homogeneity_check"),
+        (["grade-map", "--model", "example1", "--grid-n", "2"], "bogus = 1\n", "grade_map"),
+        (["leaf", "--model", "example2", "--point", "0.3,0.2,0.1"], "germ.radius = 0.01\n",
+         "leaf_trace"),
+    ], ids=["check-iso", "fibre-svg", "homog-mode", "grade-map-bogus", "leaf-germ"])
+    def test_config_key_the_subcommand_never_reads(self, argv, config, compute, tmp_path,
+                                                   monkeypatch, capsys):
+        # a key in the file is as much a usage error as the flag it mirrors
+        def no_compute(*args, **kwargs):
+            raise AssertionError(f"{compute} ran before the config key check")
+
+        monkeypatch.setattr(cli, compute, no_compute)
+        svg = tmp_path / "y.svg"
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text(config.format(svg=svg))
+        code, out, err = run(argv + ["--config", str(cfg)], capsys)
+        assert code == cli.EXIT_USAGE
+        keys = [line.split("=")[0].strip() for line in cfg.read_text().splitlines()]
+        assert "usage error" in err and all(key in err for key in keys)
+        assert not out and not svg.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fibre", "--model", "example2", "--point", "0.3,0.2,0.1", "--mode", "germ1"],
+        ["grade-map", "--model", "example2", "--grid-n", "2", "--slice", "x3=0"],
+        ["leaf", "--model", "example2", "--point", "0.3,0.2,0.1", "--steps", "2"],
+        ["homog", "--model", "example2", "--chart", "spherical_cap", "--chart-param",
+         "rho_min=0.2", "--pairs", "1", "--samples", "1"],
+        ["homog", "--model", "example1", "--chart", "identity", "--region", "x1>=0.1",
+         "--pairs", "1", "--samples", "1"],
+        ["check-iso", "--model", "example1", "--from", "0.5,0,0", "--to", "0.7,0,0"],
+    ], ids=["fibre", "grade-map", "leaf", "homog-chart-param", "homog-identity", "check-iso"])
+    def test_emitted_config_reloads_in_its_subcommand(self, argv, tmp_path, capsys):
+        # an emitted config holds command, the sampler settings and chart parameters
+        cfg = tmp_path / "emitted.cfg"
+        code, first, _ = run(argv + ["--emit-config", str(cfg)], capsys)
+        assert f"command = {argv[0]}\n" in cfg.read_text()
+        again, second, err = run([argv[0], "--config", str(cfg)], capsys)
+        assert again == code, err
+        assert payload_of(second) == payload_of(first)
+
+    def test_config_of_another_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "iso.cfg"
+        run(["check-iso", "--model", "example1", "--from", "0.5,0,0", "--to", "0.7,0,0",
+             "--emit-config", str(cfg)], capsys)
+        code, out, err = run(["fibre", "--config", str(cfg), "--point", "0.5,0,0"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in err and "check-iso" in err and not out
 
     @pytest.mark.parametrize("argv,config,key", [
         (["homog", "--model", "example1", "--chart", "identity"], "pairs = abc\n", "pairs"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matdist import distribution
 from matdist.distribution import (
@@ -194,6 +196,32 @@ class TestGermFibre:
         assert material_fibre(example2, [0.3, 0.0, 0.0], mode="germ1").grade == 0
         assert material_fibre(example2, [0.3, 0.2, 0.1], mode="germ1").grade == 1
         assert material_fibre(example2, [0.0, 0.0, 0.3], mode="germ1").grade == 1
+
+    # Today's germ1 grades of example2, pinned: pointwise reports 2 (the
+    # spheres) off the centre, but the affine ansatz reads its own O(r^2)
+    # truncation as a constraint, so germ1 reports 1 at generic points, 0
+    # on the director's axis (X2 = X3 = 0) and 0 at the centre, each
+    # validated.  A change that moves them changes answers on purpose.
+    @settings(max_examples=25, deadline=None)
+    @given(radius=st.floats(0.2, 0.8), polar=st.floats(0.05, np.pi - 0.05),
+           azimuth=st.floats(0.0, 2.0 * np.pi))
+    def test_crystal_germ_grade_off_the_axis(self, example2, radius, polar, azimuth):
+        X = radius * np.array([np.cos(polar), np.sin(polar) * np.cos(azimuth),
+                               np.sin(polar) * np.sin(azimuth)])
+        result = material_fibre(example2, X, mode="germ1")
+        assert (result.grade, result.validated) == (1, True)
+
+    @settings(max_examples=10, deadline=None)
+    @given(x1=st.one_of(st.floats(-0.8, -0.2), st.floats(0.2, 0.8)))
+    def test_crystal_germ_grade_on_the_axis(self, example2, x1):
+        result = material_fibre(example2, [x1, 0.0, 0.0], mode="germ1")
+        assert (result.grade, result.validated) == (0, True)
+
+    @pytest.mark.parametrize("X", [(0.3, 0.0, 0.0), (0.5, 0.0, 0.0), (-0.5, 0.0, 0.0),
+                                   (0.0, 0.0, 0.0)])
+    def test_crystal_germ_grade_on_the_axis_and_at_the_centre(self, example2, X):
+        result = material_fibre(example2, X, mode="germ1")
+        assert (result.grade, result.validated) == (0, True)
 
     def test_germ_grade_never_exceeds_pointwise(self, example1, example2):
         rng = np.random.default_rng(77)

@@ -12,6 +12,7 @@ from matdist.numkit import (
     nullspace_info,
     principal_angles,
     rank_split,
+    rank_splits,
     rk4_step,
     stacked_svd,
 )
@@ -109,6 +110,46 @@ class TestNullspace:
         _, s, vh = np.linalg.svd(M)
         assert got_rank == rank_split(s, DEFAULT_TOL.rank_rel)[0] == rank
         assert principal_angles(basis, vh[rank:].T).max() < 1e-8
+
+
+def loop_rank_split(s, rank_rel, scale=None):
+    """The rank split as first written, one array at a time: the reference."""
+    s = np.asarray(s, dtype=float)
+    if s.size == 0:
+        return 0, np.inf
+    cutoff = rank_rel * (s[0] if scale is None else scale)
+    rank = int(np.sum(s > cutoff))
+    if rank == 0 or rank >= s.size or s[rank] == 0.0:
+        return rank, np.inf
+    return rank, float(s[rank - 1] / s[rank])
+
+
+class TestRankSplits:
+    # one pass over a stack against the reference, row by row
+    @staticmethod
+    def spectra(rng, n, m):
+        """Descending rows with gaps at every scale, exact zeros and repeated values."""
+        s = 10.0 ** rng.uniform(-20.0, 2.0, (n, m))
+        s[rng.random((n, m)) < 0.15] = 0.0
+        if n > 2 and m:
+            s[0] = 0.0
+            s[1] = s[1, 0]
+        return -np.sort(-s, axis=1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 20), st.sampled_from([0, 1, 3, 11, 12, 48]),
+           st.sampled_from([1e-8, 1e-3, 0.5]), st.booleans())
+    def test_matches_rank_split_row_by_row(self, seed, n, m, rank_rel, scaled):
+        rng = np.random.default_rng(seed)
+        s = self.spectra(rng, n, m)
+        scale = np.maximum(s[:, 0], 1.0) if scaled and m else None
+        ranks, gaps = rank_splits(s, rank_rel, scale)
+        assert len(ranks) == len(gaps) == n
+        for j in range(n):
+            row_scale = None if scale is None else float(scale[j])
+            want = loop_rank_split(s[j], rank_rel, row_scale)
+            assert (ranks[j], gaps[j]) == rank_split(s[j], rank_rel, row_scale) == want
+            assert type(ranks[j]) is int and type(gaps[j]) is float
 
 
 class TestStackedSvd:

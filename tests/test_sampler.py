@@ -11,6 +11,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matdist
 from matdist import distribution
@@ -156,14 +158,17 @@ def doubling(sampler):
         k *= 2
 
 
-def assert_same_draws(rngs, points, count, sampler):
-    """``_draws`` on ``rngs`` against the oracle on copies: draws and end states."""
+def assert_same_draws(rngs, points, counts, sampler):
+    """``_draws`` on ``rngs`` against the oracle on copies, called count after
+    count: draws and end states."""
     theirs = [np.random.Generator(type(rng.bit_generator)()) for rng in rngs]
     for a, b in zip(rngs, theirs):
         b.bit_generator.state = a.bit_generator.state
-    got = distribution._draws(rngs, points, count, sampler)
-    assert got.shape == (len(rngs), points, count, 3, 3)
-    assert np.array_equal(got, reference.draws(theirs, points, count, sampler))
+    got = distribution._draws(rngs, points, counts, sampler)
+    assert len(got) == len(counts)
+    for draw, count in zip(got, counts):
+        assert draw.shape == (len(rngs), points, count, 3, 3)
+        assert np.array_equal(draw, reference.draws(theirs, points, count, sampler))
     # so the held-out draws that follow are the same too
     for a, b in zip(rngs, theirs):
         assert a.bit_generator.state == b.bit_generator.state
@@ -177,7 +182,7 @@ class TestDraws:
         for points in (1, 21):
             for count in doubling(sampler):
                 rngs = [np.random.default_rng([count, points, i]) for i in range(n_rngs)]
-                assert_same_draws(rngs, points, count, sampler)
+                assert_same_draws(rngs, points, (count,), sampler)
         assert replays == [], "default draws should come in one batch"
 
     def test_short_generators_draw_more_batches(self, monkeypatch):
@@ -186,7 +191,7 @@ class TestDraws:
         for n_rngs in (1, 3, 16):
             for points in (1, 21):
                 rngs = [np.random.default_rng([5, n_rngs, points, i]) for i in range(n_rngs)]
-                assert_same_draws(rngs, points, 16, sampler)
+                assert_same_draws(rngs, points, (16,), sampler)
         assert replays, "no first batch came up short"
 
     @pytest.mark.parametrize("points", [1, 21])
@@ -194,15 +199,83 @@ class TestDraws:
         sampler = SamplerConfig()
         replays = counting_replays(monkeypatch)
         for k in doubling(sampler):
-            assert_same_draws([np.random.default_rng([k, points])], points, k, sampler)
+            assert_same_draws([np.random.default_rng([k, points])], points, (k,), sampler)
         assert replays == [], "a default cloud should be drawn in one batch"
 
     def test_shortfall_replays_sequential_draws(self, monkeypatch):
         sampler = sampler_with(cond_max=8.0)
         replays = counting_replays(monkeypatch)
         for k in (8, 16):
-            assert_same_draws([np.random.default_rng([7, k])], 21, k, sampler)
+            assert_same_draws([np.random.default_rng([7, k])], 21, (k,), sampler)
         assert replays == [8] * 21 + [16] * 21
+
+    # a node's schedule: the first two draws, and the held-out third when validating
+    @pytest.mark.parametrize("counts", [(8, 8), (8, 8, 16)], ids=["two", "three"])
+    @pytest.mark.parametrize("n_rngs", [1, 3, 16])
+    @pytest.mark.parametrize("points", [1, 21])
+    def test_several_counts_match_sequential_draws(self, counts, n_rngs, points, monkeypatch):
+        replays = counting_replays(monkeypatch)
+        rngs = [np.random.default_rng([len(counts), n_rngs, points, i]) for i in range(n_rngs)]
+        assert_same_draws(rngs, points, counts, SamplerConfig())
+        assert replays == [], "default draws should come in one batch"
+
+    @pytest.mark.parametrize("counts", [(8, 8), (8, 8, 16)], ids=["two", "three"])
+    @pytest.mark.parametrize("n_rngs", [1, 3, 16])
+    @pytest.mark.parametrize("points", [1, 21])
+    def test_several_counts_replay_in_order(self, counts, n_rngs, points, monkeypatch):
+        sampler = sampler_with(cond_max=8.0)
+        replays = counting_replays(monkeypatch)
+        rngs = [np.random.default_rng([9, len(counts), n_rngs, points, i]) for i in range(n_rngs)]
+        assert_same_draws(rngs, points, counts, sampler)
+        # each short generator replays every call of every count, count after count
+        per_generator = [count for count in counts for _ in range(points)]
+        assert replays, "no first batch came up short"
+        assert replays == per_generator * (len(replays) // len(per_generator))
+
+
+def list_entropy_rng(sampler, key_values, salt):
+    """A node's generator as first seeded: the entropy a list of Python ints."""
+    data = np.ascontiguousarray(np.asarray(key_values, dtype=float))
+    words = np.frombuffer(data.tobytes(), dtype=np.uint32)
+    entropy = [int(sampler.seed) & 0xFFFFFFFF, int(salt)] + [int(w) for w in words]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def assert_same_generator(sampler, key, salt):
+    got = distribution._point_rng(sampler, key, salt)
+    want = list_entropy_rng(sampler, key, salt)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.standard_normal(9), want.standard_normal(9))
+
+
+SUBNORMAL = np.nextafter(0.0, 1.0)
+EDGE_KEYS = [
+    (0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (-0.0, -0.0, -0.0),
+    (SUBNORMAL, -SUBNORMAL, 2.2250738585072014e-308 / 7),
+    (1e-300, 0.05, 0.025), (np.nextafter(0.05, 0.0), 1e-5, 0.05), (0.01, 0.0, 0.0),
+    (0.3, 0.2, 0.1, 0.5, 0.0, 0.2),  # the two points of an isomorphism check
+    (-0.0, SUBNORMAL, 0.04, 0.999, -0.5, 1e-310),
+]
+SEEDS = [0, 1, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**63 - 1, -1]
+
+
+class TestPointGenerators:
+    # the uint32 entropy array must seed every node exactly as the list did
+    @pytest.mark.parametrize("salt", [0, 1, 2])
+    def test_edge_keys_and_seeds(self, salt):
+        for seed in SEEDS:
+            for key in EDGE_KEYS:
+                assert_same_generator(SamplerConfig(seed=seed), key, salt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.one_of(
+               st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+               st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6),
+               st.tuples(st.floats(0.0, 0.05, exclude_min=True), st.floats(-1.0, 1.0),
+                         st.floats(-1.0, 1.0))),
+           seed=st.integers(-2**63, 2**64 - 1), salt=st.sampled_from([0, 1, 2]))
+    def test_any_key(self, key, seed, salt):
+        assert_same_generator(SamplerConfig(seed=seed), key, salt)
 
 
 def example1_mdl():

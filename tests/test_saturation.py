@@ -23,7 +23,9 @@ from matdist.distribution import (
     fibres_at,
     material_fibre,
 )
+from matdist.errors import NonFiniteError, SamplerExhaustedError
 from matdist.numkit import DEFAULT_TOL, rank_split, stacked_factor
+from matdist.response import ConstitutiveModel
 
 
 def block(rng, shape, kind):
@@ -102,33 +104,31 @@ def test_rounds_solve_all_rows_and_validate_raw_ones(request, monkeypatch, name,
         return s, vh
 
     monkeypatch.setattr(distribution, "stacked_factor", spy)
-    system = distribution._System(model, X, mode, DEFAULT_TOL, GERM_RADIUS, GERM_CLOUD)
 
-    def rng():
-        return distribution._point_rng(DEFAULT_SAMPLER, X[0], system.order)
+    def new_system():
+        return distribution._System(model, X, mode, DEFAULT_TOL, GERM_RADIUS, GERM_CLOUD,
+                                    DEFAULT_SAMPLER)
 
-    generator = rng()
-    (fibre,) = distribution._saturate(system, [generator], DEFAULT_SAMPLER)
+    system = new_system()
+    (fibre,) = distribution._saturate(system, validate=True)
     assert len(fibre.dim_history) == len(spectra) >= 2
-    distribution._validate(system, [generator], DEFAULT_SAMPLER, {0: fibre})
-
-    def raw_blocks(generator, k, anchors):
-        return system.blocks([0], [generator], k, DEFAULT_SAMPLER, anchors)[0]
+    distribution._validate(system, {0: fibre})
 
     # the rounds, from the gradients per cloud point of the last solve set
     k_last = fibre.samples_used // system.points_per_node - len(DEFAULT_SAMPLER.anchors)
-    # every round's raw rows, drawn again in order from a fresh generator
-    fresh, k = rng(), DEFAULT_SAMPLER.k_init
-    raw = [lifted(system, raw_blocks(fresh, k, anchors=True))]
+    # every round's raw rows, drawn again in order from a fresh generator:
+    # an unprepared system draws each node's schedule one read at a time
+    fresh, k = new_system(), DEFAULT_SAMPLER.k_init
+    raw = [lifted(system, fresh.blocks([0])[0])]
     while k < k_last:
-        raw.append(lifted(system, raw_blocks(fresh, k, anchors=False)))
+        raw.append(lifted(system, fresh.blocks([0])[0]))
         k *= 2
     assert len(raw) == len(spectra)
     assert fibre.samples_used == (k + len(DEFAULT_SAMPLER.anchors)) * system.points_per_node
     assert_same_spectrum(spectra[-1][0], np.concatenate(raw))
     # validation reads the next k gradients' raw blocks, never compressed ones,
     # with the lift applied to the basis
-    heldout = raw_blocks(fresh, k, anchors=False)
+    heldout = fresh.blocks([0])[0]
     basis = fibre.fibre_basis
     assert fibre.heldout_residual == np.abs(heldout @ (system.lift[0] @ basis)).max()
     want = np.abs(lifted(system, heldout) @ basis).max()
@@ -141,19 +141,24 @@ class TestCompressedGermRows:
     @settings(max_examples=15, deadline=None)
     @given(x1=st.one_of(st.floats(1e-4, 0.05), st.floats(0.05, 0.5)),
            x23=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
-           k=st.sampled_from([8, 16]), anchors=st.booleans(),
+           draw=st.sampled_from([0, 1, 2]),
            name=st.sampled_from(["example1", "example2"]), mode=st.sampled_from(MODES))
-    def test_same_spectrum_as_raw_lifted_rows(self, example1, example2, x1, x23, k, anchors,
+    def test_same_spectrum_as_raw_lifted_rows(self, example1, example2, x1, x23, draw,
                                               name, mode):
+        # draw 0 is k_init gradients led by the anchors, 1 is k_init more, 2 is 2 k_init
         model = {"example1": example1, "example2": example2}[name]
         Xs = np.array([[x1, *x23]])
-        system = distribution._System(model, Xs, mode, DEFAULT_TOL, GERM_RADIUS, GERM_CLOUD)
 
-        def rngs():
-            return [distribution._point_rng(DEFAULT_SAMPLER, X, system.order) for X in Xs]
+        def new_system():
+            return distribution._System(model, Xs, mode, DEFAULT_TOL, GERM_RADIUS, GERM_CLOUD,
+                                        DEFAULT_SAMPLER)
 
-        compressed = system.rows([0], rngs(), k, DEFAULT_SAMPLER, anchors)[0]
-        raw = lifted(system, system.blocks([0], rngs(), k, DEFAULT_SAMPLER, anchors)[0])
+        system, twin = new_system(), new_system()
+        for _ in range(draw):
+            system.blocks([0])
+            twin.blocks([0])
+        compressed = system.rows([0])[0]
+        raw = lifted(system, twin.blocks([0])[0])
         assert len(compressed) == 12 * system.points_per_node < len(raw)
         assert_same_spectrum(np.linalg.svd(compressed, compute_uv=False), raw)
 
@@ -193,3 +198,166 @@ def test_germ1_chunk_memory(example1):
     finally:
         tracemalloc.stop()
     assert peak < 25 * 2**20
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(distribution, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(distribution, name, counted)
+    return calls
+
+
+class TestDrawSchedule:
+    # a node reads its draws in a fixed order: the rounds, then the held-out
+    # samples; the first two, and the third when validating, come in one batch
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("validate", [True, False], ids=["validated", "unvalidated"])
+    def test_one_point_query_draws_and_derives_once(self, example2, monkeypatch, mode, validate):
+        draws = counting(monkeypatch, "_draws")
+        derivatives = counting(monkeypatch, "derivatives_at_samples")
+        (fibre,) = fibres_at(example2, [(0.3, 0.2, 0.1)], mode=mode, validate=validate)
+        assert len(fibre.dim_history) == 2 and fibre.fibre_dim > 0  # stops at round 2
+        assert len(draws) == 1 and len(derivatives) == 1
+        k = DEFAULT_SAMPLER.k_init
+        assert draws[0][2] == ([k, k, 2 * k] if validate else [k, k])
+
+    def test_later_rounds_draw_one_at_a_time(self, monkeypatch):
+        # a node still open after round 2 draws each further round alone
+        draws = counting(monkeypatch, "_draws")
+        (fibre,) = fibres_at(stepping_model(), [(0.3, 0.2, 0.1)])
+        assert fibre.dim_history == [11, 10, 9, 9] and fibre.validated
+        k = DEFAULT_SAMPLER.k_init
+        # draw 3 is round 4, draw 4 the held-out samples; draw t holds k << (t - 1)
+        assert [call[2] for call in draws] == [[k, k, 2 * k], [k << 2], [k << 3]]
+
+
+def stepping_model():
+    """One base row per gradient: ``e1`` for a point's first 11 gradients (the
+    anchors and the first draw), ``e2`` for the next 8 and ``e3`` after them,
+    so the null dimension goes 11, 10, 9, 9 over four rounds."""
+    seen = {}
+
+    def derivatives(Xs, Fs):
+        dWdX = np.zeros((len(Xs), 1, 3))
+        for lane, (X, F) in enumerate(zip(Xs, Fs)):
+            first = seen.setdefault(X.tobytes(), {})
+            index = first.setdefault(F.tobytes(), len(first))
+            dWdX[lane, 0, np.searchsorted([11, 19], index, side="right")] = 1.0
+        return dWdX, np.zeros((len(Xs), 1, 9))
+
+    return ConstitutiveModel("stepping", 1, lambda Xs, Fs: np.zeros((len(Fs), 1)),
+                             derivatives=derivatives)
+
+
+def zero_rows(Xs, Fs):
+    """Rows that pin all 12 unknowns for generic gradients: a zero fibre."""
+    dWdX = np.repeat(np.eye(3)[None], len(Xs), axis=0)
+    flat = Fs.reshape(len(Fs), 1, 9)
+    return dWdX, np.concatenate([flat**2, flat**3, np.sin(flat)], axis=1)
+
+
+def free_base_rows(Xs, Fs):
+    """The same rows without the base part: ``dX`` is free, a fibre of dimension 3."""
+    dWdX, dWdF = zero_rows(Xs, Fs)
+    return np.zeros_like(dWdX), dWdF
+
+
+def fail_after(rows, clean):
+    """``rows`` that turn non-finite at each point's gradients after its first ``clean``.
+
+    Keyed on the bytes of the point and the gradient, as ``unstable_zone`` in
+    ``test_leaf_lockstep`` is, so a gradient fails wherever and however often
+    it is derived.
+    """
+    seen = {}
+
+    def derivatives(Xs, Fs):
+        dWdX, dWdF = rows(Xs, Fs)
+        for lane, (X, F) in enumerate(zip(Xs, Fs)):
+            first = seen.setdefault(X.tobytes(), [])
+            if F.tobytes() not in first:
+                if len(first) >= clean:
+                    dWdF[lane] = np.nan
+                    continue
+                first.append(F.tobytes())
+        return dWdX, dWdF
+
+    return derivatives
+
+
+def zone_model(derivatives):
+    """``zero_rows`` at ``X1 > 0`` and ``free_base_rows`` elsewhere, through ``derivatives``."""
+    def rows(Xs, Fs):
+        zero, free = zero_rows(Xs, Fs), free_base_rows(Xs, Fs)
+        pick = (Xs[:, 0] > 0)[:, None, None]
+        return np.where(pick, zero[0], free[0]), np.where(pick, zero[1], free[1])
+
+    return ConstitutiveModel("zoned", 3, lambda Xs, Fs: np.zeros((len(Fs), 3)),
+                             derivatives=derivatives(rows))
+
+
+def assert_same_nodes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        if isinstance(a, Exception):
+            assert str(a) == str(b)
+            continue
+        for name, value in vars(a).items():
+            if name == "sym_basis":
+                assert len(value) == len(b.sym_basis)
+            else:
+                assert np.array_equal(value, getattr(b, name)), name
+
+
+class TestFailuresStayInTheirDraw:
+    # the third draw is prepared before any node is known to read it; a
+    # failure there fails only the nodes that read it, as when each round
+    # drew its own
+    ZERO, FREE = (0.3, 0.2, 0.1), (-0.3, 0.2, 0.1)
+    CLEAN = 3 + 2 * DEFAULT_SAMPLER.k_init  # the anchors and the two solve draws
+
+    def test_zero_fibre_keeps_its_result(self):
+        clean = fibres_at(zone_model(lambda rows: rows), [self.ZERO])
+        assert clean[0].fibre_dim == 0 and clean[0].dim_history == [0, 0]
+        failing = zone_model(lambda rows: fail_after(rows, self.CLEAN))
+        assert_same_nodes(fibres_at(failing, [self.ZERO]), clean)
+
+    def test_held_out_failure_fails_only_the_node_that_reads_it(self):
+        clean = fibres_at(zone_model(lambda rows: rows), [self.ZERO, self.FREE])
+        assert clean[1].fibre_dim == 3 and clean[1].dim_history == [3, 3]
+        failing = zone_model(lambda rows: fail_after(rows, self.CLEAN))
+        got = fibres_at(failing, [self.ZERO, self.FREE])
+        assert_same_nodes(got[:1], clean[:1])
+        assert isinstance(got[1], NonFiniteError)
+        assert str(got[1]) == f"model 'zoned' returned a non-finite dW/dF at X={list(self.FREE)}"
+        # unvalidated, no node reads the third draw
+        assert_same_nodes(fibres_at(failing, [self.ZERO, self.FREE], validate=False),
+                          fibres_at(zone_model(lambda rows: rows), [self.ZERO, self.FREE],
+                                    validate=False))
+
+    def test_exhausted_third_draw(self, monkeypatch):
+        # the sampler gives out only on the held-out draw
+        original = distribution._draws
+
+        def short_of_the_third(rngs, points, counts, sampler):
+            out = original(rngs, points, counts, sampler)
+            if 2 * sampler.k_init in counts:
+                raise SamplerExhaustedError("gradient sampler failed to find acceptable samples")
+            return out
+
+        # gradients past a point's two solve draws fail, so a read from a
+        # generator left where the failed draw stopped would fail too
+        failing = zone_model(lambda rows: fail_after(rows, self.CLEAN))
+        clean = fibres_at(failing, [self.ZERO])
+        assert clean[0].dim_history == [0, 0]
+        monkeypatch.setattr(distribution, "_draws", short_of_the_third)
+        got = fibres_at(failing, [self.ZERO, self.FREE])
+        assert_same_nodes(got[:1], clean[:1])
+        assert isinstance(got[1], SamplerExhaustedError)
