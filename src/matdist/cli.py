@@ -43,7 +43,13 @@ from .foliation import (
     leaf_trace_json_dict,
     leaf_trace_svg,
 )
-from .homogeneity import LEAF_ORACLES, builtin_chart, chart_from_expressions, homogeneity_check
+from .homogeneity import (
+    BUILTIN_CHARTS,
+    LEAF_ORACLES,
+    builtin_chart,
+    chart_from_expressions,
+    homogeneity_check,
+)
 from .numkit import Tolerances
 from .response import builtin, load_model_file
 
@@ -492,6 +498,11 @@ def _load_chart_file(path):
     return fwd, inv, jac
 
 
+# the chart parameters each built-in chart reads; the identity chart and chart
+# files read none (the identity's axis order has its own flag)
+_CHART_PARAMS = {"affine": ("A", "b"), "spherical_cap": ("rho_min", "rho_max", "cap_cos")}
+
+
 def _build_chart(settings):
     name = settings.get("chart", "chart", None, str)
     if name is None:
@@ -502,6 +513,10 @@ def _build_chart(settings):
         chart_items = [f"{key[len('chart.'):]}={value}" for key, value in settings.file_cfg.items()
                        if key.startswith("chart.") and key != "chart.order"]
     chart_params = _parse_params(chart_items)
+    if name.startswith("@") or name in BUILTIN_CHARTS:
+        unread = sorted(set(chart_params) - set(_CHART_PARAMS.get(name, ())))
+        if unread:
+            raise _UsageError(f"chart {name!r} takes no parameter {', '.join(unread)}")
     for key, value in chart_params.items():
         settings.effective[f"chart.{key}"] = format_float(value)
     if name.startswith("@"):

@@ -4,11 +4,13 @@ A germ candidate is a 12-vector ``(dX1, dX2, dX3, dP11, dP12, ..., dP33)``
 pairing a base velocity ``dX`` with a fibre coefficient matrix ``dP`` (the
 vertical part of the candidate field at a jet with gradient ``F`` is
 ``F @ dP``).  The admissibility system collects, over many sampled
-gradients, the rows
+gradients, the conditions
 
-    sum_m dX_m dW_c/dX_m + sum_{l,i} (sum_j dW_c/dF_ji F_jl) dP_li = 0
+    sum_m dX_m dW_c/dX_m + d/dt W_c(X, F (I + t dP)) = 0
 
-and the fibre is its null space.  "For every gradient" is realized by
+whose rows are the model's material-frame blocks
+(:func:`response.derivatives_at_samples`), and the fibre is its null
+space.  "For every gradient" is realized by
 sampling to rank saturation followed by validation on held-out samples:
 the constraints are polynomial in F, so generic finite samples determine
 the kernel, and validation catches unlucky draws.
@@ -281,26 +283,27 @@ def _with_anchors(Fs, sampler):
 # admissibility rows
 
 
-_DERIV_LANES = 1024  # lanes per derivative call: a cap on the model's temporaries
+# lanes per derivative call: each call's block is written into the stacked
+# rows, so the cap bounds the block in flight and the model's temporaries.  A
+# 16-node germ1 chunk of example1 (11,760 lanes) peaks at 16.6 MiB with caps
+# of 256 to 2048 lanes, 17.7 MiB at 4096 and 26.8 MiB in one call; 1024 keeps
+# a one-point query in one call in either mode (35 or 735 lanes).
+_DERIV_LANES = 1024
 
 
 def _blocks(model, Xs, Fs, tol):
     """Stacked admissibility rows, gradients ``Fs[i]`` at point ``Xs[i]``: (n, k*d, 12).
 
-    The points go to the model in runs of at most ``_DERIV_LANES`` lanes;
-    lanes are independent, so the runs give the bits of one call.
+    The rows are the model's material-frame blocks.  The points go to the
+    model in runs of at most ``_DERIV_LANES`` lanes; lanes are independent,
+    so the runs give the bits of one call.
     """
-    n, k, d = len(Xs), Fs.shape[1], model.dim
-    rows = np.empty((n, k, d, 12))
+    n, k = len(Xs), Fs.shape[1]
+    rows = np.empty((n, k, model.dim, 12))
     step = max(1, _DERIV_LANES // k)
     for i in range(0, n, step):
-        dWdX, dWdF = derivatives_at_samples(model, Xs[i:i + step], Fs[i:i + step], tol)
-        lanes = dWdF.shape[0] * k
-        rows[i:i + step, ..., :3] = dWdX
-        BP = np.einsum("kcji,kjl->kcli", dWdF.reshape(lanes, d, 3, 3),
-                       Fs[i:i + step].reshape(lanes, 3, 3))
-        rows[i:i + step, ..., 3:] = BP.reshape(-1, k, d, 9)
-    return rows.reshape(n, k * d, 12)
+        rows[i:i + step] = derivatives_at_samples(model, Xs[i:i + step], Fs[i:i + step], tol)
+    return rows.reshape(n, k * model.dim, 12)
 
 
 def admissibility_block(model, X, F, tol=DEFAULT_TOL):
@@ -336,11 +339,12 @@ class _System:
     Each node has a cloud of points; each cloud point has a pointwise block
     ``B_p`` (12 columns ``dX, dP``), which the node's unknowns enter through
     a fixed lift ``L_p`` (12 x unknowns, :func:`_lift`).  ``pointwise`` is
-    the one-point germ: the cloud is the node alone and the lift is the
-    identity.  ``germ1`` fits a first-order field over a small cloud around
-    the node (:func:`_cloud_points`).  The solve needs only ``B_p^T B_p``,
-    so each solve block is replaced by its QR factor before the lift;
-    validation applies the lift to the basis and reads the raw blocks.
+    the one-point germ: the cloud is the node alone, the lift is the
+    identity and the solve reads the raw blocks.  ``germ1`` fits a
+    first-order field over a small cloud around the node
+    (:func:`_cloud_points`); its solve needs only ``B_p^T B_p``, so each
+    solve block is replaced by its QR factor before the lift.  Validation
+    applies the lift to the basis and reads the raw blocks.
 
     Every node's cloud draws from that node's generator, seeded by its
     coordinates and the jet order, in a fixed schedule of gradient draws
@@ -410,11 +414,15 @@ class _System:
         return self.ahead[t] if len(nodes) == len(self.read) else self.ahead[t][nodes]  # all: no copy
 
     def rows(self, nodes):
-        """Solve rows ``qr(B_p) @ L_p`` of each node's next draw.
+        """Solve rows of each node's next draw: ``(n, rows, unknowns)``.
 
-        Shape ``(n, points * min(rows, 12), unknowns)``.
+        ``pointwise`` solves the raw block, whose lift is the identity;
+        ``germ1`` solves ``qr(B_p) @ L_p``, ``points * min(rows, 12)`` rows.
         """
-        R = np.linalg.qr(self.blocks(nodes), mode="r")
+        B = self.blocks(nodes)
+        if not self.order:
+            return B.reshape(len(nodes), -1, self.n_unknowns)
+        R = np.linalg.qr(B, mode="r")
         return (R @ self.lift[nodes]).reshape(len(nodes), -1, self.n_unknowns)
 
 

@@ -820,7 +820,8 @@ def _lanes(a, ndim):
 
 
 def _inputs(Xs, Fs, m, reads):
-    """Base identifiers in ``reads`` over lanes; tangents seed X (then F, row-major) when ``m``."""
+    """Base identifiers in ``reads`` over lanes, with tangents when ``m``: along ``X1..X3``,
+    then along ``F -> F (I + t E_ab)`` for ``ab`` row-major."""
     n = len(Xs)
     env = {"I": (_EYE, None)}
     dX = None
@@ -839,9 +840,10 @@ def _inputs(Xs, Fs, m, reads):
     elif "F" in reads:
         dF = None
         if m:
-            dF = np.zeros((m, n, 9))
-            for j in range(9):
-                dF[3 + j, :, j] = 1.0
+            # the tangent along E_ab is F E_ab, whose column b is column a of F
+            dF = np.zeros((4, 3, n, 3, 3), dtype=Fs.dtype)
+            for b in range(3):
+                dF[1:, b, :, :, b] = Fs.transpose(2, 0, 1)
             dF = dF.reshape(m, n, 3, 3)
         env["F"] = (Fs, dF)
     return env
@@ -876,7 +878,8 @@ class Program:
         """Values ``(n, width)`` and exact derivatives ``(n, width, m)``.
 
         The derivative axis runs over ``X1 X2 X3`` and, when gradients are
-        given, then over the entries of ``F`` row-major (``m`` = 3 or 12).
+        given, then along ``F -> F (I + t E_ab)`` for ``ab`` row-major
+        (``m`` = 3 or 12): the material-frame block of a model.
         Lanes run in chunks, which large tangent arrays make faster per lane.
         """
         return self._run(Xs, Fs, tangents=True)

@@ -63,10 +63,12 @@ class ConstitutiveModel:
     bounds:
         Axis-aligned box containing the domain, used for sampling.
     derivatives:
-        Optional exact derivative over the same lanes,
-        ``(Xs, Fs) -> ((m,dim,3), (m,dim,9))``, holding dW/dX and dW/dF
-        with F flattened row-major.  Without it, derivatives are central
-        differences of ``evaluate``.
+        Optional exact material-frame block over the same lanes,
+        ``(Xs, Fs) -> (m, dim, 12)``: the derivatives of ``W`` along
+        ``X -> X + t e_i`` (columns 0-2) and along ``F -> F (I + t E_ab)``
+        (column ``3 + 3a + b``), the admissibility row of each response
+        component.  Without it, the block is central differences of
+        ``evaluate`` along the same directions.
     leaf:
         Optional :class:`LeafInfo` when the uniform leaves are known in
         closed form.
@@ -121,9 +123,13 @@ def _quiet():
 
 def _checked_lanes(model, values, shape, what, Xs):
     """``values`` as a float array of ``shape``; non-finite entries raise."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != shape:
-        raise ValueError(f"model {model.name!r} returned {what} of shape {values.shape}, expected {shape}")
+    try:
+        values = np.asarray(values, dtype=float)
+        found = values.shape
+    except ValueError:  # a ragged sequence, such as a pair of arrays
+        found = "ragged"
+    if found != shape:
+        raise ValueError(f"model {model.name!r} returned {what} of shape {found}, expected {shape}")
     if not np.all(np.isfinite(values)):
         lane = int(np.argwhere(~np.isfinite(values))[0][0])
         raise NonFiniteError(
@@ -180,16 +186,19 @@ def _domain_steps(model, X, tol):
 
 
 def derivatives_at_samples(model, X, Fs, tol=DEFAULT_TOL):
-    """dW/dX and dW/dF for batches of gradients at one or many body points.
+    """Material-frame admissibility blocks of gradient batches at one or many body points.
 
-    With ``X`` of shape ``(3,)`` and ``Fs`` of shape ``(k,3,3)`` the result
-    is ``(dWdX, dWdF)`` of shapes ``(k, dim, 3)`` and ``(k, dim, 9)``.  With
-    ``X`` of shape ``(n,3)`` and ``Fs`` of shape ``(n,k,3,3)`` (gradient set
-    ``Fs[i]`` at point ``X[i]``) both gain a leading point axis.  The
-    ``n*k`` jets go to the model as lanes in one call (central differences
-    of its evaluation when it has no derivative), so each point's blocks are
-    bit-identical to a call at that point alone.  A non-finite block raises
-    :class:`NonFiniteError` naming its body point.
+    The block of a jet ``(X, F)`` is ``(dim, 12)``: columns 0-2 are
+    ``dW/dX``, and column ``3 + 3a + b`` is the derivative of ``W`` along
+    ``F -> F (I + t E_ab)``, the infinitesimal material action on the
+    gradient.  With ``X`` of shape ``(3,)`` and ``Fs`` of shape ``(k,3,3)``
+    the result is ``(k, dim, 12)``; with ``X`` of shape ``(n,3)`` and ``Fs``
+    of shape ``(n,k,3,3)`` (gradient set ``Fs[i]`` at point ``X[i]``) it
+    gains a leading point axis.  The ``n*k`` jets go to the model as lanes
+    in one call (central differences of its evaluation when it has no
+    derivative), so each point's blocks are bit-identical to a call at that
+    point alone.  A non-finite block raises :class:`NonFiniteError` naming
+    its body point.
     """
     X = np.asarray(X, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
@@ -199,19 +208,19 @@ def derivatives_at_samples(model, X, Fs, tol=DEFAULT_TOL):
     n, k, d = len(Xs), Fs.shape[1], model.dim
     lanes = np.repeat(Xs, k, axis=0)
     if model._derivatives is None:
-        dWdX, dWdF = _fd_derivatives(model, Xs, Fs, tol)
-        dWdX, dWdF = dWdX.reshape(n * k, d, 3), dWdF.reshape(n * k, d, 9)
+        block = _fd_block(model, Xs, Fs, tol)
     else:
         with _quiet():
-            dWdX, dWdF = model._derivatives(lanes, Fs.reshape(n * k, 3, 3))
-    dWdX = _checked_lanes(model, dWdX, (n * k, d, 3), "dW/dX", lanes).reshape(n, k, d, 3)
-    dWdF = _checked_lanes(model, dWdF, (n * k, d, 9), "dW/dF", lanes).reshape(n, k, d, 9)
-    return (dWdX[0], dWdF[0]) if single else (dWdX, dWdF)
+            block = model._derivatives(lanes, Fs.reshape(n * k, 3, 3))
+    block = _checked_lanes(model, block, (n * k, d, 12), "derivative block", lanes)
+    return block.reshape(((k,) if single else (n, k)) + (d, 12))
 
 
-def _fd_derivatives(model, Xs, Fs, tol):
+def _fd_block(model, Xs, Fs, tol):
+    """Central differences of ``evaluate`` along the block's 12 directions: ``(n*k, d, 12)``."""
     n, k, d = len(Xs), Fs.shape[1], model.dim
     steps = np.array([_domain_steps(model, x, tol) for x in Xs])  # (n,3)
+    block = np.empty((n, k, d, 12))
 
     # X-part: 6 perturbed points per body point, each paired with every gradient sample
     xpert = np.repeat(Xs[:, None], 6, axis=1)
@@ -221,39 +230,43 @@ def _fd_derivatives(model, Xs, Fs, tol):
     Xr = np.repeat(xpert.reshape(n * 6, 3), k, axis=0)
     Fr = np.repeat(Fs[:, None], 6, axis=1).reshape(n * 6 * k, 3, 3)
     vals = evaluate_at_samples(model, Xr, Fr).reshape(n, 6, k, d)
-    dWdX = np.empty((n, k, d, 3))
     for i in range(3):
-        dWdX[..., i] = (vals[:, 2 * i] - vals[:, 2 * i + 1]) / (2.0 * steps[:, i, None, None])
+        block[..., i] = (vals[:, 2 * i] - vals[:, 2 * i + 1]) / (2.0 * steps[:, i, None, None])
 
-    # F-part: per-sample, per-entry steps; rows ordered (point, sign, sample, entry)
-    HF = np.maximum(tol.fd_step_rel * np.abs(Fs), tol.fd_step_abs)  # (n,k,3,3)
-    Fp = np.repeat(Fs[:, :, None], 9, axis=2).reshape(n, k, 3, 3, 3, 3)
-    Fm = Fp.copy()
-    for l in range(3):
-        for m in range(3):
-            Fp[:, :, l, m, l, m] += HF[:, :, l, m]
-            Fm[:, :, l, m, l, m] -= HF[:, :, l, m]
-    Fboth = np.stack([Fp.reshape(n, k * 9, 3, 3), Fm.reshape(n, k * 9, 3, 3)], axis=1)
+    # F-part: F (I +- h E_ab) moves column b of F by +-h times column a;
+    # rows ordered (point, sign, sample, direction)
+    h = tol.fd_step_rel
+    FE = np.zeros((n, k, 3, 3, 3, 3))  # F E_ab at [..., a, b, :, :]
+    for b in range(3):
+        FE[:, :, :, b, :, b] = Fs.transpose(0, 1, 3, 2)
+    FE = FE.reshape(n, k * 9, 3, 3)
+    Fr = np.repeat(Fs, 9, axis=1)
+    Fboth = np.stack([Fr + h * FE, Fr - h * FE], axis=1)
     Xr = np.repeat(Xs, 2 * k * 9, axis=0)
     out = evaluate_at_samples(model, Xr, Fboth.reshape(n * 2 * k * 9, 3, 3)).reshape(n, 2, k, 9, d)
-    dWdF = (out[:, 0] - out[:, 1]).transpose(0, 1, 3, 2) / (2.0 * HF.reshape(n, k, 1, 9))
-    return dWdX, dWdF
+    block[..., 3:] = (out[:, 0] - out[:, 1]).transpose(0, 1, 3, 2) / (2.0 * h)
+    return block.reshape(n * k, d, 12)
 
 
 def derivatives(model, X, F, tol=DEFAULT_TOL):
-    """Derivative blocks ``(dW/dX (d,3), dW/dF (d,9))`` at a single jet.
+    """Material-frame block ``(d, 12)`` at a single jet (see :func:`derivatives_at_samples`).
 
     ``X`` and ``F`` are validated as in :func:`evaluate`.
     """
     X, F = _checked_jet(model, X, F)
-    dWdX, dWdF = derivatives_at_samples(model, X, F[None], tol)
-    return dWdX[0], dWdF[0]
+    return derivatives_at_samples(model, X, F[None], tol)[0]
 
 
 # ---------------------------------------------------------------------------
 # built-in models
 
 _EYE9 = np.eye(3).ravel()
+_DIAG = np.arange(3)
+
+
+def _volume_rates(Fs):
+    """``det F tr(dP)``, the rate of ``det F`` along ``F (I + t dP)``: ``(m, 9)`` dP columns."""
+    return np.linalg.det(Fs)[:, None] * _EYE9
 
 
 class _PiecewiseStiffCube:
@@ -290,17 +303,15 @@ class _PiecewiseStiffCube:
         return (f[:, None, None] * (C - np.eye(3))).reshape(len(Fs), 9)
 
     def derivatives(self, Xs, Fs):
+        """``f' (C - I)`` along ``X1`` and ``f (dP^T C + C dP)`` along ``F (I + t dP)``."""
         m = len(Fs)
-        f = self.stiffness(Xs[:, 0])
-        fp = self.stiffness_rate(Xs[:, 0])
         C = np.einsum("kji,kjl->kil", Fs, Fs)
-        dWdX = np.zeros((m, 9, 3))
-        dWdX[:, :, 0] = fp[:, None] * (C - np.eye(3)).reshape(m, 9)
-        eye = np.eye(3)
-        t1 = np.einsum("jm,kli->kjilm", eye, Fs)
-        t2 = np.einsum("im,klj->kjilm", eye, Fs)
-        dWdF = f[:, None, None] * (t1 + t2).reshape(m, 9, 9)
-        return dWdX, dWdF
+        fC = self.stiffness(Xs[:, 0])[:, None, None] * C
+        out = np.zeros((m, 3, 3, 4, 3))  # response (p, q); then dX, and dP rows a, columns b
+        out[..., 0, 0] = self.stiffness_rate(Xs[:, 0])[:, None, None] * (C - np.eye(3))
+        out[:, _DIAG, :, 1:, _DIAG] = fC.transpose(0, 2, 1)  # E_ba C: row b is row a of C
+        out[:, :, _DIAG, 1:, _DIAG] += fC  # C E_ab: column b is column a of C
+        return out.reshape(m, 9, 12)
 
     def leaf_residual(self, seed, x):
         if seed[0] < 0.0:
@@ -312,11 +323,6 @@ class _PiecewiseStiffCube:
         z = rng.uniform(-1.0, 1.0)
         x1 = rng.uniform(-1.0, 0.0) if seed[0] < 0.0 else float(seed[0])
         return np.array([x1, y, z])
-
-
-def _cofactors(Fs):
-    """d(det F)/dF for a stack of invertible gradients: ``det(F) F^-T``."""
-    return np.linalg.det(Fs)[:, None, None] * np.linalg.inv(Fs).transpose(0, 2, 1)
 
 
 class _LaminatedLiquidCrystal:
@@ -351,19 +357,19 @@ class _LaminatedLiquidCrystal:
         return np.column_stack([r, np.linalg.det(Fs)])
 
     def derivatives(self, Xs, Fs):
-        """Closed form for the default director (de/dX = I).
+        """Closed form for the default director (de/dX = I), with ``v = F^T G F e``.
 
-        dr/dX = 2 F^T G F e + 2 X, dr/dF = 2 (G F e) e^T, dJ/dF = cof F.
+        ``r`` has rate ``2 v + 2 X`` along ``X`` and ``2 v_a e_b`` along
+        ``F (I + t E_ab)``; ``J`` has rate ``det F tr(dP)``.
         """
         m = len(Fs)
         e = self.director(Xs)
-        Gu = self.gdiag * np.einsum("kij,kj->ki", Fs, e)
-        dWdX = np.zeros((m, 2, 3))
-        dWdX[:, 0] = 2.0 * np.einsum("kji,kj->ki", Fs, Gu) + 2.0 * Xs
-        dWdF = np.empty((m, 2, 9))
-        dWdF[:, 0] = 2.0 * np.einsum("ki,kj->kij", Gu, e).reshape(m, 9)
-        dWdF[:, 1] = _cofactors(Fs).reshape(m, 9)
-        return dWdX, dWdF
+        v = np.einsum("kji,kj->ki", Fs, self.gdiag * np.einsum("kij,kj->ki", Fs, e))
+        out = np.zeros((m, 2, 12))
+        out[:, 0, :3] = 2.0 * v + 2.0 * Xs
+        out[:, 0, 3:] = (2.0 * v[:, :, None] * e[:, None, :]).reshape(m, 9)
+        out[:, 1, 3:] = _volume_rates(Fs)
+        return out
 
 
 class _EmbeddedCrystal:
@@ -389,8 +395,9 @@ class _DeterminantResponse:
         return np.linalg.det(Fs)[:, None]
 
     def derivatives(self, Xs, Fs):
-        m = len(Fs)
-        return np.zeros((m, 1, 3)), _cofactors(Fs).reshape(m, 1, 9)
+        out = np.zeros((len(Fs), 1, 12))
+        out[:, 0, 3:] = _volume_rates(Fs)
+        return out
 
 
 class _IdentityResponse:
@@ -400,8 +407,11 @@ class _IdentityResponse:
         return Fs.reshape(len(Fs), 9).copy()
 
     def derivatives(self, Xs, Fs):
-        m = len(Fs)
-        return np.zeros((m, 9, 3)), np.broadcast_to(np.eye(9), (m, 9, 9)).copy()
+        """``F dP``: along ``F (I + t E_ab)``, column ``b`` of ``W`` moves by
+        column ``a`` of ``F``."""
+        out = np.zeros((len(Fs), 3, 3, 4, 3))
+        out[:, :, _DIAG, 1:, _DIAG] = Fs
+        return out.reshape(len(Fs), 9, 12)
 
 
 class _BoxLeaf:
@@ -551,16 +561,6 @@ def builtin(name, **params):
 # DSL-backed models
 
 
-def _split_jet(program):
-    """The program's forward-mode derivatives as ``(dW/dX, dW/dF)`` blocks."""
-
-    def derivatives(Xs, Fs):
-        D = program.derivatives(Xs, Fs)[1]
-        return D[..., :3], D[..., 3:]
-
-    return derivatives
-
-
 def parse_model(source, name="mdl", params=None, bounds=None, domain=None):
     """Build a model from DSL source text.
 
@@ -569,7 +569,7 @@ def parse_model(source, name="mdl", params=None, bounds=None, domain=None):
     domain; pass ``domain``/``bounds`` to restrict them.  The source
     compiles once into a :class:`dsl.Program`, which serves the lane
     contract directly: its evaluation, and its exact forward-mode
-    derivatives split into the dW/dX and dW/dF blocks.
+    derivatives, which are the material-frame block.
     """
     mdef = dsl.parse_source(source)
     declared = {k for k, _ in mdef.params}
@@ -583,7 +583,7 @@ def parse_model(source, name="mdl", params=None, bounds=None, domain=None):
         name, mdef.dim, program.evaluate,
         domain=domain,
         bounds=bounds,
-        derivatives=_split_jet(program),
+        derivatives=lambda Xs, Fs: program.derivatives(Xs, Fs)[1],
         params={"source_params": effective},
         aux={"model_def": mdef},
     )

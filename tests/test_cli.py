@@ -410,6 +410,27 @@ class TestUsageErrors:
         assert again == code, err
         assert payload_of(second) == payload_of(first)
 
+    @pytest.mark.parametrize("chart,params", [
+        ("identity", ["bogus=1"]), ("@file", ["bogus=1"]),
+        ("spherical_cap", ["rho_min=0.2", "bogus=1"]), ("affine", ["bogus=1"]),
+    ], ids=["identity", "chart-file", "spherical-cap", "affine"])
+    def test_chart_parameter_the_chart_never_reads(self, chart, params, tmp_path, monkeypatch,
+                                                   capsys):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("homogeneity_check ran before the chart parameter check")
+
+        monkeypatch.setattr(cli, "homogeneity_check", no_compute)
+        if chart == "@file":
+            path = tmp_path / "perm.chart"
+            path.write_text("fwd1 = X2\nfwd2 = X3\nfwd3 = X1\ninv1 = X3\ninv2 = X1\ninv3 = X2\n")
+            chart = f"@{path}"
+        argv = ["homog", "--model", "example1", "--chart", chart, "--region", "x1>=0.1",
+                "--pairs", "1", "--samples", "1"]
+        code, out, err = run(argv + [arg for p in params for arg in ("--chart-param", p)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in err and "bogus" in err and "rho_min" not in err
+        assert not out
+
     def test_config_of_another_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "iso.cfg"
         run(["check-iso", "--model", "example1", "--from", "0.5,0,0", "--to", "0.7,0,0",

@@ -311,8 +311,7 @@ def scaled_copy(model, factor):
     scaled_derivs = None
     if model._derivatives is not None:
         def scaled_derivs(Xs, Fs, _orig=model._derivatives):
-            dWdX, dWdF = _orig(Xs, Fs)
-            return factor * np.asarray(dWdX), factor * np.asarray(dWdF)
+            return factor * np.asarray(_orig(Xs, Fs))
 
     return ConstitutiveModel(
         f"{model.name}*{factor:g}", model.dim,
@@ -557,8 +556,7 @@ class TestSamplerConfig:
         rng = np.random.default_rng(10)
 
         def noisy(Xs, Fs):
-            return (rng.standard_normal((len(Fs), 1, 3)),
-                    rng.standard_normal((len(Fs), 1, 9)))
+            return rng.standard_normal((len(Fs), 1, 12))
 
         model = ConstitutiveModel("noise", 1, lambda Xs, Fs: np.zeros((len(Fs), 1)),
                                   derivatives=noisy)

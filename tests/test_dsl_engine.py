@@ -4,7 +4,8 @@ Random well-kinded trees are printed, reparsed (so every node carries its
 source position) and compiled.  The compiled engine must agree with the
 scalar tree walker in ``dsl_reference``, lane by lane and bit for bit
 across batches, and its forward-mode derivatives must agree with
-complex-step and central differences.
+complex-step and central differences along the same directions: the body
+coordinates, and the material action ``F -> F (I + t E_ab)`` on the gradient.
 """
 
 import functools
@@ -203,11 +204,19 @@ def test_errors_name_the_failing_node():
 
 
 def _jet_lanes(X, F, steps):
-    """Lanes perturbing input ``j`` (X1..X3, then F row-major) by ``steps[j]``."""
-    base = np.concatenate([X, F.ravel()]).astype(np.result_type(steps, float))
-    pert = np.repeat(base[None], len(steps), axis=0)
-    pert[np.arange(len(steps)), np.arange(len(steps)) % 12] += steps
-    return pert[:, :3], pert[:, 3:].reshape(-1, 3, 3)
+    """Lane ``i`` moves ``X_j`` by ``steps[i]`` (``j = i mod 12 < 3``), or ``F`` to
+    ``F (I + steps[i] E_ab)`` (``j = 3 + 3a + b``): the directions of the derivative axis."""
+    dtype = np.result_type(steps, float)
+    Xs = np.repeat(X[None].astype(dtype), len(steps), axis=0)
+    Fs = np.repeat(F[None].astype(dtype), len(steps), axis=0)
+    for lane, step in enumerate(steps):
+        j = lane % 12
+        if j < 3:
+            Xs[lane, j] += step
+        else:
+            a, b = divmod(j - 3, 3)
+            Fs[lane, :, b] += step * F[:, a]  # F E_ab holds column a of F in column b
+    return Xs, Fs
 
 
 @settings(max_examples=200, deadline=None)
@@ -296,8 +305,9 @@ def test_shipped_example1_derivatives_match_builtin(example1):
         X = rng.uniform(-0.99, 0.99, 3)
         Fs = np.array([random_invertible(rng) for _ in range(3)])
         Xs = np.repeat(X[None], len(Fs), axis=0)
-        for got, want in zip(parsed._derivatives(Xs, Fs), example1._derivatives(Xs, Fs)):
-            assert np.all(_relerr(got, want) <= 1e-12)
+        got, want = parsed._derivatives(Xs, Fs), example1._derivatives(Xs, Fs)
+        assert got.shape == want.shape == (len(Fs), 9, 12)  # the material-frame block
+        assert np.all(_relerr(got, want) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,13 @@ def fragile_batched(analytic):
         return np.where(bad(Xs)[:, None], np.nan, W)
 
     def derivatives(Xs, Fs):
+        # dP^T C + C dP along F (I + t dP), with C = F^T F
         m = len(Fs)
+        C = np.einsum("kji,kjl->kil", Fs, Fs)
         eye = np.eye(3)
-        dWdF = (np.einsum("jm,kli->kjilm", eye, Fs)
-                + np.einsum("im,klj->kjilm", eye, Fs)).reshape(m, 9, 9)
-        return np.zeros((m, 9, 3)), np.where(bad(Xs)[:, None, None], np.nan, dWdF)
+        rows = np.einsum("pb,kaq->kpqab", eye, C) + np.einsum("qb,kpa->kpqab", eye, C)
+        block = np.concatenate([np.zeros((m, 9, 3)), rows.reshape(m, 9, 9)], axis=2)
+        return np.where(bad(Xs)[:, None, None], np.nan, block)
 
     return ConstitutiveModel("fragile_batched", 9, evaluate,
                              derivatives=derivatives if analytic else None)
@@ -98,8 +100,8 @@ class TestLeafTrace:
         # rows [I | 0] pin the base component everywhere: grade 0
         def pinned(Xs, Fs):
             m = len(Fs)
-            return (np.broadcast_to(np.eye(3), (m, 3, 3)).copy(),
-                    np.zeros((m, 3, 9)))
+            return np.concatenate([np.broadcast_to(np.eye(3), (m, 3, 3)), np.zeros((m, 3, 9))],
+                                  axis=2)
 
         model = ConstitutiveModel("pinned", 3, lambda Xs, Fs: np.zeros((len(Fs), 3)),
                                   derivatives=pinned)
@@ -139,8 +141,7 @@ class TestGradeMap:
         def fragile(Xs, Fs):
             if np.any(np.abs(Xs[:, 0] - 0.5) < 1e-9):
                 raise NonFiniteError("synthetic failure")
-            m = len(Fs)
-            return np.zeros((m, 1, 3)), np.zeros((m, 1, 9))
+            return np.zeros((len(Fs), 1, 12))
 
         model = ConstitutiveModel("fragile", 1, lambda Xs, Fs: np.zeros((len(Fs), 1)),
                                   derivatives=fragile)

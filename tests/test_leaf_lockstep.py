@@ -66,7 +66,7 @@ def zoned(name, rows, zone_rows, zone=lambda X: X[1] > 0.3):
             X = Xs[start]
             blocks[start:stop] = zone_rows(X, Fs[start:stop]) if zone(X) else rows
             start = stop
-        return blocks, np.zeros((len(Xs), 3, 9))
+        return np.concatenate([blocks, np.zeros((len(Xs), 3, 9))], axis=2)
 
     return ConstitutiveModel(name, 3, lambda Xs, Fs: np.zeros((len(Fs), 3)),
                              domain=lambda X: bool(np.all(np.abs(X) <= 1.0)),

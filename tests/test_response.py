@@ -75,29 +75,30 @@ class TestStiffnessProfile:
 
 class TestDerivatives:
     def test_example1_base_derivatives_vanish_on_left(self, example1):
-        dWdX, _ = derivatives(example1, [-0.5, 0.0, 0.0], random_invertible(np.random.default_rng(0)))
-        np.testing.assert_array_equal(dWdX, np.zeros((9, 3)))
+        B = derivatives(example1, [-0.5, 0.0, 0.0], random_invertible(np.random.default_rng(0)))
+        np.testing.assert_array_equal(B[:, :3], np.zeros((9, 3)))
 
     def test_example1_transverse_derivatives_always_zero(self, example1):
-        dWdX, _ = derivatives(example1, [0.4, 0.1, -0.2], random_invertible(np.random.default_rng(1)))
-        np.testing.assert_array_equal(dWdX[:, 1], np.zeros(9))
-        np.testing.assert_array_equal(dWdX[:, 2], np.zeros(9))
+        B = derivatives(example1, [0.4, 0.1, -0.2], random_invertible(np.random.default_rng(1)))
+        np.testing.assert_array_equal(B[:, 1], np.zeros(9))
+        np.testing.assert_array_equal(B[:, 2], np.zeros(9))
 
     def test_det_cal_cofactor_rule_at_identity(self, det_cal):
-        _, dWdF = derivatives(det_cal, [0.0, 0.0, 0.0], np.eye(3))
-        np.testing.assert_allclose(dWdF[0], np.eye(3).ravel())
+        # at F = I the material frame is the spatial one: the dP columns are dW/dF
+        B = derivatives(det_cal, [0.0, 0.0, 0.0], np.eye(3))
+        np.testing.assert_allclose(B[0, 3:], np.eye(3).ravel())
 
     def test_det_cal_cofactor_rule_general(self, det_cal):
-        # cofactor matrix from 2x2 minors, independent of the inverse-based
-        # production formula
+        # cofactor matrix from 2x2 minors, independent of the production
+        # formula; along F (I + t dP) the rate is cof(F) : F dP = F^T cof(F) : dP
         F = random_invertible(np.random.default_rng(5))
-        _, dWdF = derivatives(det_cal, [0.0, 0.0, 0.0], F)
+        B = derivatives(det_cal, [0.0, 0.0, 0.0], F)
         cof = np.empty((3, 3))
         for l in range(3):
             for m in range(3):
                 minor = np.delete(np.delete(F, l, axis=0), m, axis=1)
                 cof[l, m] = (-1) ** (l + m) * np.linalg.det(minor)
-        np.testing.assert_allclose(dWdF[0].reshape(3, 3), cof, atol=1e-12)
+        np.testing.assert_allclose(B[0, 3:].reshape(3, 3), F.T @ cof, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["example1", "example2", "det_cal", "identity_cal"])
     def test_analytic_agrees_with_finite_differences(self, name):
@@ -110,26 +111,26 @@ class TestDerivatives:
             while not model.in_domain(X):
                 X = rng.uniform(-0.9, 0.9, 3)
             F = random_invertible(rng)
-            aX, aF = derivatives(model, X, F)
-            nX, nF = derivatives(stripped, X, F)
-            assert np.abs(aX - nX).max() < 1e-5
-            assert np.abs(aF - nF).max() < 1e-5
+            exact = derivatives(model, X, F)
+            numerical = derivatives(stripped, X, F)
+            assert np.abs(exact[:, :3] - numerical[:, :3]).max() < 1e-5
+            assert np.abs(exact[:, 3:] - numerical[:, 3:]).max() < 1e-5
 
     def test_example2_complex_step_matches_closed_form(self, example2):
-        # r = (Fe).(Fe) + X.X with e = X + r e1 gives
-        # dr/dX = 2 F^T F e + 2X and dr/dF = 2 (Fe) e^T; J = det F gives
-        # the cofactor matrix
+        # r = (Fe).(Fe) + X.X with e = X + r e1 gives dr/dX = 2 F^T F e + 2X
+        # and, along F (I + t dP), 2 (F^T F e) . (dP e); J = det F gives
+        # det F tr(dP)
         rng = np.random.default_rng(9)
         for _ in range(5):
             X = rng.uniform(-0.5, 0.5, 3)
             F = random_invertible(rng)
-            dWdX, dWdF = derivatives(example2, X, F)
+            B = derivatives(example2, X, F)
             e = X.copy()
             e[0] += 1.0
-            np.testing.assert_allclose(dWdX[0], 2 * (F.T @ F @ e) + 2 * X, atol=1e-11)
-            np.testing.assert_allclose(dWdF[0], 2 * np.outer(F @ e, e).ravel(), atol=1e-11)
-            np.testing.assert_allclose(dWdF[1].reshape(3, 3),
-                                       np.linalg.det(F) * np.linalg.inv(F).T, atol=1e-11)
+            np.testing.assert_allclose(B[0, :3], 2 * (F.T @ F @ e) + 2 * X, atol=1e-11)
+            np.testing.assert_allclose(B[0, 3:], 2 * np.outer(F.T @ F @ e, e).ravel(), atol=1e-11)
+            np.testing.assert_allclose(B[1, 3:].reshape(3, 3), np.linalg.det(F) * np.eye(3),
+                                       atol=1e-11)
 
     def test_example2_metric_enters_closed_form(self):
         model = builtin("example2", r=1.5, metric=(1.0, 2.5, 0.7))
@@ -139,16 +140,15 @@ class TestDerivatives:
         for _ in range(5):
             X = rng.uniform(-0.8, 0.8, 3)
             F = random_invertible(rng)
-            for got, want in zip(derivatives(model, X, F), derivatives(stripped, X, F)):
-                assert np.abs(got - want).max() < 1e-5
+            assert np.abs(derivatives(model, X, F) - derivatives(stripped, X, F)).max() < 1e-5
 
     def test_real_fd_shrinks_near_boundary(self):
         stripped = builtin("example2")
         stripped._derivatives = None  # force the numerical path
         # four halvings from the 1e-6 step reach 6.25e-8, just inside
         X = np.array([1.0 - 1e-7, 0.0, 0.0])
-        dWdX, _ = derivatives(stripped, X, np.eye(3))
-        assert np.all(np.isfinite(dWdX))
+        B = derivatives(stripped, X, np.eye(3))
+        assert np.all(np.isfinite(B[:, :3]))
 
     def test_real_fd_errors_when_shrinking_is_not_enough(self):
         stripped = builtin("example2")
@@ -184,22 +184,20 @@ class TestDerivatives:
                        [0.6, -0.3, 0.2], [0.0, 0.0, 0.0]])
         for k in (1, 4, 11):
             Fs = np.array([[random_invertible(rng) for _ in range(k)] for _ in Xs])
-            dWdX, dWdF = derivatives_at_samples(model, Xs, Fs)
-            assert dWdX.shape == (5, k, model.dim, 3)
-            assert dWdF.shape == (5, k, model.dim, 9)
+            B = derivatives_at_samples(model, Xs, Fs)
+            assert B.shape == (5, k, model.dim, 12)
             for i, X in enumerate(Xs):
-                oneX, oneF = derivatives_at_samples(model, X, Fs[i])
-                np.testing.assert_array_equal(dWdX[i], oneX)
-                np.testing.assert_array_equal(dWdF[i], oneF)
+                np.testing.assert_array_equal(B[i], derivatives_at_samples(model, X, Fs[i]))
 
     def test_non_finite_derivative_raises(self):
         def derivatives_(Xs, Fs):
-            m = len(Fs)
-            return np.full((m, 1, 3), np.nan), np.zeros((m, 1, 9))
+            block = np.zeros((len(Fs), 1, 12))
+            block[:, :, :3] = np.nan
+            return block
 
         model = ConstitutiveModel("nan_rate", 1, lambda Xs, Fs: np.zeros((len(Fs), 1)),
                                   derivatives=derivatives_)
-        with pytest.raises(NonFiniteError, match=r"dW/dX at X=\[0.1, 0.2, 0.3\]"):
+        with pytest.raises(NonFiniteError, match=r"derivative block at X=\[0.1, 0.2, 0.3\]"):
             derivatives(model, [0.1, 0.2, 0.3], np.eye(3))
 
     def test_wrong_result_shape_raises(self):
@@ -209,16 +207,13 @@ class TestDerivatives:
         with pytest.raises(ValueError, match="expected"):
             derivatives(flat, [0.0, 0.0, 0.0], np.eye(3))
         short = ConstitutiveModel("short", 2, lambda Xs, Fs: np.zeros((len(Fs), 2)),
-                                  derivatives=lambda Xs, Fs: (np.zeros((len(Fs), 2, 3)),
-                                                              np.zeros((len(Fs), 2, 3))))
-        with pytest.raises(ValueError, match="dW/dF of shape"):
+                                  derivatives=lambda Xs, Fs: np.zeros((len(Fs), 2, 9)))
+        with pytest.raises(ValueError, match="derivative block of shape"):
             derivatives(short, [0.0, 0.0, 0.0], np.eye(3))
 
     def test_batch_shapes(self, example2):
         Fs = np.array([np.eye(3), np.diag([1.0, 2.0, 3.0])])
-        dWdX, dWdF = derivatives_at_samples(example2, np.zeros(3), Fs, DEFAULT_TOL)
-        assert dWdX.shape == (2, 2, 3)
-        assert dWdF.shape == (2, 2, 9)
+        assert derivatives_at_samples(example2, np.zeros(3), Fs, DEFAULT_TOL).shape == (2, 2, 12)
 
 
 class TestBuiltins:
