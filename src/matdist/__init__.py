@@ -25,7 +25,6 @@ from .distribution import (
     DEFAULT_SAMPLER,
     FibreResult,
     IsoCheck,
-    admissibility_block,
     material_fibre,
     symmetry_algebra,
     is_material_isomorphism,
@@ -69,7 +68,6 @@ __all__ = [
     "DEFAULT_SAMPLER",
     "FibreResult",
     "IsoCheck",
-    "admissibility_block",
     "material_fibre",
     "symmetry_algebra",
     "is_material_isomorphism",

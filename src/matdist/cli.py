@@ -148,18 +148,23 @@ class _Settings:
         self.read = set()  # config keys the subcommand has looked up
 
     def get(self, key, arg_name, default, convert=str, choices=None):
-        """Flag, else config value, else ``default``.
+        """Flag ``--arg-name``, else config value ``key``, else ``default``.
 
-        A config value that ``convert`` rejects, or a value outside
-        ``choices``, is a usage error.
+        Flags and config values go through the same ``convert`` and
+        ``choices`` check; a value either rejects is a usage error that
+        names the flag or the key it came from.
         """
         self.read.add(key)
-        value = getattr(self.args, arg_name, None)
-        if value is None:
+        raw = getattr(self.args, arg_name, None)
+        given = f"--{arg_name.replace('_', '-')} {raw!r}"
+        if raw is None:
             raw = self.file_cfg.get(key)
-            value = _convert(key, raw, convert) if raw is not None else default
-        if choices is not None and value is not None and value not in choices:
-            raise _UsageError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+            given = f"config value {key} = {raw!r}"
+        value = default
+        if raw is not None:
+            value = _convert(given, raw, convert)
+            if choices is not None and value not in choices:
+                raise _UsageError(f"{given} is not one of {', '.join(choices)}")
         if value is not None:
             self.effective[key] = _to_config_string(value)
         return value
@@ -181,12 +186,12 @@ class _Settings:
 _KINDS = {int: "an integer", float: "a number"}
 
 
-def _convert(key, raw, convert):
+def _convert(given, raw, convert):
     try:
         return convert(raw)
     except ValueError:
         what = _KINDS.get(convert, "valid")
-        raise _UsageError(f"config value {key} = {raw!r} is not {what}") from None
+        raise _UsageError(f"{given} is not {what}") from None
 
 
 def _to_config_string(value):
@@ -240,9 +245,6 @@ def _normalize_region_text(text):
     return out
 
 
-_RELOPS = ("<=", ">=", "==", "<", ">")  # two-character operators first
-
-
 def parse_region(text):
     """Predicate from '&'-joined comparisons such as ``x1>=0.1 & x2<0.5``.
 
@@ -254,7 +256,7 @@ def parse_region(text):
         raw = raw.strip()
         if not raw:
             continue
-        for op in _RELOPS:
+        for op in dsl._RELOPS:  # two-character operators first
             if op in raw:
                 lhs_text, rhs_text = raw.split(op, 1)
                 break
@@ -285,13 +287,13 @@ def _add_common(parser):
     parser.add_argument("--mdl", help="path to a .mdl model source")
     parser.add_argument("--param", action="append", help="model parameter name=value")
     parser.add_argument("--config", help="flat key=value config file (flags override)")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--tol-rank", type=float, dest="tol_rank")
-    parser.add_argument("--tol-residual", type=float, dest="tol_residual")
-    parser.add_argument("--tol-fd-rel", type=float, dest="tol_fd_rel")
-    parser.add_argument("--tol-fd-abs", type=float, dest="tol_fd_abs")
+    parser.add_argument("--seed")
+    parser.add_argument("--tol-rank", dest="tol_rank")
+    parser.add_argument("--tol-residual", dest="tol_residual")
+    parser.add_argument("--tol-fd-rel", dest="tol_fd_rel")
+    parser.add_argument("--tol-fd-abs", dest="tol_fd_abs")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=["json", "csv"])
+    parser.add_argument("--format", help="json; grade-map and leaf also write csv")
     parser.add_argument("--emit-config", dest="emit_config",
                         help="also write the effective flat config here")
 
@@ -309,11 +311,6 @@ def _resolve_common(settings, command):
         settings.effective["params"] = ";".join(f"{k}={format_float(v)}" for k, v in sorted(params.items()))
     if (model_name is None) == (mdl_path is None):
         raise _UsageError("exactly one of --model or --mdl is required")
-    if model_name is not None:
-        model = builtin(model_name, **params)
-    else:
-        model = load_model_file(mdl_path, params=params or None)
-
     seed = settings.get("seed", "seed", 0, int)
     tol = Tolerances(
         rank_rel=settings.get("tol.rank_rel", "tol_rank", 1e-8, float),
@@ -328,14 +325,11 @@ def _resolve_common(settings, command):
         "sampler.det_min": format_float(sampler.det_min),
         "sampler.cond_max": format_float(sampler.cond_max),
     })
+    if model_name is not None:
+        model = builtin(model_name, **params)
+    else:
+        model = load_model_file(mdl_path, params=params or None)
     return model, sampler, tol
-
-
-def _json_only(settings):
-    fmt = settings.get("format", "format", "json")
-    if fmt != "json":
-        raise _UsageError("this subcommand emits JSON only; CSV applies to grade-map and leaf")
-    return fmt
 
 
 def _write_output(settings, result_dict, out_path, fmt="json", csv_writer=None):
@@ -381,7 +375,7 @@ def _cmd_fibre(args):
     model, sampler, tol = _resolve_common(settings, "fibre")
     point = _parse_floats(settings.get("point", "point", None, str), 3, "--point")
     radius, cloud = _germ_args(settings)
-    fmt = _json_only(settings)
+    fmt = settings.get("format", "format", "json", choices=("json",))
     out = settings.get("out", "out", None)
     settings.check_keys()
 
@@ -404,7 +398,7 @@ def _cmd_grade_map(args):
     if len(counts) != 3:
         raise _UsageError("--grid-n needs one or three integers")
     radius, cloud = _germ_args(settings)
-    fmt = settings.get("format", "format", "json")
+    fmt = settings.get("format", "format", "json", choices=("json", "csv"))
     out = settings.get("out", "out", None)
     slice_text = settings.get("slice", "slice", None, str)
     svg_path = settings.get("svg", "svg", None, str)
@@ -451,7 +445,7 @@ def _parse_slice(text):
 
 def _cmd_leaf(args):
     settings = _Settings(args, read_config(args.config) if args.config else {})
-    mode = settings.get("mode", "mode", None)
+    mode = settings.get("mode", "mode", None, choices=MODES)
     steps = settings.get("steps", "steps", 200, int)
     h = settings.get("h", "h", 0.01, float)
     try:
@@ -461,7 +455,7 @@ def _cmd_leaf(args):
     model, sampler, tol = _resolve_common(settings, "leaf")
     point = _parse_floats(settings.get("point", "point", None, str), 3, "--point")
     direction = _parse_floats(settings.get("dir", "dir", "0,1,0", str), 3, "--dir")
-    fmt = settings.get("format", "format", "json")
+    fmt = settings.get("format", "format", "json", choices=("json", "csv"))
     out = settings.get("out", "out", None)
     svg_path = settings.get("svg", "svg", None, str)
     settings.check_keys()
@@ -499,24 +493,28 @@ def _load_chart_file(path):
 
 
 # the chart parameters each built-in chart reads; the identity chart and chart
-# files read none (the identity's axis order has its own flag)
-_CHART_PARAMS = {"affine": ("A", "b"), "spherical_cap": ("rho_min", "rho_max", "cap_cos")}
+# files read none (the identity's axis order has its own flag), and neither
+# does affine: its A and b are a matrix and a vector, which no single-number
+# value can give, so the CLI affine chart is A = I, b = 0
+_CHART_PARAMS = {"spherical_cap": ("rho_min", "rho_max", "cap_cos")}
 
 
 def _build_chart(settings):
     name = settings.get("chart", "chart", None, str)
     if name is None:
         raise _UsageError("--chart is required")
+    if not (name.startswith("@") or name in BUILTIN_CHARTS):
+        raise _UsageError(f"unknown chart {name!r}; built-ins are {', '.join(BUILTIN_CHARTS)}, "
+                          "or @file for a chart file")
     leafwise = settings.get("leafwise", "leafwise", 2, int)
     chart_items = getattr(settings.args, "chart_param", None)
     if chart_items is None:  # the chart.<name> keys an emitted config holds
         chart_items = [f"{key[len('chart.'):]}={value}" for key, value in settings.file_cfg.items()
                        if key.startswith("chart.") and key != "chart.order"]
     chart_params = _parse_params(chart_items)
-    if name.startswith("@") or name in BUILTIN_CHARTS:
-        unread = sorted(set(chart_params) - set(_CHART_PARAMS.get(name, ())))
-        if unread:
-            raise _UsageError(f"chart {name!r} takes no parameter {', '.join(unread)}")
+    unread = sorted(set(chart_params) - set(_CHART_PARAMS.get(name, ())))
+    if unread:
+        raise _UsageError(f"chart {name!r} takes no parameter {', '.join(unread)}")
     for key, value in chart_params.items():
         settings.effective[f"chart.{key}"] = format_float(value)
     if name.startswith("@"):
@@ -542,9 +540,9 @@ def _cmd_homog(args):
     if n_pairs < 1 or n_samples < 1:
         raise _UsageError(f"--pairs and --samples must be at least 1, got {n_pairs} and {n_samples}")
     oracle = settings.get("oracle", "oracle", None, str, choices=LEAF_ORACLES)
-    model, sampler, tol = _resolve_common(settings, "homog")
     chart = _build_chart(settings)
-    fmt = _json_only(settings)
+    model, sampler, tol = _resolve_common(settings, "homog")
+    fmt = settings.get("format", "format", "json", choices=("json",))
     out = settings.get("out", "out", None)
     settings.check_keys()
 
@@ -566,7 +564,7 @@ def _cmd_check_iso(args):
         P = np.eye(3)
     else:
         P = np.array(_parse_floats(p_text, 9, "--P")).reshape(3, 3)
-    fmt = _json_only(settings)
+    fmt = settings.get("format", "format", "json", choices=("json",))
     out = settings.get("out", "out", None)
     settings.check_keys()
 
@@ -617,32 +615,32 @@ def build_parser():
 
     p_fibre = sub.add_parser("fibre", help="fibre, grade and symmetry algebra at one point")
     _add_common(p_fibre)
-    p_fibre.add_argument("--mode", choices=MODES)
+    p_fibre.add_argument("--mode", help=" | ".join(MODES))
     p_fibre.add_argument("--point")
-    p_fibre.add_argument("--germ-radius", type=float, dest="germ_radius")
-    p_fibre.add_argument("--germ-cloud", type=int, dest="germ_cloud")
+    p_fibre.add_argument("--germ-radius", dest="germ_radius")
+    p_fibre.add_argument("--germ-cloud", dest="germ_cloud")
     p_fibre.set_defaults(func=_cmd_fibre)
 
     p_map = sub.add_parser("grade-map", help="grade field over a grid")
     _add_common(p_map)
-    p_map.add_argument("--mode", choices=MODES)
+    p_map.add_argument("--mode", help=" | ".join(MODES))
     p_map.add_argument("--svg", help="write an SVG rendering of a --slice to this path")
     p_map.add_argument("--grid-lo", dest="grid_lo")
     p_map.add_argument("--grid-hi", dest="grid_hi")
     p_map.add_argument("--grid-n", dest="grid_n")
     p_map.add_argument("--slice", help="axis=value plane for --svg, e.g. x3=0")
-    p_map.add_argument("--germ-radius", type=float, dest="germ_radius")
-    p_map.add_argument("--germ-cloud", type=int, dest="germ_cloud")
+    p_map.add_argument("--germ-radius", dest="germ_radius")
+    p_map.add_argument("--germ-cloud", dest="germ_cloud")
     p_map.set_defaults(func=_cmd_grade_map)
 
     p_leaf = sub.add_parser("leaf", help="trace a leaf of the body-material foliation")
     _add_common(p_leaf)
-    p_leaf.add_argument("--mode", choices=MODES, help="pointwise, the only mode leaves use")
+    p_leaf.add_argument("--mode", help="pointwise, the only mode leaves use")
     p_leaf.add_argument("--svg", help="write an SVG projection of the trace to this path")
     p_leaf.add_argument("--point")
     p_leaf.add_argument("--dir")
-    p_leaf.add_argument("--steps", type=int)
-    p_leaf.add_argument("--h", type=float)
+    p_leaf.add_argument("--steps")
+    p_leaf.add_argument("--h")
     p_leaf.set_defaults(func=_cmd_leaf)
 
     p_homog = sub.add_parser("homog", help="test a chart for homogeneity")
@@ -653,10 +651,10 @@ def build_parser():
     p_homog.add_argument("--chart-param", action="append", dest="chart_param",
                          help="chart parameter name=value")
     p_homog.add_argument("--region", help="'&'-joined comparisons, e.g. x1>=0.1")
-    p_homog.add_argument("--leafwise", type=int)
-    p_homog.add_argument("--pairs", type=int)
-    p_homog.add_argument("--samples", type=int)
-    p_homog.add_argument("--oracle", choices=LEAF_ORACLES)
+    p_homog.add_argument("--leafwise")
+    p_homog.add_argument("--pairs")
+    p_homog.add_argument("--samples")
+    p_homog.add_argument("--oracle", help=" | ".join(LEAF_ORACLES))
     p_homog.set_defaults(func=_cmd_homog)
 
     p_iso = sub.add_parser("check-iso", help="test one jet for material isomorphism")

@@ -37,7 +37,6 @@ __all__ = [
     "DEFAULT_SAMPLER",
     "FibreResult",
     "IsoCheck",
-    "admissibility_block",
     "material_fibre",
     "fibres_at",
     "base_basis_at",
@@ -304,17 +303,6 @@ def _blocks(model, Xs, Fs, tol):
     for i in range(0, n, step):
         rows[i:i + step] = derivatives_at_samples(model, Xs[i:i + step], Fs[i:i + step], tol)
     return rows.reshape(n, k * model.dim, 12)
-
-
-def admissibility_block(model, X, F, tol=DEFAULT_TOL):
-    """Single admissibility block (d x 12) at one jet."""
-    X = np.asarray(X, dtype=float)
-    F = np.asarray(F, dtype=float)
-    if not model.in_domain(X):
-        raise DomainError(f"point {X.tolist()} is outside the domain of model {model.name!r}")
-    if abs(float(np.linalg.det(F))) < 1e-12:
-        raise SingularMatrixError("F is numerically singular")
-    return _blocks(model, X[None], F[None, None], tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -378,13 +378,10 @@ class _Parser:
         self.error(f"{name}() does not accept argument kinds {got}", name_tok)
 
 
-def parse_expression(text, extra_kinds=None):
+def parse_expression(text):
     """Parse a single expression; returns the kind-annotated tree."""
-    env = dict(_BASE_KINDS)
-    if extra_kinds:
-        env.update(extra_kinds)
     tokens = [t for t in _tokenize(text) if t.type != "newline"]
-    parser = _Parser(tokens, env)
+    parser = _Parser(tokens, _BASE_KINDS)
     node = parser.expr()
     tail = parser.peek()
     if tail.type != "end":

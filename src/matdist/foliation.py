@@ -48,6 +48,7 @@ GRADE_COLORS = {0: "black", 1: "blue", 2: "orange", 3: "green", -1: "gray"}
 _MAX_GRID_NODES = 10**6
 _ALIGN_EPS = 1e-6
 MAX_STEP = 0.05  # largest leaf-trace step size
+_MARGINAL_GAP = 10.0  # rank gaps below this mark a node tolerance-sensitive
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,9 @@ class GradeField:
     def stratum_count(self):
         return int(self.stratum.max()) + 1 if self.stratum.size else 0
 
-    def tolerance_sensitive(self, threshold=10.0):
+    def tolerance_sensitive(self):
         """Indices of known nodes whose rank decision was marginal."""
-        mask = self.known & (self.rank_gap < threshold)
+        mask = self.known & (self.rank_gap < _MARGINAL_GAP)
         return [tuple(int(v) for v in idx) for idx in np.argwhere(mask)]
 
 
@@ -413,8 +414,8 @@ def grade_map(model, grid, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAUL
     cloud arguments and the mode before any node runs; results do not
     depend on how nodes are batched, because every node draws its own
     generator state from the base seed and the node coordinates.
-    ``threads`` is accepted for compatibility and ignored: the map runs in
-    this process.
+    ``threads`` is ignored: the map runs in this process.  Its only caller
+    is ``bench/run.py:pool_probe``, and both go together (ROADMAP item 1(c)).
     """
     if not isinstance(grid, GridSpec):
         grid = GridSpec(*grid)

@@ -94,25 +94,6 @@ class Chart:
 # built-in charts
 
 
-class _PermutationChart:
-    def __init__(self, order):
-        self.perm = np.array([int(o) - 1 for o in order])
-        self.matrix = np.zeros((3, 3))
-        for row, src in enumerate(self.perm):
-            self.matrix[row, src] = 1.0
-
-    def forward(self, X):
-        return np.asarray(X, dtype=float)[self.perm]
-
-    def inverse(self, y):
-        out = np.empty(3)
-        out[self.perm] = np.asarray(y, dtype=float)
-        return out
-
-    def jacobian(self, X):
-        return self.matrix
-
-
 class _AffineChart:
     def __init__(self, A, b):
         self.A = np.asarray(A, dtype=float)
@@ -180,7 +161,8 @@ BUILTIN_CHARTS = ("identity", "affine", "spherical_cap")
 def builtin_chart(name, **params):
     """Construct a built-in chart.
 
-    ``identity`` relabels the body axes; its default order (2, 3, 1) puts
+    ``identity`` relabels the body axes (the affine map of a permutation
+    matrix, without shift); its default order (2, 3, 1) puts
     the transverse direction of a plane-laminated body last, matching the
     leafwise-first convention.  ``affine`` takes ``A`` and ``b``.
     ``spherical_cap`` takes ``rho_min``, ``rho_max`` and ``cap_cos``.
@@ -191,7 +173,7 @@ def builtin_chart(name, **params):
             raise ValueError("order must be a permutation of 1,2,3")
         if params:
             raise ValueError(f"unknown identity-chart parameters {sorted(params)}")
-        impl = _PermutationChart(order)
+        impl = _AffineChart(np.eye(3)[[int(o) - 1 for o in order]], 0.0)
         return Chart("identity", impl.forward, impl.inverse, leafwise_count=2,
                      jacobian=impl.jacobian, params={"order": list(order)})
     if name == "affine":
@@ -236,14 +218,15 @@ def _parse_scalar_exprs(texts):
 
 
 def chart_from_expressions(forward_exprs, inverse_exprs, leafwise_count, name="expr",
-                           region=None, jacobian_exprs=None):
+                           jacobian_exprs=None):
     """Chart whose forward and inverse components are DSL scalar expressions.
 
     The inverse is validated against the forward map by the homogeneity
     check, never derived.  ``jacobian_exprs`` (a 3x3 nest of expressions,
     row i = derivative of forward component i) is optional; without it the
     Jacobian is the exact forward-mode derivative of the compiled forward
-    expressions.  The expressions read ``F`` as the identity.
+    expressions.  The expressions read ``F`` as the identity.  The chart has
+    no region; :meth:`Chart.restrict` cuts one.
     """
     fwd = dsl.Program(_parse_scalar_exprs(forward_exprs))
     inv = dsl.Program(_parse_scalar_exprs(inverse_exprs))
@@ -255,7 +238,7 @@ def chart_from_expressions(forward_exprs, inverse_exprs, leafwise_count, name="e
             raise ValueError("jacobian_exprs must be a 3x3 nest of expressions")
         jac = _point_values(dsl.Program([node for row in rows for node in row]), (3, 3))
     return Chart(name, _point_values(fwd), _point_values(inv), int(leafwise_count),
-                 jacobian=jac, region=region,
+                 jacobian=jac,
                  params={"forward": list(forward_exprs), "inverse": list(inverse_exprs),
                          "jacobian": [list(r) for r in jacobian_exprs] if jacobian_exprs else None})
 
@@ -273,13 +256,16 @@ def translation_jet(chart, Y, Z, tol=DEFAULT_TOL):
     return np.linalg.solve(DZ, DY)
 
 
-def sample_region(model, chart, rng, count, max_tries=200000):
+_REGION_TRIES = 200000  # candidates sample_region draws before it gives up
+
+
+def sample_region(model, chart, rng, count):
     """Uniform rejection samples from the chart region inside the model domain."""
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
     lo, hi = model.bounds
     out = []
-    for _ in range(max_tries):
+    for _ in range(_REGION_TRIES):
         X = rng.uniform(lo, hi)
         if model.in_domain(X) and chart.in_region(X):
             out.append(X)
@@ -468,8 +454,12 @@ def _validate_chart(chart, samples, tol):
             raise SingularMatrixError(f"chart {chart.name!r} Jacobian is singular at {X.tolist()}")
 
 
-def _second_difference_residual(chart, samples, step=1e-4):
+_SECOND_DIFFERENCE_STEP = 1e-4
+
+
+def _second_difference_residual(chart, samples):
     """Max second difference of the forward components over body coordinates."""
+    step = _SECOND_DIFFERENCE_STEP
     worst = 0.0
     for X in samples:
         for k in range(3):
@@ -525,7 +515,7 @@ def _director_flatness(model, chart, samples, leafwise_count, tol):
 
 
 def homogeneity_check(model, chart, n_pairs=12, n_samples=10, sampler=DEFAULT_SAMPLER,
-                      tol=DEFAULT_TOL, leaf_oracle=None, angle_tol=ANGLE_TOL):
+                      tol=DEFAULT_TOL, leaf_oracle=None):
     """Run the three homogeneity sub-tests for a supplied chart.
 
     (a) foliated: the first ``leafwise_count`` chart directions lie in the
@@ -583,7 +573,7 @@ def homogeneity_check(model, chart, n_pairs=12, n_samples=10, sampler=DEFAULT_SA
                 if angle > worst_angle:
                     worst_angle = angle
                     witness_a = {"point": X.tolist(), "L": L, "angle": angle}
-        foliated = SubTest(worst_angle <= angle_tol, worst_angle, witness_a, len(samples) * p)
+        foliated = SubTest(worst_angle <= ANGLE_TOL, worst_angle, witness_a, len(samples) * p)
     else:
         foliated = SubTest(False, float("nan"), {}, 0, note=aborted)
 

@@ -185,26 +185,21 @@ def _domain_steps(model, X, tol):
     return steps
 
 
-def derivatives_at_samples(model, X, Fs, tol=DEFAULT_TOL):
-    """Material-frame admissibility blocks of gradient batches at one or many body points.
+def derivatives_at_samples(model, Xs, Fs, tol=DEFAULT_TOL):
+    """Material-frame admissibility blocks of gradient sets at many body points.
 
     The block of a jet ``(X, F)`` is ``(dim, 12)``: columns 0-2 are
     ``dW/dX``, and column ``3 + 3a + b`` is the derivative of ``W`` along
     ``F -> F (I + t E_ab)``, the infinitesimal material action on the
-    gradient.  With ``X`` of shape ``(3,)`` and ``Fs`` of shape ``(k,3,3)``
-    the result is ``(k, dim, 12)``; with ``X`` of shape ``(n,3)`` and ``Fs``
-    of shape ``(n,k,3,3)`` (gradient set ``Fs[i]`` at point ``X[i]``) it
-    gains a leading point axis.  The ``n*k`` jets go to the model as lanes
-    in one call (central differences of its evaluation when it has no
-    derivative), so each point's blocks are bit-identical to a call at that
-    point alone.  A non-finite block raises :class:`NonFiniteError` naming
-    its body point.
+    gradient.  ``Xs (n,3)`` holds the points and ``Fs (n,k,3,3)`` the
+    gradient set ``Fs[i]`` at point ``Xs[i]``; the result is ``(n, k, dim,
+    12)``.  The ``n*k`` jets go to the model as lanes in one call (central
+    differences of its evaluation when it has no derivative), so each
+    point's blocks are bit-identical to a call at that point alone.  A
+    non-finite block raises :class:`NonFiniteError` naming its body point.
     """
-    X = np.asarray(X, dtype=float)
+    Xs = np.asarray(Xs, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
-    single = X.ndim == 1
-    Xs = X.reshape(-1, 3)
-    Fs = Fs.reshape((len(Xs), -1, 3, 3))
     n, k, d = len(Xs), Fs.shape[1], model.dim
     lanes = np.repeat(Xs, k, axis=0)
     if model._derivatives is None:
@@ -213,7 +208,7 @@ def derivatives_at_samples(model, X, Fs, tol=DEFAULT_TOL):
         with _quiet():
             block = model._derivatives(lanes, Fs.reshape(n * k, 3, 3))
     block = _checked_lanes(model, block, (n * k, d, 12), "derivative block", lanes)
-    return block.reshape(((k,) if single else (n, k)) + (d, 12))
+    return block.reshape(n, k, d, 12)
 
 
 def _fd_block(model, Xs, Fs, tol):
@@ -254,7 +249,7 @@ def derivatives(model, X, F, tol=DEFAULT_TOL):
     ``X`` and ``F`` are validated as in :func:`evaluate`.
     """
     X, F = _checked_jet(model, X, F)
-    return derivatives_at_samples(model, X, F[None], tol)[0]
+    return derivatives_at_samples(model, X[None], F[None, None], tol)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +556,14 @@ def builtin(name, **params):
 # DSL-backed models
 
 
-def parse_model(source, name="mdl", params=None, bounds=None, domain=None):
+def parse_model(source, name="mdl", params=None):
     """Build a model from DSL source text.
 
     ``params`` overrides the defaults declared by ``param`` lines.  DSL
-    models default to the open unit cube as bounds with an all-accepting
-    domain; pass ``domain``/``bounds`` to restrict them.  The source
-    compiles once into a :class:`dsl.Program`, which serves the lane
-    contract directly: its evaluation, and its exact forward-mode
-    derivatives, which are the material-frame block.
+    models sample the unit cube ``[-1, 1]^3`` and accept every finite
+    point.  The source compiles once into a :class:`dsl.Program`, which
+    serves the lane contract directly: its evaluation, and its exact
+    forward-mode derivatives, which are the material-frame block.
     """
     mdef = dsl.parse_source(source)
     declared = {k for k, _ in mdef.params}
@@ -581,8 +575,6 @@ def parse_model(source, name="mdl", params=None, bounds=None, domain=None):
     effective = {k: overrides.get(k, v) for k, v in mdef.params}
     return ConstitutiveModel(
         name, mdef.dim, program.evaluate,
-        domain=domain,
-        bounds=bounds,
         derivatives=lambda Xs, Fs: program.derivatives(Xs, Fs)[1],
         params={"source_params": effective},
         aux={"model_def": mdef},

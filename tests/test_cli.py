@@ -5,6 +5,7 @@ import pytest
 
 from matdist import cli
 from matdist.distribution import SamplerConfig, material_fibre
+from matdist.homogeneity import BUILTIN_CHARTS
 from matdist.response import builtin
 
 
@@ -413,7 +414,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("chart,params", [
         ("identity", ["bogus=1"]), ("@file", ["bogus=1"]),
         ("spherical_cap", ["rho_min=0.2", "bogus=1"]), ("affine", ["bogus=1"]),
-    ], ids=["identity", "chart-file", "spherical-cap", "affine"])
+        ("affine", ["A=2"]),
+    ], ids=["identity", "chart-file", "spherical-cap", "affine", "affine-matrix"])
     def test_chart_parameter_the_chart_never_reads(self, chart, params, tmp_path, monkeypatch,
                                                    capsys):
         def no_compute(*args, **kwargs):
@@ -428,7 +430,19 @@ class TestUsageErrors:
                 "--pairs", "1", "--samples", "1"]
         code, out, err = run(argv + [arg for p in params for arg in ("--chart-param", p)], capsys)
         assert code == cli.EXIT_USAGE
-        assert "usage error" in err and "bogus" in err and "rho_min" not in err
+        unread = params[-1].split("=")[0]
+        assert "usage error" in err and f"no parameter {unread}" in err and "rho_min" not in err
+        assert not out
+
+    def test_unknown_chart_fails_before_the_model_is_built(self, monkeypatch, capsys):
+        def no_model(*args, **kwargs):
+            raise AssertionError("the model was built before the chart name check")
+
+        monkeypatch.setattr(cli, "builtin", no_model)
+        code, out, err = run(["homog", "--model", "example1", "--chart", "bogus"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in err and "bogus" in err
+        assert all(name in err for name in BUILTIN_CHARTS) and "@file" in err
         assert not out
 
     def test_config_of_another_subcommand(self, tmp_path, capsys):
@@ -495,6 +509,55 @@ class TestUsageErrors:
         code, _, err = run(argv, capsys)
         assert code == cli.EXIT_USAGE
         assert "usage error" in err and "germ" in err
+
+
+# every setting with a converter or a choice list: (key, flag, a value it rejects)
+COMMON_SETTINGS = [("seed", "--seed", "1.5"), ("tol.rank_rel", "--tol-rank", "tiny"),
+                   ("tol.residual", "--tol-residual", "tiny"), ("tol.fd_rel", "--tol-fd-rel", "tiny"),
+                   ("tol.fd_abs", "--tol-fd-abs", "tiny")]
+MODE = [("mode", "--mode", "bogus")]
+GERM = [("germ.radius", "--germ-radius", "wide"), ("germ.cloud", "--germ-cloud", "2.5")]
+COMMANDS = {  # a valid invocation, the call that computes, and the settings it takes
+    "fibre": (["--model", "example1", "--point", "0.5,0,0"], "material_fibre",
+              COMMON_SETTINGS + [("format", "--format", "csv")] + MODE + GERM),
+    "grade-map": (["--model", "example1", "--grid-n", "2"], "grade_map",
+                  COMMON_SETTINGS + [("format", "--format", "xml")] + MODE + GERM),
+    "leaf": (["--model", "example2", "--point", "0.3,0.2,0.1"], "leaf_trace",
+             COMMON_SETTINGS + [("format", "--format", "xml")] + MODE
+             + [("steps", "--steps", "many"), ("h", "--h", "small")]),
+    "homog": (["--model", "example1", "--chart", "identity"], "homogeneity_check",
+              COMMON_SETTINGS + [("format", "--format", "csv"), ("leafwise", "--leafwise", "two"),
+                                 ("pairs", "--pairs", "abc"), ("samples", "--samples", "1.5"),
+                                 ("oracle", "--oracle", "bogus")]),
+    "check-iso": (["--model", "example1", "--from", "0.5,0,0", "--to", "0.7,0,0"],
+                  "is_material_isomorphism", COMMON_SETTINGS + [("format", "--format", "csv")]),
+}
+BAD_VALUES = [(command, *setting) for command, (_, _, settings) in COMMANDS.items()
+              for setting in settings]
+
+
+class TestFlagConfigParity:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,key,flag,value", BAD_VALUES,
+                             ids=[f"{c}-{k}" for c, k, _, _ in BAD_VALUES])
+    def test_bad_value_is_a_usage_error_from_either_source(self, command, key, flag, value,
+                                                           source, tmp_path, monkeypatch, capsys):
+        argv, compute, _ = COMMANDS[command]
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError(f"{compute} ran with {key} = {value!r}")
+
+        monkeypatch.setattr(cli, compute, no_compute)
+        if source == "flag":
+            extra = [flag, value]
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            extra = ["--config", str(cfg)]
+        code, out, err = run([command, *argv, *extra], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in err and (flag if source == "flag" else key) in err
+        assert not out
 
 
 class TestReproducibility:

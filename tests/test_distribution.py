@@ -9,7 +9,6 @@ from matdist.distribution import (
     GERM_RADIUS,
     MODES,
     SamplerConfig,
-    admissibility_block,
     fibres_at,
     is_material_isomorphism,
     material_fibre,
@@ -24,7 +23,7 @@ from matdist.errors import (
 )
 from matdist.foliation import GridSpec, grade_map
 from matdist.numkit import DEFAULT_TOL, Tolerances, principal_angles
-from matdist.response import ConstitutiveModel, builtin, evaluate
+from matdist.response import ConstitutiveModel, builtin, derivatives, evaluate
 
 from conftest import expm3, random_invertible
 
@@ -66,7 +65,7 @@ class TestAdmissibilityBlock:
         # W = F: no base dependence, and the dP column (l,i) must carry
         # F[j,l] at response rows (j,i)
         F = random_invertible(np.random.default_rng(0))
-        B = admissibility_block(identity_cal, [0.1, 0.2, 0.3], F)
+        B = derivatives(identity_cal, [0.1, 0.2, 0.3], F)
         np.testing.assert_array_equal(B[:, :3], np.zeros((9, 3)))
         for j in range(3):
             for i in range(3):
@@ -77,7 +76,7 @@ class TestAdmissibilityBlock:
 
     def test_det_cal_row_is_scaled_identity_pattern(self, det_cal):
         F = random_invertible(np.random.default_rng(1))
-        B = admissibility_block(det_cal, [0.0, 0.0, 0.0], F)
+        B = derivatives(det_cal, [0.0, 0.0, 0.0], F)
         assert B.shape == (1, 12)
         np.testing.assert_allclose(B[0, :3], np.zeros(3), atol=1e-12)
         expected = np.linalg.det(F) * np.eye(3).ravel()
@@ -87,7 +86,7 @@ class TestAdmissibilityBlock:
         rng = np.random.default_rng(2)
         X = np.array([0.4, -0.2, 0.1])
         F = random_invertible(rng)
-        B = admissibility_block(example1, X, F)
+        B = derivatives(example1, X, F)
         for _ in range(20):
             u = rng.standard_normal(12)
             dX, dP = unpack(u)
@@ -97,7 +96,7 @@ class TestAdmissibilityBlock:
     def test_example1_identity_gradient_symmetrizes(self, example1):
         # at F = I the closed form collapses to f * (dP + dP^T)
         X = np.array([-0.5, 0.0, 0.0])
-        B = admissibility_block(example1, X, np.eye(3))
+        B = derivatives(example1, X, np.eye(3))
         rng = np.random.default_rng(3)
         dP = rng.standard_normal((3, 3))
         u = np.concatenate([np.zeros(3), dP.ravel()])
@@ -107,7 +106,7 @@ class TestAdmissibilityBlock:
         rng = np.random.default_rng(4)
         X = np.array([0.3, 0.2, 0.1])
         F = random_invertible(rng)
-        B = admissibility_block(example2, X, F)
+        B = derivatives(example2, X, F)
         for _ in range(20):
             u = rng.standard_normal(12)
             dX, dP = unpack(u)
@@ -116,7 +115,7 @@ class TestAdmissibilityBlock:
 
     def test_singular_gradient_rejected(self, example1):
         with pytest.raises(SingularMatrixError):
-            admissibility_block(example1, [0.0, 0.0, 0.0], np.diag([1.0, 1.0, 0.0]))
+            derivatives(example1, [0.0, 0.0, 0.0], np.diag([1.0, 1.0, 0.0]))
 
 
 class TestPointwiseFibre:

@@ -223,9 +223,8 @@ class TestChartConstruction:
     def test_expression_chart_with_jacobian_passes(self, example1):
         chart = chart_from_expressions(
             ["X2", "X3", "X1"], ["X3", "X1", "X2"], leafwise_count=2,
-            region=region_right_slab,
             jacobian_exprs=[["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]],
-        )
+        ).restrict(region_right_slab)
         report = homogeneity_check(example1, chart, n_pairs=6, n_samples=5)
         assert report.passed
 
@@ -235,8 +234,7 @@ class TestChartConstruction:
         # noise reaches the flat-derivative quotient and eq25 passes too
         chart = chart_from_expressions(
             ["X2", "X3", "X1"], ["X3", "X1", "X2"], leafwise_count=2,
-            region=region_right_slab,
-        )
+        ).restrict(region_right_slab)
         report = homogeneity_check(example1, chart, n_pairs=6, n_samples=5)
         assert report.foliated.passed
         assert report.translation.passed
@@ -254,8 +252,7 @@ class TestChartConstruction:
     def test_bad_inverse_is_caught(self, example1):
         chart = chart_from_expressions(
             ["X1", "X2", "X3"], ["X1 + 0.5", "X2", "X3"], leafwise_count=2,
-            region=region_right_slab,
-        )
+        ).restrict(region_right_slab)
         with pytest.raises(ValueError, match="round-trip"):
             homogeneity_check(example1, chart, n_pairs=4, n_samples=4)
 

@@ -91,12 +91,6 @@ class TestBlocksMatchTheReference:
         assert calls == [distribution._DERIV_LANES // k, 4]
         assert_matches(rows.reshape(n, k, model.dim, 12), reference(model, Xs, Fs))
 
-    def test_admissibility_block_is_the_model_block(self, example2):
-        F = random_invertible(np.random.default_rng(34))
-        X = np.array([0.2, -0.1, 0.3])
-        np.testing.assert_array_equal(distribution.admissibility_block(example2, X, F),
-                                      derivatives(example2, X, F))
-
 
 class TestOldContract:
     def test_pair_of_derivatives_fails_the_shape_check(self):

@@ -187,7 +187,8 @@ class TestDerivatives:
             B = derivatives_at_samples(model, Xs, Fs)
             assert B.shape == (5, k, model.dim, 12)
             for i, X in enumerate(Xs):
-                np.testing.assert_array_equal(B[i], derivatives_at_samples(model, X, Fs[i]))
+                np.testing.assert_array_equal(B[i], derivatives_at_samples(model, X[None],
+                                                                           Fs[i][None])[0])
 
     def test_non_finite_derivative_raises(self):
         def derivatives_(Xs, Fs):
@@ -213,7 +214,8 @@ class TestDerivatives:
 
     def test_batch_shapes(self, example2):
         Fs = np.array([np.eye(3), np.diag([1.0, 2.0, 3.0])])
-        assert derivatives_at_samples(example2, np.zeros(3), Fs, DEFAULT_TOL).shape == (2, 2, 12)
+        assert derivatives_at_samples(example2, np.zeros((1, 3)), Fs[None],
+                                      DEFAULT_TOL).shape == (1, 2, 2, 12)
 
 
 class TestBuiltins:
