@@ -221,16 +221,17 @@ def _parse_ints(text, what="integer list"):
         raise _UsageError(f"bad {what}: {text!r}") from None
 
 
-def _parse_params(items):
+def _parse_params(items, flag):
+    """``name=value`` items as a dict of floats; usage errors name ``flag``."""
     out = {}
     for item in items or []:
         if "=" not in item:
-            raise _UsageError(f"--param expects name=value, got {item!r}")
+            raise _UsageError(f"{flag} expects name=value, got {item!r}")
         name, value = item.split("=", 1)
         try:
             out[name.strip()] = float(value)
         except ValueError:
-            raise _UsageError(f"--param {name}: {value!r} is not a number") from None
+            raise _UsageError(f"{flag} {name}: {value!r} is not a number") from None
     return out
 
 
@@ -306,7 +307,7 @@ def _resolve_common(settings, command):
     settings.read.add("params")
     if params_text is None and "params" in settings.file_cfg:
         params_text = [p for p in settings.file_cfg["params"].split(";") if p]
-    params = _parse_params(params_text)
+    params = _parse_params(params_text, "--param")
     if params:
         settings.effective["params"] = ";".join(f"{k}={format_float(v)}" for k, v in sorted(params.items()))
     if (model_name is None) == (mdl_path is None):
@@ -511,7 +512,7 @@ def _build_chart(settings):
     if chart_items is None:  # the chart.<name> keys an emitted config holds
         chart_items = [f"{key[len('chart.'):]}={value}" for key, value in settings.file_cfg.items()
                        if key.startswith("chart.") and key != "chart.order"]
-    chart_params = _parse_params(chart_items)
+    chart_params = _parse_params(chart_items, "--chart-param")
     unread = sorted(set(chart_params) - set(_CHART_PARAMS.get(name, ())))
     if unread:
         raise _UsageError(f"chart {name!r} takes no parameter {', '.join(unread)}")

@@ -18,6 +18,7 @@ the kernel, and validation catches unlucky draws.
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,13 +164,6 @@ class IsoCheck:
 # sampling
 
 
-def _point_rng(sampler, key_values, salt):
-    """The generator of one node: the seed, the salt and the key's float bits, as 32-bit words."""
-    words = np.frombuffer(np.asarray(key_values, dtype=float).tobytes(), dtype=np.uint32)
-    head = np.array([int(sampler.seed) & 0xFFFFFFFF, int(salt)], dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(np.concatenate([head, words])))
-
-
 _SAMPLER_BATCHES = 200
 _EPS = np.finfo(float).eps
 
@@ -213,10 +207,6 @@ def _accepted(Fs, sampler):
     return keep
 
 
-def _batch_size(count):
-    return max(8, 2 * count)
-
-
 def sample_gradients(rng, count, sampler):
     """``count`` accepted random gradients from one generator: ``(count, 3, 3)``.
 
@@ -227,7 +217,7 @@ def sample_gradients(rng, count, sampler):
     """
     kept, have = [], 0
     for _ in range(_SAMPLER_BATCHES):
-        batch = rng.standard_normal((_batch_size(count), 3, 3))
+        batch = rng.standard_normal((max(8, 2 * count), 3, 3))
         kept.append(batch[_accepted(batch, sampler)])
         have += len(kept[-1])
         if have >= count:
@@ -235,45 +225,44 @@ def sample_gradients(rng, count, sampler):
     raise SamplerExhaustedError("gradient sampler failed to find acceptable samples")
 
 
-def _draws(rngs, points, counts, sampler):
-    """Successive :func:`sample_gradients` calls on each generator, in one batch:
-    ``points`` calls of each count in ``counts``, count after count.
+_POOL_DRAWS = 256  # draws a process keeps; a grade map reads 3 to 5 per mode
 
-    Returns one ``(len(rngs), points, count, 3, 3)`` array per count and
-    leaves every generator where the calls would.  One ``standard_normal``
-    call yields the numbers of successive ones, so the first batch of every
-    call of every generator is drawn at once and judged by one
-    :func:`_accepted` call.  A generator with a call that comes up short is
-    rewound and its calls are made one by one, in order.
+
+def _pool(sampler, salt, t, points):
+    """Draw ``t`` of the schedule at ``points`` cloud points, which every node
+    reads: ``(points, count, 3, 3)``, read-only.
+
+    Draw 0 holds ``k_init`` gradients per point (:func:`_with_anchors` adds
+    the anchors), draw ``t`` after it ``k_init << (t - 1)``: ``points``
+    successive :func:`sample_gradients` calls on a generator seeded by
+    ``(seed, salt, t)``, made once per process.  Only ``seed``, ``k_init``,
+    ``det_min`` and ``cond_max`` decide it.  A draw the sampler cannot make
+    is remembered too, and each read of it raises
+    :class:`SamplerExhaustedError`.
     """
-    states = [rng.bit_generator.state for rng in rngs]
-    sizes = [_batch_size(count) for count in counts]
-    batch = np.stack([rng.standard_normal((points * sum(sizes), 3, 3)) for rng in rngs])
-    keep = _accepted(batch.reshape(-1, 3, 3), sampler).reshape(batch.shape[:2])
-    full = np.ones(len(rngs), dtype=bool)  # generators to keep, the others replay
-    firsts, start = [], 0
-    for count, size in zip(counts, sizes):
-        part = batch[:, start:start + points * size].reshape(len(rngs), points, size, 3, 3)
-        kept = keep[:, start:start + points * size].reshape(len(rngs), points, size)
-        start += points * size
-        have = np.cumsum(kept, axis=2)
-        kept &= have <= count  # the first count of each call
-        full &= (have[..., -1] >= count).all(axis=1)
-        firsts.append((part, kept))
-    out = []
-    for count, (part, kept) in zip(counts, firsts):
-        kept[~full] = False
-        out.append(np.empty((len(rngs), points, count, 3, 3)))
-        out[-1][full] = part[kept].reshape(-1, points, count, 3, 3)
-    for i in np.flatnonzero(~full):
-        rngs[i].bit_generator.state = states[i]
-        for draw, count in zip(out, counts):
-            draw[i] = [sample_gradients(rngs[i], count, sampler) for _ in range(points)]
-    return out
+    Fs = _pool_draw(int(sampler.seed) & 0xFFFFFFFF, int(sampler.k_init), sampler.det_min,
+                    sampler.cond_max, salt, t, points)
+    if Fs is None:
+        raise SamplerExhaustedError("gradient sampler failed to find acceptable samples")
+    return Fs
+
+
+@lru_cache(maxsize=_POOL_DRAWS)
+def _pool_draw(seed, k_init, det_min, cond_max, salt, t, points):
+    """The draw behind :func:`_pool`, or ``None`` when the sampler gives out."""
+    sampler = SamplerConfig(seed, k_init, 2 * k_init, det_min, cond_max)  # as _accepted reads it
+    rng = np.random.default_rng([seed, salt, t])
+    count = k_init << max(t - 1, 0)
+    try:
+        Fs = np.stack([sample_gradients(rng, count, sampler) for _ in range(points)])
+    except SamplerExhaustedError:
+        return None
+    Fs.flags.writeable = False
+    return Fs
 
 
 def _with_anchors(Fs, sampler):
-    """The anchors followed by each node's draws ``Fs (n,k,3,3)``: ``(n, k+3, 3, 3)``."""
+    """The anchors followed by each row of draws ``Fs (n,k,3,3)``: ``(n, k+3, 3, 3)``."""
     anchors = np.repeat(sampler.anchor_matrices()[None], len(Fs), axis=0)
     return np.concatenate([anchors, Fs], axis=1)
 
@@ -309,7 +298,7 @@ def _blocks(model, Xs, Fs, tol):
 # fibre computation
 #
 # One kernel serves every fibre: a system yields admissibility rows for a set
-# of nodes, one generator per node; _saturate solves them in lockstep and
+# of nodes, all reading one gradient pool; _saturate solves them in lockstep and
 # _fibres validates and grades the results, one FibreResult per node.
 # fibres_at is its one entry, in both modes: it runs chunks of points through
 # the kernel and isolates each failure to its point.  material_fibre, grade
@@ -334,14 +323,13 @@ class _System:
     solve block is replaced by its QR factor before the lift.  Validation
     applies the lift to the basis and reads the raw blocks.
 
-    Every node's cloud draws from that node's generator, seeded by its
-    coordinates and the jet order, in a fixed schedule of gradient draws
-    per cloud point: ``k_init`` (led by the anchors), ``k_init``,
-    ``2 k_init``, ``4 k_init`` and so on.  Each read takes a node's next
-    draw, as a solve round or as held-out samples.  Clouds near the domain
-    boundary lose points; nodes whose clouds differ in size cannot share
-    one stacked system, so such a batch raises and the caller runs its
-    nodes one by one.
+    Every node reads one fixed schedule of gradient draws per cloud point,
+    salted by the jet order (:func:`_pool`): ``k_init`` (led by the
+    anchors), ``k_init``, ``2 k_init``, ``4 k_init`` and so on.  Each read
+    takes a node's next draw, as a solve round or as held-out samples.
+    Clouds near the domain boundary lose points; nodes whose clouds differ
+    in size cannot share one stacked system, so such a batch raises and the
+    caller runs its nodes one by one.
     """
 
     dx = slice(0, 3)  # the base velocity dX0 leads the unknowns in both orders
@@ -359,33 +347,31 @@ class _System:
         self.lift = _lift(self.clouds - Xs[:, None], self.order)  # (n, points, 12, unknowns)
         self.n_unknowns = self.lift.shape[-1]
         self.dp = slice(3 + 9 * self.order, 12 + 9 * self.order)  # dP0, after dX0 and A
-        self.rngs = [_point_rng(sampler, X, self.order) for X in Xs]
         self.read = np.zeros(len(Xs), dtype=int)  # draws each node has read
-        self.ahead = []  # raw blocks of the draws every node drew in advance
+        self.ahead = []  # raw blocks of the draws derived for every node in advance
 
     def prepare(self, draws):
-        """Draw and derive every node's first ``draws`` draws at once, before any read.
+        """Derive every node's first ``draws`` draws at once, before any read.
 
         A failure there (an exhausted sampler, a non-finite lane) may lie in
-        a draw that some node never reads, so it fails no node: the
-        generators start over, and each read draws its own, as if nothing
-        had been prepared.
+        a draw that some node never reads, so it fails no node: nothing is
+        kept, and each read derives its own draw.
         """
         try:
-            self.ahead = self._raw(list(range(len(self.rngs))), range(draws))
+            self.ahead = self._raw(list(range(len(self.read))), range(draws))
         except MatdistError:
-            self.rngs = [_point_rng(self.sampler, X, self.order) for X in self.clouds[:, 0]]
+            self.ahead = []
 
     def _raw(self, nodes, draws):
         """Raw blocks of the successive ``draws`` of ``nodes``: ``(n, points, rows, 12)`` each."""
         n, p, sampler = len(nodes), self.points_per_node, self.sampler
-        counts = [sampler.k_init << max(t - 1, 0) for t in draws]
-        Fs = [F.reshape(n * p, -1, 3, 3) for F in _draws([self.rngs[i] for i in nodes], p, counts,
-                                                        sampler)]
+        Fs = [_pool(sampler, self.order, t, p) for t in draws]
         if draws[0] == 0:
             Fs[0] = _with_anchors(Fs[0], sampler)
+        drawn = np.concatenate(Fs, axis=1)  # (p, k, 3, 3), the same for every node
         rows = _blocks(self.model, self.clouds[nodes].reshape(n * p, 3),
-                       np.concatenate(Fs, axis=1), self.tol)
+                       np.broadcast_to(drawn, (n,) + drawn.shape).reshape(n * p, -1, 3, 3),
+                       self.tol)
         ends = np.cumsum([0] + [F.shape[1] * self.model.dim for F in Fs]).tolist()
         return [rows[:, a:b].reshape(n, p, -1, 12) for a, b in zip(ends, ends[1:])]
 
@@ -478,9 +464,9 @@ def _saturate(system, validate):
     """
     sampler = system.sampler
     system.prepare(3 if validate else 2)
-    results = [None] * len(system.rngs)
-    dims = [[] for _ in system.rngs]
-    open_nodes = list(range(len(system.rngs)))
+    results = [None] * len(system.read)
+    dims = [[] for _ in system.read]
+    open_nodes = list(range(len(system.read)))
     k = sampler.k_init
     M = system.rows(open_nodes)
     while True:
@@ -605,11 +591,11 @@ def fibres_at(model, Xs, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_
     and ``heldout_residual`` 0), and ``sym_basis`` is filled only when
     ``symmetry`` is set.  The cloud arguments (checked by
     :func:`check_germ_args`) and ``mode`` are checked before any compute.
-    In-domain points run in chunks of ``_CHUNK_NODES``.  Every point draws
-    from its own generator, seeded by its coordinates and the mode, so
-    results do not depend on how the points are batched: a chunk that
-    raises is re-run point by point, which reproduces the others exactly
-    and pins the failure to its point.
+    In-domain points run in chunks of ``_CHUNK_NODES``.  Every point reads
+    the same gradient draws (:func:`_pool`), so results do not depend on
+    how the points are batched: a chunk that raises is re-run point by
+    point, which reproduces the others exactly and pins the failure to its
+    point.
     """
     check_germ_args(germ_radius, germ_cloud)
     if mode not in MODES:
@@ -676,7 +662,8 @@ def is_material_isomorphism(model, X, Y, P, sampler=DEFAULT_SAMPLER, tol=DEFAULT
     """Test whether the jet ``P`` from ``X`` to ``Y`` is a material isomorphism.
 
     The residual is ``max_F |W(X, F P) - W(Y, F)|`` over the anchor set and
-    ``k_init`` random gradients; the verdict is ``residual <= residual_tol``.
+    ``k_init`` random gradients, the same for every ``(X, Y)``; the verdict
+    is ``residual <= residual_tol``.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -688,8 +675,7 @@ def is_material_isomorphism(model, X, Y, P, sampler=DEFAULT_SAMPLER, tol=DEFAULT
     for name, point in (("X", X), ("Y", Y)):
         if not model.in_domain(point):
             raise DomainError(f"{name}={point.tolist()} is outside the domain of model {model.name!r}")
-    rng = _point_rng(sampler, np.concatenate([X, Y]), salt=2)
-    Fs = _with_anchors(sample_gradients(rng, sampler.k_init, sampler)[None], sampler)[0]
+    Fs = _with_anchors(_pool(sampler, 2, 0, 1), sampler)[0]  # salt 2: after the jet orders
     WX = evaluate_at_samples(model, np.broadcast_to(X, (len(Fs), 3)), Fs @ P)
     WY = evaluate_at_samples(model, np.broadcast_to(Y, (len(Fs), 3)), Fs)
     diffs = np.abs(WX - WY).max(axis=1)

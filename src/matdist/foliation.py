@@ -412,8 +412,8 @@ def grade_map(model, grid, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAUL
     either mode run in chunks through the one fibre entry
     (:func:`~matdist.distribution.fibres_at`), which checks the ``germ1``
     cloud arguments and the mode before any node runs; results do not
-    depend on how nodes are batched, because every node draws its own
-    generator state from the base seed and the node coordinates.
+    depend on how nodes are batched, because every node reads the same
+    gradient draws.
     ``threads`` is ignored: the map runs in this process.  Its only caller
     is ``bench/run.py:pool_probe``, and both go together (ROADMAP item 1(c)).
     """
@@ -445,29 +445,36 @@ def grade_map(model, grid, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAUL
 
 
 def _label_strata(grade):
-    """6-connected flood fill over nodes of equal grade."""
-    shape = grade.shape
-    labels = np.full(shape, -1, dtype=int)
-    next_label = 0
-    offsets = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
-    for start in np.argwhere(grade >= 0):
-        start = tuple(start)
-        if labels[start] != -1:
-            continue
-        value = grade[start]
-        stack = [start]
-        labels[start] = next_label
-        while stack:
-            node = stack.pop()
-            for off in offsets:
-                nb = (node[0] + off[0], node[1] + off[1], node[2] + off[2])
-                if any(c < 0 or c >= shape[i] for i, c in enumerate(nb)):
-                    continue
-                if labels[nb] == -1 and grade[nb] == value:
-                    labels[nb] = next_label
-                    stack.append(nb)
-        next_label += 1
-    return labels
+    """6-connected components of equal known grade, numbered in the order of
+    their first node in C order; unknown (negative) nodes get -1.
+
+    Labels start as flat indices.  A round takes the smaller label across
+    every equal-grade edge, then jumps each label to its label's label, so
+    labels fall and stay in their component until each holds its smallest
+    index; a round that changes nothing ends the loop.
+    """
+    index = np.arange(grade.size).reshape(grade.shape)
+    lo, hi = [], []
+    for axis in range(grade.ndim):
+        g, i = np.moveaxis(grade, axis, 0), np.moveaxis(index, axis, 0)
+        same = (g[:-1] == g[1:]) & (g[:-1] >= 0)
+        lo.append(i[:-1][same])
+        hi.append(i[1:][same])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    labels = index.ravel()
+    for _ in range(grade.size):  # each round but the last lowers a label
+        low = np.minimum(labels[lo], labels[hi])
+        new = labels.copy()
+        np.minimum.at(new, lo, low)
+        np.minimum.at(new, hi, low)
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    known = grade.ravel() >= 0
+    out = np.full(grade.size, -1)
+    out[known] = np.unique(labels[known], return_inverse=True)[1]
+    return out.reshape(grade.shape)
 
 
 def regularity_report(field):

@@ -7,6 +7,8 @@ contract: the response of a simple body depends on the jet's source point
 and gradient only.
 """
 
+import math
+
 import numpy as np
 
 from . import dsl
@@ -97,7 +99,8 @@ class ConstitutiveModel:
 
     def in_domain(self, X):
         X = np.asarray(X, dtype=float)
-        if X.shape != (3,) or not np.all(np.isfinite(X)):
+        # math.isfinite over three floats: np.isfinite costs more than the test
+        if X.shape != (3,) or not all(map(math.isfinite, X.tolist())):
             return False
         return True if self.domain is None else bool(self.domain(X))
 
@@ -290,7 +293,7 @@ class _PiecewiseStiffCube:
         return out if out.ndim else float(out)
 
     def domain(self, X):
-        return bool(np.all(np.abs(X) < 1.0))
+        return all([abs(v) < 1.0 for v in X.tolist()])  # a NaN anywhere is outside
 
     def evaluate(self, Xs, Fs):
         f = self.stiffness(Xs[:, 0])

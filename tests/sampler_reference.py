@@ -1,10 +1,9 @@
 """Reference oracle for the gradient sampler: the plain acceptance test and draws.
 
 A gradient is accepted when ``np.linalg.det`` and ``np.linalg.cond`` pass it,
-each generator keeps its own candidate loop, and the points of a cloud are
-drawn one after the other, exactly as matdist sampled before its condition
-test was bounded and its draws batched.  Tests compare the package's
-sampler against it; nothing in the package uses it.
+and a generator keeps its own candidate loop, exactly as matdist sampled
+before its condition test was bounded.  Tests compare the package's sampler
+and its gradient pool against it; nothing in the package uses it.
 """
 
 import numpy as np
@@ -28,18 +27,3 @@ def sample_gradients(rng, count, sampler):
         if len(kept) >= count:
             return np.stack(kept[:count])
     raise RuntimeError("gradient sampler failed to find acceptable samples")
-
-
-def draws(rngs, points, count, sampler):
-    """One :func:`sample_gradients` call per point, point after point, generator after
-    generator: ``(len(rngs), points, count, 3, 3)``."""
-    return np.stack([[sample_gradients(rng, count, sampler) for _ in range(points)]
-                     for rng in rngs])
-
-
-def install(monkeypatch, distribution):
-    """Make ``distribution`` sample through this oracle for the rest of a test."""
-    monkeypatch.setattr(distribution, "_accepted", accepted)
-    monkeypatch.setattr(distribution, "sample_gradients", sample_gradients)
-    monkeypatch.setattr(distribution, "_draws", lambda rngs, points, counts, sampler: [
-        draws(rngs, points, count, sampler) for count in counts])

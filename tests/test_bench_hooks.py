@@ -88,13 +88,14 @@ def test_hooks_see_a_grade_map(tracing, det_cal):
 
 
 def test_traced_runs_replay_draws_and_probe_the_pool(tracing, example2, det_cal):
-    # a tight sampler leaves some first batches short, so the fibre's draws are
-    # rewound and replayed through the traced sample_gradients and its proxy
-    # generators; grade_map(threads=2) is the call bench/run.py:pool_probe makes
+    # a cleared pool draws again, through the traced sample_gradients and its
+    # proxy generators; a tight sampler leaves some first batches short, so
+    # they draw more; grade_map(threads=2) is the call bench/run.py:pool_probe makes
     sampler = SamplerConfig(cond_max=8.0)
     point = [0.3, 0.2, 0.1]
     grid = GridSpec((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2, 1, 1))
     want = distribution.material_fibre(example2, point, sampler=sampler, mode="germ1")
+    distribution._pool_draw.cache_clear()
     tracer = tracing.Tracer()
     try:
         tracer.install(MODULES)

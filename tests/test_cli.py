@@ -434,6 +434,23 @@ class TestUsageErrors:
         assert "usage error" in err and f"no parameter {unread}" in err and "rho_min" not in err
         assert not out
 
+    @pytest.mark.parametrize("flag,item,message", [
+        ("--param", "r", "--param expects name=value, got 'r'"),
+        ("--param", "r=abc", "--param r: 'abc' is not a number"),
+        ("--chart-param", "rho_min", "--chart-param expects name=value, got 'rho_min'"),
+        ("--chart-param", "rho_min=abc", "--chart-param rho_min: 'abc' is not a number"),
+    ], ids=["param-form", "param-number", "chart-param-form", "chart-param-number"])
+    def test_malformed_parameter_names_its_flag(self, flag, item, message, monkeypatch, capsys):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("homogeneity_check ran with a malformed parameter")
+
+        monkeypatch.setattr(cli, "homogeneity_check", no_compute)
+        code, out, err = run(["homog", "--model", "example2", "--chart", "spherical_cap",
+                              flag, item], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in err and message in err
+        assert not out
+
     def test_unknown_chart_fails_before_the_model_is_built(self, monkeypatch, capsys):
         def no_model(*args, **kwargs):
             raise AssertionError("the model was built before the chart name check")

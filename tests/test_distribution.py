@@ -430,23 +430,6 @@ class TestFibreEntry:
             for X, node in zip(batch, fibres_at(model, batch, mode="germ1")):
                 assert_node_is_the_fibre(model, X, node, "germ1")
 
-    def test_each_mode_seeds_its_own_streams(self, example2, monkeypatch):
-        # the salts are part of every payload: pointwise nodes draw from
-        # stream 0 and germ1 nodes from stream 1 of their coordinates
-        seeded = []
-        point_rng = distribution._point_rng
-
-        def spy(sampler, key_values, salt):
-            seeded.append((tuple(key_values), salt))
-            return point_rng(sampler, key_values, salt)
-
-        monkeypatch.setattr(distribution, "_point_rng", spy)
-        points = [(0.3, 0.2, 0.1), (-0.4, 0.1, 0.0)]
-        for mode, salt in (("pointwise", 0), ("germ1", 1)):
-            seeded.clear()
-            fibres_at(example2, points, mode=mode)
-            assert seeded == [(X, salt) for X in points]
-
     @pytest.mark.parametrize("mode", MODES)
     def test_exhausted_sampler_fails_each_node(self, example1, mode):
         # a valid bound that no random gradient meets: the sampler gives up

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from matdist import foliation
 from matdist.errors import NonFiniteError
 from matdist.foliation import (
     GridSpec,
@@ -19,6 +20,8 @@ from matdist.foliation import (
 )
 from matdist.distribution import base_basis_at, material_fibre
 from matdist.response import ConstitutiveModel, builtin
+
+from strata_reference import label_strata
 
 
 def fragile_batched(analytic):
@@ -159,9 +162,8 @@ class TestGradeMap:
 
     @pytest.mark.parametrize("name", ["example1", "example2", "det_cal"])
     def test_batching_matches_single_node_fibres(self, name):
-        # per-node generator state is derived from the node coordinates, so
-        # running nodes in batches (40 nodes: several chunks) cannot change
-        # any bit of a result
+        # every node reads the same gradient draws, so running nodes in
+        # batches (40 nodes: several chunks) cannot change any bit of a result
         model = builtin(name)
         grid = GridSpec((-0.6, -0.3, -0.2), (0.6, 0.3, 0.2), (5, 4, 2))
         field = grade_map(model, grid)
@@ -176,8 +178,8 @@ class TestGradeMap:
 
     @pytest.mark.parametrize("name", ["example1", "example2"])
     def test_germ1_batching_matches_single_node_fibres(self, name):
-        # germ1 nodes run in chunks too (18 nodes: two chunks), each cloud
-        # drawing from its own node's generator
+        # germ1 nodes run in chunks too (18 nodes: two chunks), every cloud
+        # reading the same draws
         model = builtin(name)
         grid = GridSpec((-0.6, -0.3, -0.2), (0.6, 0.3, 0.2), (3, 3, 2))
         field = grade_map(model, grid, mode="germ1")
@@ -303,3 +305,34 @@ class TestSerialization:
         assert 'viewBox="0 0 720 720"' in svg
         assert "<polyline" in svg
         assert "orange" in svg  # grade-2 color
+
+
+class TestStrataLabels:
+    # the vectorised labelling against the flood fill it replaced: the same
+    # labels, numbered in the same order, with -1 at unknown nodes
+    def test_random_grids_match_the_flood_fill(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            shape = tuple(rng.integers(1, 9, 3))
+            grades = rng.integers(1, 4)
+            grade = rng.integers(-1, grades, shape)
+            if rng.random() < 0.5:  # large blocks, so that strata wind through the grid
+                grade = np.where(rng.random(shape) < 0.9, grade.flat[0], grade)
+            np.testing.assert_array_equal(foliation._label_strata(grade), label_strata(grade))
+
+    @pytest.mark.parametrize("grade", [
+        np.full((3, 4, 5), -1), np.zeros((1, 1, 1), dtype=int), np.zeros((0, 2, 2), dtype=int),
+        np.arange(24).reshape(2, 3, 4) % 2,
+    ], ids=["unknown", "one-node", "empty", "checkerboard-ish"])
+    def test_edge_grids(self, grade):
+        np.testing.assert_array_equal(foliation._label_strata(grade), label_strata(grade))
+
+    def test_winding_stratum_is_one_label(self):
+        # a corridor of grade 2 that snakes through walls of grade 1
+        grade = np.ones((9, 9, 9), dtype=int)
+        grade[:, ::2, :] = 2
+        grade[:, 1::4, -1] = 2
+        grade[:, 3::4, 0] = 2
+        labels = foliation._label_strata(grade)
+        np.testing.assert_array_equal(labels, label_strata(grade))
+        assert len(np.unique(labels[grade == 2])) == 1

@@ -1,9 +1,8 @@
 """Lockstep leaf tracing against the sequential oracle in ``leaf_reference``.
 
-Every leaf draws its base queries from generators seeded by the query
-point, so a leaf traced beside others, alone, or one point at a time by
-the oracle must give the same bits, the same stop reason and the same
-error.
+Every base query reads the same gradient draws wherever its point lies,
+so a leaf traced beside others, alone, or one point at a time by the
+oracle must give the same bits, the same stop reason and the same error.
 """
 
 import os

@@ -2,6 +2,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matdist.errors import DomainError, NonFiniteError, SingularMatrixError
 from matdist.numkit import DEFAULT_TOL
@@ -297,3 +299,66 @@ class TestParsedModels:
         assert parse_model("response = det(F)\n").dim == 1
         assert parse_model("response = F * X\n").dim == 3
         assert parse_model("response = F' * F\n").dim == 9
+
+
+def old_in_domain(model, X):
+    """The one-point domain test as numpy decided it, with example1's ``|X| < 1``."""
+    X = np.asarray(X, dtype=float)
+    if X.shape != (3,) or not np.all(np.isfinite(X)):
+        return False
+    if model.name == "example1":
+        return bool(np.all(np.abs(X) < 1.0))
+    return True if model.domain is None else bool(model.domain(X))
+
+
+def outcome(decide, model, X):
+    try:
+        return decide(model, X)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+EDGE_FLOATS = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0,
+                               np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
+                               np.nextafter(1.0, 2.0), 5e-324, 0.5])
+COORDS = st.one_of(st.floats(), EDGE_FLOATS, st.floats(-1.0, 1.0))
+
+
+def near_sphere():
+    """Unit-sphere points of ``example2`` moved by a few ulps either way."""
+    direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda u: np.dot(u, u) > 1e-6)
+    return st.builds(lambda u, ulps: (np.asarray(u) / np.linalg.norm(u))
+                     * (1.0 + ulps * np.finfo(float).eps), direction, st.integers(-4, 4))
+
+
+POINTS = st.one_of(
+    st.lists(COORDS, min_size=3, max_size=3),
+    st.tuples(COORDS, COORDS, COORDS).map(np.array),
+    near_sphere(),
+    st.lists(COORDS, max_size=5),  # wrong lengths
+    st.lists(st.lists(COORDS, min_size=3, max_size=3), min_size=1, max_size=2),  # (1,3), (2,3)
+    st.lists(st.lists(COORDS, min_size=1, max_size=1), min_size=3, max_size=3),  # (3,1)
+    st.lists(st.one_of(COORDS, st.lists(COORDS, max_size=2)), min_size=3, max_size=3),  # ragged
+)
+
+
+class TestInDomain:
+    MODELS = {"example1": builtin("example1"), "example2": builtin("example2"),
+              "no domain": ConstitutiveModel("free", 1, lambda Xs, Fs: np.zeros((len(Xs), 1)))}
+
+    @settings(max_examples=400, deadline=None)
+    @given(X=POINTS, name=st.sampled_from(sorted(MODELS)))
+    def test_decisions_match_the_numpy_test(self, X, name):
+        model = self.MODELS[name]
+        assert outcome(ConstitutiveModel.in_domain, model, X) == outcome(old_in_domain, model, X)
+
+    @pytest.mark.parametrize("X,inside", [
+        ((0.0, 0.0, 0.0), True), ((-0.0, 0.0, -0.0), True), ((1.0, 0.0, 0.0), False),
+        ((0.0, -1.0, 0.0), False), ((np.nan, 0.0, 0.0), False), ((0.0, np.inf, 0.0), False),
+        ((0.5, np.nan, 0.0), False), ((0.0, 0.5, np.nan), False),
+        ((np.nextafter(1.0, 0.0),) * 3, True),
+    ])
+    def test_example1_edges(self, example1, X, inside):
+        assert example1.in_domain(np.array(X)) is inside
+        # the predicate alone, as numpy decided it: a NaN anywhere is outside
+        assert example1.domain(np.array(X)) is bool(np.all(np.abs(X) < 1.0))

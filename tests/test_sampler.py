@@ -1,27 +1,28 @@
-"""The gradient sampler against its reference oracle.
+"""The gradient sampler and its pool against the reference oracle.
 
-The package decides the condition test mostly by a bound and draws the
-first batch of every point of every generator at once; ``sampler_reference``
-keeps the plain ``det`` + ``cond`` test and the sequential draws.  Every
-decision, draw and generator state must match it bit for bit, and so must
-whole fibres.
+The package decides the condition test mostly by a bound, and every node
+reads one pool of draws per sampler; ``sampler_reference`` keeps the plain
+``det`` + ``cond`` test and the sequential draws of one generator.  Every
+decision and every pool draw must match it bit for bit, and so must whole
+fibres read from a pool that the oracle drew.
 """
 
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import matdist
 from matdist import distribution
 from matdist.distribution import (
+    DEFAULT_SAMPLER,
     SamplerConfig,
     fibres_at,
     is_material_isomorphism,
     material_fibre,
 )
+from matdist.errors import SamplerExhaustedError
+from matdist.foliation import GridSpec, grade_map
 from matdist.response import builtin, load_model_file
 
 import sampler_reference as reference
@@ -139,143 +140,105 @@ class TestAcceptanceDecisions:
         assert distribution._accepted(Fs, sampler_with(np.inf, 0.0)).all()
 
 
-def counting_replays(monkeypatch):
-    calls = []
-    original = distribution.sample_gradients
-
-    def counted(rng, count, sampler):
-        calls.append(count)
-        return original(rng, count, sampler)
-
-    monkeypatch.setattr(distribution, "sample_gradients", counted)
-    return calls
+SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32 + 7, -1]
 
 
-def doubling(sampler):
-    k = sampler.k_init
-    while k <= sampler.k_max:
-        yield k
-        k *= 2
-
-
-def assert_same_draws(rngs, points, counts, sampler):
-    """``_draws`` on ``rngs`` against the oracle on copies, called count after
-    count: draws and end states."""
-    theirs = [np.random.Generator(type(rng.bit_generator)()) for rng in rngs]
-    for a, b in zip(rngs, theirs):
-        b.bit_generator.state = a.bit_generator.state
-    got = distribution._draws(rngs, points, counts, sampler)
-    assert len(got) == len(counts)
-    for draw, count in zip(got, counts):
-        assert draw.shape == (len(rngs), points, count, 3, 3)
-        assert np.array_equal(draw, reference.draws(theirs, points, count, sampler))
-    # so the held-out draws that follow are the same too
-    for a, b in zip(rngs, theirs):
-        assert a.bit_generator.state == b.bit_generator.state
-
-
-class TestDraws:
-    @pytest.mark.parametrize("n_rngs", [1, 3, 16])
-    def test_sample_many_matches_reference(self, n_rngs, monkeypatch):
-        sampler = SamplerConfig()
-        replays = counting_replays(monkeypatch)
-        for points in (1, 21):
-            for count in doubling(sampler):
-                rngs = [np.random.default_rng([count, points, i]) for i in range(n_rngs)]
-                assert_same_draws(rngs, points, (count,), sampler)
-        assert replays == [], "default draws should come in one batch"
-
-    def test_short_generators_draw_more_batches(self, monkeypatch):
-        sampler = sampler_with(cond_max=8.0)  # about half the draws pass
-        replays = counting_replays(monkeypatch)
-        for n_rngs in (1, 3, 16):
-            for points in (1, 21):
-                rngs = [np.random.default_rng([5, n_rngs, points, i]) for i in range(n_rngs)]
-                assert_same_draws(rngs, points, (16,), sampler)
-        assert replays, "no first batch came up short"
-
-    @pytest.mark.parametrize("points", [1, 21])
-    def test_cloud_draws_match_sequential_draws(self, points, monkeypatch):
-        sampler = SamplerConfig()
-        replays = counting_replays(monkeypatch)
-        for k in doubling(sampler):
-            assert_same_draws([np.random.default_rng([k, points])], points, (k,), sampler)
-        assert replays == [], "a default cloud should be drawn in one batch"
-
-    def test_shortfall_replays_sequential_draws(self, monkeypatch):
-        sampler = sampler_with(cond_max=8.0)
-        replays = counting_replays(monkeypatch)
-        for k in (8, 16):
-            assert_same_draws([np.random.default_rng([7, k])], 21, (k,), sampler)
-        assert replays == [8] * 21 + [16] * 21
-
-    # a node's schedule: the first two draws, and the held-out third when validating
-    @pytest.mark.parametrize("counts", [(8, 8), (8, 8, 16)], ids=["two", "three"])
-    @pytest.mark.parametrize("n_rngs", [1, 3, 16])
-    @pytest.mark.parametrize("points", [1, 21])
-    def test_several_counts_match_sequential_draws(self, counts, n_rngs, points, monkeypatch):
-        replays = counting_replays(monkeypatch)
-        rngs = [np.random.default_rng([len(counts), n_rngs, points, i]) for i in range(n_rngs)]
-        assert_same_draws(rngs, points, counts, SamplerConfig())
-        assert replays == [], "default draws should come in one batch"
-
-    @pytest.mark.parametrize("counts", [(8, 8), (8, 8, 16)], ids=["two", "three"])
-    @pytest.mark.parametrize("n_rngs", [1, 3, 16])
-    @pytest.mark.parametrize("points", [1, 21])
-    def test_several_counts_replay_in_order(self, counts, n_rngs, points, monkeypatch):
-        sampler = sampler_with(cond_max=8.0)
-        replays = counting_replays(monkeypatch)
-        rngs = [np.random.default_rng([9, len(counts), n_rngs, points, i]) for i in range(n_rngs)]
-        assert_same_draws(rngs, points, counts, sampler)
-        # each short generator replays every call of every count, count after count
-        per_generator = [count for count in counts for _ in range(points)]
-        assert replays, "no first batch came up short"
-        assert replays == per_generator * (len(replays) // len(per_generator))
-
-
-def list_entropy_rng(sampler, key_values, salt):
-    """A node's generator as first seeded: the entropy a list of Python ints."""
-    data = np.ascontiguousarray(np.asarray(key_values, dtype=float))
-    words = np.frombuffer(data.tobytes(), dtype=np.uint32)
-    entropy = [int(sampler.seed) & 0xFFFFFFFF, int(salt)] + [int(w) for w in words]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def assert_same_generator(sampler, key, salt):
-    got = distribution._point_rng(sampler, key, salt)
-    want = list_entropy_rng(sampler, key, salt)
-    assert got.bit_generator.state == want.bit_generator.state
-    assert np.array_equal(got.standard_normal(9), want.standard_normal(9))
-
-
-SUBNORMAL = np.nextafter(0.0, 1.0)
-EDGE_KEYS = [
-    (0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (-0.0, -0.0, -0.0),
-    (SUBNORMAL, -SUBNORMAL, 2.2250738585072014e-308 / 7),
-    (1e-300, 0.05, 0.025), (np.nextafter(0.05, 0.0), 1e-5, 0.05), (0.01, 0.0, 0.0),
-    (0.3, 0.2, 0.1, 0.5, 0.0, 0.2),  # the two points of an isomorphism check
-    (-0.0, SUBNORMAL, 0.04, 0.999, -0.5, 1e-310),
-]
-SEEDS = [0, 1, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**63 - 1, -1]
-
-
-class TestPointGenerators:
-    # the uint32 entropy array must seed every node exactly as the list did
+class TestPool:
+    @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("salt", [0, 1, 2])
-    def test_edge_keys_and_seeds(self, salt):
-        for seed in SEEDS:
-            for key in EDGE_KEYS:
-                assert_same_generator(SamplerConfig(seed=seed), key, salt)
+    def test_draws_are_successive_calls_of_one_generator(self, seed, salt):
+        # draw t: k_init gradients at t = 0 and k_init << (t - 1) after,
+        # one sample_gradients call per cloud point on the (seed, salt, t) generator
+        sampler = SamplerConfig(seed=seed)
+        for t in range(4):
+            for points in (1, 21):
+                rng = np.random.default_rng([seed & 0xFFFFFFFF, salt, t])
+                count = sampler.k_init << max(t - 1, 0)
+                want = [reference.sample_gradients(rng, count, sampler) for _ in range(points)]
+                got = distribution._pool(sampler, salt, t, points)
+                assert got.shape == (points, count, 3, 3)
+                assert np.array_equal(got, np.stack(want))
 
-    @settings(max_examples=200, deadline=None)
-    @given(key=st.one_of(
-               st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
-               st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6),
-               st.tuples(st.floats(0.0, 0.05, exclude_min=True), st.floats(-1.0, 1.0),
-                         st.floats(-1.0, 1.0))),
-           seed=st.integers(-2**63, 2**64 - 1), salt=st.sampled_from([0, 1, 2]))
-    def test_any_key(self, key, seed, salt):
-        assert_same_generator(SamplerConfig(seed=seed), key, salt)
+    def test_key_is_what_decides_a_draw(self):
+        base = SamplerConfig(seed=5)
+        drawn = distribution._pool(base, 0, 1, 21)
+        for changed in (SamplerConfig(seed=6), SamplerConfig(seed=5, k_init=9),
+                        SamplerConfig(seed=5, det_min=1.0), SamplerConfig(seed=5, cond_max=10.0)):
+            other = distribution._pool(changed, 0, 1, 21)
+            assert other.shape != drawn.shape or not np.array_equal(other, drawn), changed
+        # anchors (here an unhashable array) and k_max do not enter the key
+        same = [SamplerConfig(seed=5, k_max=64),
+                SamplerConfig(seed=5, anchors=2.0 * np.eye(3)[None])]
+        for unchanged in same:
+            assert distribution._pool(unchanged, 0, 1, 21) is drawn
+
+    def test_cached_draws_are_read_only(self):
+        drawn = distribution._pool(DEFAULT_SAMPLER, 0, 0, 1)
+        assert not drawn.flags.writeable
+        with pytest.raises(ValueError):
+            drawn[0, 0, 0, 0] = 1.0
+        assert distribution._pool(DEFAULT_SAMPLER, 0, 0, 1) is drawn
+
+    @pytest.mark.parametrize("mode", ["pointwise", "germ1"])
+    def test_exhausted_sampler_draws_its_batches_once(self, example1, mode, monkeypatch):
+        # nothing meets cond_max = 1: the pool judges the draw once per
+        # process, and every node, query and grade map still fails with it
+        sampler = SamplerConfig(seed=31, cond_max=1.0)
+        batches = []
+        original = distribution.sample_gradients
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                batches.append(size)
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(distribution, "sample_gradients",
+                            lambda rng, count, sampler: original(Counted(rng), count, sampler))
+        distribution._pool_draw.cache_clear()
+        points = [[0.5, 0.0, 0.0], [0.2, 0.0, 0.0]]
+        for _ in range(2):
+            nodes = fibres_at(example1, points, mode=mode, sampler=sampler)
+            assert [type(node) for node in nodes] == [SamplerExhaustedError] * 2
+        with pytest.raises(SamplerExhaustedError):
+            material_fibre(example1, points[0], mode=mode, sampler=sampler)
+        field = grade_map(example1, GridSpec(points[1], points[0], (2, 1, 1)), mode=mode,
+                          sampler=sampler)
+        assert len(field.errors) == 2
+        assert len(batches) == reference.SAMPLER_BATCHES
+
+    def test_each_mode_reads_its_own_salt(self, example2, monkeypatch):
+        # the salts are part of every payload: pointwise nodes read draws of
+        # salt 0, germ1 nodes of salt 1 and isomorphism checks of salt 2
+        salts = set()
+        pool = distribution._pool
+
+        def spy(sampler, salt, t, points):
+            salts.add(salt)
+            return pool(sampler, salt, t, points)
+
+        monkeypatch.setattr(distribution, "_pool", spy)
+        points = [(0.3, 0.2, 0.1), (-0.4, 0.1, 0.0)]
+        for mode, salt in (("pointwise", 0), ("germ1", 1)):
+            salts.clear()
+            fibres_at(example2, points, mode=mode)
+            assert salts == {salt}
+        salts.clear()
+        is_material_isomorphism(example2, points[0], points[1], np.eye(3))
+        assert salts == {2}
+
+    def test_isomorphism_draws_ignore_the_points(self, example2):
+        # a failing check reports the same witness when an endpoint moves by
+        # rounding, as leaf endpoints do
+        X = np.array([0.3, 0.2, 0.1])
+        Y = np.array([0.5, 0.1, 0.0])
+        first = is_material_isomorphism(example2, X, Y, np.eye(3))
+        moved = is_material_isomorphism(example2, X, Y + 1e-15, np.eye(3))
+        assert not first.verdict and not moved.verdict
+        assert np.array_equal(first.worst_gradient, moved.worst_gradient)
+        assert first.samples_used == moved.samples_used
 
 
 def example1_mdl():
@@ -300,9 +263,15 @@ GERM_POINTS = {
 
 
 def with_reference(monkeypatch, run):
+    """``run()`` on a pool drawn afresh by the oracle sampler."""
     with monkeypatch.context() as patch:
-        reference.install(patch, distribution)
-        return run()
+        patch.setattr(distribution, "_accepted", reference.accepted)
+        patch.setattr(distribution, "sample_gradients", reference.sample_gradients)
+        distribution._pool_draw.cache_clear()
+        try:
+            return run()
+        finally:
+            distribution._pool_draw.cache_clear()
 
 
 def assert_same_node(a, b):

@@ -116,8 +116,8 @@ def test_rounds_solve_all_rows_and_validate_raw_ones(request, monkeypatch, name,
 
     # the rounds, from the gradients per cloud point of the last solve set
     k_last = fibre.samples_used // system.points_per_node - len(DEFAULT_SAMPLER.anchors)
-    # every round's raw rows, drawn again in order from a fresh generator:
-    # an unprepared system draws each node's schedule one read at a time
+    # every round's raw rows, read again in order by a fresh system:
+    # an unprepared system derives each node's schedule one read at a time
     fresh, k = new_system(), DEFAULT_SAMPLER.k_init
     raw = [lifted(system, fresh.blocks([0])[0])]
     while k < k_last:
@@ -216,6 +216,25 @@ def counting(monkeypatch, name):
     return calls
 
 
+def counting_draws(monkeypatch):
+    """Per ``_System._raw`` call, the gradient count of each pool draw it reads."""
+    draws = []
+    pool, raw = distribution._pool, distribution._System._raw
+
+    def read(*args):
+        Fs = pool(*args)
+        draws[-1].append(Fs.shape[1])
+        return Fs
+
+    def derived(system, nodes, ts):
+        draws.append([])
+        return raw(system, nodes, ts)
+
+    monkeypatch.setattr(distribution, "_pool", read)
+    monkeypatch.setattr(distribution._System, "_raw", derived)
+    return draws
+
+
 class TestDrawSchedule:
     # a node reads its draws in a fixed order: the rounds, then the held-out
     # samples; the first two, and the third when validating, come in one batch
@@ -223,22 +242,22 @@ class TestDrawSchedule:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("validate", [True, False], ids=["validated", "unvalidated"])
     def test_one_point_query_draws_and_derives_once(self, example2, monkeypatch, mode, validate):
-        draws = counting(monkeypatch, "_draws")
+        draws = counting_draws(monkeypatch)
         derivatives = counting(monkeypatch, "derivatives_at_samples")
         (fibre,) = fibres_at(example2, [(0.3, 0.2, 0.1)], mode=mode, validate=validate)
         assert len(fibre.dim_history) == 2 and fibre.fibre_dim > 0  # stops at round 2
         assert len(draws) == 1 and len(derivatives) == 1
         k = DEFAULT_SAMPLER.k_init
-        assert draws[0][2] == ([k, k, 2 * k] if validate else [k, k])
+        assert draws[0] == ([k, k, 2 * k] if validate else [k, k])
 
     def test_later_rounds_draw_one_at_a_time(self, monkeypatch):
         # a node still open after round 2 draws each further round alone
-        draws = counting(monkeypatch, "_draws")
+        draws = counting_draws(monkeypatch)
         (fibre,) = fibres_at(stepping_model(), [(0.3, 0.2, 0.1)])
         assert fibre.dim_history == [11, 10, 9, 9] and fibre.validated
         k = DEFAULT_SAMPLER.k_init
         # draw 3 is round 4, draw 4 the held-out samples; draw t holds k << (t - 1)
-        assert [call[2] for call in draws] == [[k, k, 2 * k], [k << 2], [k << 3]]
+        assert draws == [[k, k, 2 * k], [k << 2], [k << 3]]
 
 
 def stepping_model():
@@ -350,20 +369,19 @@ class TestFailuresStayInTheirDraw:
 
     def test_exhausted_third_draw(self, monkeypatch):
         # the sampler gives out only on the held-out draw
-        original = distribution._draws
+        original = distribution._pool
 
-        def short_of_the_third(rngs, points, counts, sampler):
-            out = original(rngs, points, counts, sampler)
-            if 2 * sampler.k_init in counts:
+        def short_of_the_third(sampler, salt, t, points):
+            if t == 2:
                 raise SamplerExhaustedError("gradient sampler failed to find acceptable samples")
-            return out
+            return original(sampler, salt, t, points)
 
-        # gradients past a point's two solve draws fail, so a read from a
-        # generator left where the failed draw stopped would fail too
+        # gradients past a point's two solve draws fail, so a read of any
+        # draw but the first two would fail too
         failing = zone_model(lambda rows: fail_after(rows, self.CLEAN))
         clean = fibres_at(failing, [self.ZERO])
         assert clean[0].dim_history == [0, 0]
-        monkeypatch.setattr(distribution, "_draws", short_of_the_third)
+        monkeypatch.setattr(distribution, "_pool", short_of_the_third)
         got = fibres_at(failing, [self.ZERO, self.FREE])
         assert_same_nodes(got[:1], clean[:1])
         assert isinstance(got[1], SamplerExhaustedError)
