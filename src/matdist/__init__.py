@@ -9,7 +9,7 @@ models as built-ins.
 
 __version__ = "0.1.0"
 
-from .numkit import Tolerances, DEFAULT_TOL, nullspace, jacobian_fd, rk4_step, principal_angles
+from .numkit import Tolerances, DEFAULT_TOL, jacobian_fd, rk4_step
 from .response import (
     ConstitutiveModel,
     LeafInfo,
@@ -52,10 +52,8 @@ __all__ = [
     "__version__",
     "Tolerances",
     "DEFAULT_TOL",
-    "nullspace",
     "jacobian_fd",
     "rk4_step",
-    "principal_angles",
     "ConstitutiveModel",
     "LeafInfo",
     "BUILTIN_MODELS",

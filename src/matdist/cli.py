@@ -509,10 +509,12 @@ def _build_chart(settings):
                           "or @file for a chart file")
     leafwise = settings.get("leafwise", "leafwise", 2, int)
     chart_items = getattr(settings.args, "chart_param", None)
-    if chart_items is None:  # the chart.<name> keys an emitted config holds
-        chart_items = [f"{key[len('chart.'):]}={value}" for key, value in settings.file_cfg.items()
-                       if key.startswith("chart.") and key != "chart.order"]
-    chart_params = _parse_params(chart_items, "--chart-param")
+    if chart_items is not None:
+        chart_params = _parse_params(chart_items, "--chart-param")
+    else:  # the chart.<name> keys an emitted config holds
+        chart_params = {key[len("chart."):]: _convert(f"config value {key} = {value!r}", value, float)
+                        for key, value in settings.file_cfg.items()
+                        if key.startswith("chart.") and key != "chart.order"}
     unread = sorted(set(chart_params) - set(_CHART_PARAMS.get(name, ())))
     if unread:
         raise _UsageError(f"chart {name!r} takes no parameter {', '.join(unread)}")

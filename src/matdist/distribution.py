@@ -228,6 +228,11 @@ def sample_gradients(rng, count, sampler):
 _POOL_DRAWS = 256  # draws a process keeps; a grade map reads 3 to 5 per mode
 
 
+def _draw_size(k_init, t):
+    """Gradients per cloud point in draw ``t`` of the schedule, anchors aside."""
+    return k_init << max(t - 1, 0)
+
+
 def _pool(sampler, salt, t, points):
     """Draw ``t`` of the schedule at ``points`` cloud points, which every node
     reads: ``(points, count, 3, 3)``, read-only.
@@ -252,7 +257,7 @@ def _pool_draw(seed, k_init, det_min, cond_max, salt, t, points):
     """The draw behind :func:`_pool`, or ``None`` when the sampler gives out."""
     sampler = SamplerConfig(seed, k_init, 2 * k_init, det_min, cond_max)  # as _accepted reads it
     rng = np.random.default_rng([seed, salt, t])
-    count = k_init << max(t - 1, 0)
+    count = _draw_size(k_init, t)
     try:
         Fs = np.stack([sample_gradients(rng, count, sampler) for _ in range(points)])
     except SamplerExhaustedError:
@@ -271,11 +276,13 @@ def _with_anchors(Fs, sampler):
 # admissibility rows
 
 
-# lanes per derivative call: each call's block is written into the stacked
-# rows, so the cap bounds the block in flight and the model's temporaries.  A
-# 16-node germ1 chunk of example1 (11,760 lanes) peaks at 16.6 MiB with caps
-# of 256 to 2048 lanes, 17.7 MiB at 4096 and 26.8 MiB in one call; 1024 keeps
-# a one-point query in one call in either mode (35 or 735 lanes).
+# lanes per derivative call: when a chunk needs several calls, each call's
+# block is written into the stacked rows, so the cap bounds the block in
+# flight and the model's temporaries, which central differences make 24 times
+# larger.  A 97-node pointwise chunk of example2 without its closed form
+# (3,395 lanes) peaks at 1.9 MiB with a cap of 256 lanes, 5.4 MiB at 1024 and
+# 16.3 MiB in one call; 1024 keeps a one-point query in one call in either
+# mode (35 or 735 lanes).
 _DERIV_LANES = 1024
 
 
@@ -284,11 +291,15 @@ def _blocks(model, Xs, Fs, tol):
 
     The rows are the model's material-frame blocks.  The points go to the
     model in runs of at most ``_DERIV_LANES`` lanes; lanes are independent,
-    so the runs give the bits of one call.
+    so the runs give the bits of one call.  A single run's block is the
+    rows themselves: copying it into a second buffer of the same size
+    would only double the memory in flight.
     """
     n, k = len(Xs), Fs.shape[1]
-    rows = np.empty((n, k, model.dim, 12))
     step = max(1, _DERIV_LANES // k)
+    if n <= step:
+        return derivatives_at_samples(model, Xs, Fs, tol).reshape(n, k * model.dim, 12)
+    rows = np.empty((n, k, model.dim, 12))
     for i in range(0, n, step):
         rows[i:i + step] = derivatives_at_samples(model, Xs[i:i + step], Fs[i:i + step], tol)
     return rows.reshape(n, k * model.dim, 12)
@@ -304,10 +315,34 @@ def _blocks(model, Xs, Fs, tol):
 # the kernel and isolates each failure to its point.  material_fibre, grade
 # maps, leaf traces and the homogeneity check all call it.
 
-_CHUNK_NODES = 16  # nodes per lockstep batch: larger chunks gain no speed and cost memory
+# bytes of the rows a chunk prepares (_System.prepare): they set its memory,
+# and larger chunks share the kernel's fixed cost among more nodes.  One
+# validated node's rows take 6.6 KiB (pointwise example2) to 620 KiB (germ1
+# example1), so a node count would bound neither; this budget gives validated
+# chunks of 21 pointwise example1 nodes, 97 pointwise example2 nodes, 1 germ1
+# example1 node and 4 germ1 example2 nodes.
+_CHUNK_BYTES = 640 * 2**10
 
 
 MODES = ("pointwise", "germ1")  # fibre modes, by jet order
+
+
+def _prepared_draws(validate):
+    """Draws every node derives before any stops: the two solve rounds, and
+    the held-out samples a node stopping at round 2 reads when validating."""
+    return 3 if validate else 2
+
+
+def _chunk_nodes(model, order, cloud, sampler, validate):
+    """Nodes per chunk: as many as fit their prepared rows in ``_CHUNK_BYTES``.
+
+    A node prepares, per cloud point, the anchors and the gradients of its
+    first draws, each with ``model.dim`` rows of 12 floats.
+    """
+    points = 1 + order * cloud  # at most: the domain boundary may cut a cloud short
+    gradients = len(sampler.anchors) + sum(_draw_size(sampler.k_init, t)
+                                           for t in range(_prepared_draws(validate)))
+    return max(1, _CHUNK_BYTES // (points * gradients * model.dim * 12 * 8))
 
 
 class _System:
@@ -452,25 +487,27 @@ def _saturate(system, validate):
 
     The nodes run in lockstep.  The first round solves the anchors and
     ``k_init`` gradients per node; each later round doubles ``k`` with ``k/2``
-    new gradients and factorizes ``[C; new rows]``, where ``C = diag(s)·Vh``
-    is the last round's factor (``C^T C = M^T M``), so the singular values
+    new gradients and factorizes ``[R; new rows]``, where ``R`` is the last
+    round's triangular factor (``R^T R = M^T M``), so the singular values
     are those of the whole solve set in exact arithmetic and no row is
-    drawn or solved twice.  Round 2 always runs, and a node that stops there
-    with a fibre is validated on its third draw, so the first two draws, and
-    the third when ``validate`` is set, are prepared in one batch.  Returns a
+    drawn or solved twice.  A node stops only when its null dimension
+    repeats, so none stops at round 1, which computes singular values
+    alone.  Round 2 always runs, and a node that stops there with a fibre
+    is validated on its third draw, so the first two draws, and the third
+    when ``validate`` is set, are prepared in one batch.  Returns a
     :class:`FibreResult` or a :class:`FibreInstabilityError` per node.  Each
     result starts validated, of grade 0 and without symmetries, with the
     fibre's own ``rank_gap``; :func:`_validate` and :func:`_grade` fill it in.
     """
     sampler = system.sampler
-    system.prepare(3 if validate else 2)
+    system.prepare(_prepared_draws(validate))
     results = [None] * len(system.read)
     dims = [[] for _ in system.read]
     open_nodes = list(range(len(system.read)))
     k = sampler.k_init
     M = system.rows(open_nodes)
     while True:
-        s, vh = stacked_factor(M)
+        R, s, vh = stacked_factor(M, vectors=k > sampler.k_init)  # no node stops at round 1
         ranks, gaps = rank_splits(s, system.tol.rank_rel)
         still_open = []
         for j, i in enumerate(open_nodes):
@@ -492,8 +529,7 @@ def _saturate(system, validate):
         if not still_open:
             return results
         open_nodes = [open_nodes[j] for j in still_open]
-        C = s[still_open, :, None] * vh[still_open, :s.shape[1]]
-        M = np.concatenate([C, system.rows(open_nodes)], axis=1)
+        M = np.concatenate([R[still_open], system.rows(open_nodes)], axis=1)
         k *= 2
 
 
@@ -501,19 +537,28 @@ def _validate(system, solved):
     """Held-out residuals on fresh samples disjoint from the solve sets.
 
     The samples are each node's next draw, as many gradients per cloud
-    point as its solve set holds besides the anchors; nodes are batched by
-    the rounds they ran.  ``solved`` maps node index to :class:`FibreResult`.
+    point as its solve set holds besides the anchors.  Nodes that ran the
+    same rounds are checked in one product, their bases padded with zero
+    columns to the widest: a zero column has residual 0, so it moves
+    neither a node's worst residual nor its test.  ``solved`` maps node
+    index to :class:`FibreResult`.
     """
     by_rounds = defaultdict(list)
     for i, fibre in solved.items():
         if fibre.fibre_dim > 0:
             by_rounds[len(fibre.dim_history)].append(i)
     for nodes in by_rounds.values():
-        B = system.blocks(nodes)
+        B = system.blocks(nodes)  # (n, points, rows, 12)
+        bases = np.zeros((len(nodes), system.n_unknowns,
+                          max(solved[i].fibre_dim for i in nodes)))
         for j, i in enumerate(nodes):
-            per_vector = np.abs(B[j] @ (system.lift[i] @ solved[i].fibre_basis)).max(axis=(0, 1))
-            solved[i].heldout_residual = float(per_vector.max())
-            solved[i].validated = bool(np.all(per_vector <= system.tol.residual_tol))
+            bases[j, :, :solved[i].fibre_dim] = solved[i].fibre_basis
+        per_vector = np.abs(B @ (system.lift[nodes] @ bases[:, None])).max(axis=(1, 2))
+        worst = per_vector.max(axis=1).tolist()
+        passed = (per_vector <= system.tol.residual_tol).all(axis=1).tolist()
+        for j, i in enumerate(nodes):
+            solved[i].heldout_residual = worst[j]
+            solved[i].validated = passed[j]
 
 
 def _grade(system, fibres, symmetry):
@@ -591,7 +636,8 @@ def fibres_at(model, Xs, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_
     and ``heldout_residual`` 0), and ``sym_basis`` is filled only when
     ``symmetry`` is set.  The cloud arguments (checked by
     :func:`check_germ_args`) and ``mode`` are checked before any compute.
-    In-domain points run in chunks of ``_CHUNK_NODES``.  Every point reads
+    In-domain points run in chunks sized by their prepared rows
+    (:func:`_chunk_nodes`).  Every point reads
     the same gradient draws (:func:`_pool`), so results do not depend on
     how the points are batched: a chunk that raises is re-run point by
     point, which reproduces the others exactly and pins the failure to its
@@ -613,8 +659,9 @@ def fibres_at(model, Xs, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_
             return [fibre for X in chunk for fibre in run(X[None])]
 
     points = Xs[inside]
-    found = iter([fibre for start in range(0, len(points), _CHUNK_NODES)
-                  for fibre in run(points[start:start + _CHUNK_NODES])])
+    step = _chunk_nodes(model, MODES.index(mode), germ_cloud, sampler, validate)
+    found = iter([fibre for start in range(0, len(points), step)
+                  for fibre in run(points[start:start + step])])
     return [next(found) if ok else
             DomainError(f"point {X.tolist()} is outside the domain of model {model.name!r}")
             for X, ok in zip(Xs, inside)]

@@ -16,15 +16,12 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "FD_SHRINK_TRIES",
-    "nullspace",
-    "nullspace_info",
     "rank_split",
     "rank_splits",
     "stacked_svd",
     "stacked_factor",
     "jacobian_fd",
     "rk4_step",
-    "principal_angles",
 ]
 
 
@@ -60,17 +57,6 @@ DEFAULT_TOL = Tolerances()
 # A finite-difference step that leaves a domain or region is halved at most
 # this many times before the difference gives up.
 FD_SHRINK_TRIES = 4
-
-
-def _as_matrix(M, name="matrix"):
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {A.shape}")
-    if A.size == 0:
-        raise ValueError(f"{name} is empty")
-    if not np.all(np.isfinite(A)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    return A
 
 
 def rank_split(s, rank_rel, scale=None):
@@ -120,36 +106,21 @@ def stacked_svd(M):
     return np.linalg.svd(A, full_matrices=m < n)
 
 
-def stacked_factor(M):
-    """``(s, Vh)`` of :func:`stacked_svd` without forming a tall ``U``.
+def stacked_factor(M, vectors):
+    """``(R, s, Vh)``: the triangular factor of one matrix or a stack, and its SVD.
 
-    A tall system is first reduced to its triangular factor ``R`` (as many
-    rows as columns, ``R^T R = M^T M``), so ``s`` and ``Vh`` agree with the
-    SVD's up to rounding; one with no more rows than columns has nothing to
-    reduce and goes to the SVD as it is.
+    A tall system is reduced to its triangular factor ``R`` (as many rows
+    as columns, ``R^T R = M^T M``); one with no more rows than columns has
+    nothing to reduce and is its own factor.  ``s`` and ``Vh`` are those of
+    :func:`stacked_svd` of ``R``, so they agree with the SVD of ``M`` up to
+    rounding and no tall ``U`` is formed.  Without ``vectors`` only the
+    singular values are computed, and ``Vh`` is ``None``.
     """
     A = np.asarray(M, dtype=float)
-    return stacked_svd(np.linalg.qr(A, mode="r") if A.shape[-2] > A.shape[-1] else A)[1:]
-
-
-def nullspace(M, tol=DEFAULT_TOL):
-    """Orthonormal basis (as columns) of the null space of ``M``.
-
-    The all-zero matrix is not an error: its null space is everything, so
-    the identity basis is returned.
-    """
-    return nullspace_info(M, tol)[0]
-
-
-def nullspace_info(M, tol=DEFAULT_TOL):
-    """Like :func:`nullspace` but also reports ``(basis, rank, gap)``."""
-    A = _as_matrix(M)
-    n = A.shape[1]
-    if not A.any():
-        return np.eye(n), 0, np.inf
-    s, vh = stacked_factor(A)
-    rank, gap = rank_split(s, tol.rank_rel)
-    return vh[rank:].T.copy(), rank, gap
+    R = np.linalg.qr(A, mode="r") if A.shape[-2] > A.shape[-1] else A
+    if not vectors:
+        return R, np.linalg.svd(R, compute_uv=False), None
+    return (R, *stacked_svd(R)[1:])
 
 
 def jacobian_fd(f, x, tol=DEFAULT_TOL):
@@ -213,22 +184,3 @@ def rk4_step(v, x, h, k1=None):
     k3 = stage("k3", x + 0.5 * h * k2)
     k4 = stage("k4", x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def principal_angles(A, B):
-    """Principal angles (radians, ascending) between column spans of A and B.
-
-    Small angles are computed through sines of the projected residual, not
-    arccos of near-unit cosines, which cannot resolve below sqrt(eps).
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[1] == 0 or B.shape[1] == 0:
-        return np.zeros(0)
-    qa, _ = np.linalg.qr(A)
-    qb, _ = np.linalg.qr(B)
-    cosines = np.linalg.svd(qa.T @ qb, compute_uv=False)  # descending
-    sines = np.linalg.svd(qb - qa @ (qa.T @ qb), compute_uv=False)  # descending
-    p = min(len(cosines), len(sines))
-    angles = np.arctan2(sines[:p][::-1], np.clip(cosines[:p], 0.0, 1.0))
-    return np.sort(angles)

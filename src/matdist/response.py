@@ -286,7 +286,9 @@ class _PiecewiseStiffCube:
     @staticmethod
     def stiffness_rate(x1):
         x1 = np.asarray(x1, dtype=float)
-        pos = x1 > 0
+        # exp(-1/x1) is 0 in double precision up to x1 = 1e-3, and x1**2 is 0
+        # below about 1e-162, where the quotient would be 0/0
+        pos = x1 > 1e-3
         safe = np.where(pos, x1, 1.0)
         with np.errstate(under="ignore"):
             out = np.where(pos, np.exp(-1.0 / safe) / safe**2, 0.0)

@@ -451,6 +451,19 @@ class TestUsageErrors:
         assert "usage error" in err and message in err
         assert not out
 
+    def test_malformed_chart_parameter_names_its_config_key(self, tmp_path, monkeypatch,
+                                                             capsys):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("homogeneity_check ran with a malformed parameter")
+
+        monkeypatch.setattr(cli, "homogeneity_check", no_compute)
+        cfg = tmp_path / "f"
+        cfg.write_text("chart = spherical_cap\nchart.rho_min = abc\n")
+        code, out, err = run(["homog", "--model", "example2", "--config", str(cfg)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in err and "config value chart.rho_min = 'abc' is not a number" in err
+        assert "--chart-param" not in err and not out
+
     def test_unknown_chart_fails_before_the_model_is_built(self, monkeypatch, capsys):
         def no_model(*args, **kwargs):
             raise AssertionError("the model was built before the chart name check")

@@ -22,10 +22,11 @@ from matdist.errors import (
     SingularMatrixError,
 )
 from matdist.foliation import GridSpec, grade_map
-from matdist.numkit import DEFAULT_TOL, Tolerances, principal_angles
+from matdist.numkit import DEFAULT_TOL, Tolerances
 from matdist.response import ConstitutiveModel, builtin, derivatives, evaluate
 
 from conftest import expm3, random_invertible
+from subspaces import principal_angles
 
 
 def cube_stiffness(x1):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from matdist import foliation
+from matdist import distribution, foliation
 from matdist.errors import NonFiniteError
 from matdist.foliation import (
     GridSpec,
@@ -161,9 +161,11 @@ class TestGradeMap:
             GridSpec((-1, -1, -1), (1, 1, 1), (101, 101, 101))
 
     @pytest.mark.parametrize("name", ["example1", "example2", "det_cal"])
-    def test_batching_matches_single_node_fibres(self, name):
+    def test_batching_matches_single_node_fibres(self, name, monkeypatch):
         # every node reads the same gradient draws, so running nodes in
-        # batches (40 nodes: several chunks) cannot change any bit of a result
+        # batches (40 nodes in chunks of 16: three chunks) cannot change any
+        # bit of a result
+        monkeypatch.setattr(distribution, "_chunk_nodes", lambda *args: 16)
         model = builtin(name)
         grid = GridSpec((-0.6, -0.3, -0.2), (0.6, 0.3, 0.2), (5, 4, 2))
         field = grade_map(model, grid)
@@ -177,9 +179,10 @@ class TestGradeMap:
         assert not field.errors
 
     @pytest.mark.parametrize("name", ["example1", "example2"])
-    def test_germ1_batching_matches_single_node_fibres(self, name):
-        # germ1 nodes run in chunks too (18 nodes: two chunks), every cloud
-        # reading the same draws
+    def test_germ1_batching_matches_single_node_fibres(self, name, monkeypatch):
+        # germ1 nodes run in chunks too (18 nodes in chunks of 7: three
+        # chunks), every cloud reading the same draws
+        monkeypatch.setattr(distribution, "_chunk_nodes", lambda *args: 7)
         model = builtin(name)
         grid = GridSpec((-0.6, -0.3, -0.2), (0.6, 0.3, 0.2), (3, 3, 2))
         field = grade_map(model, grid, mode="germ1")

@@ -91,6 +91,19 @@ class TestBlocksMatchTheReference:
         assert calls == [distribution._DERIV_LANES // k, 4]
         assert_matches(rows.reshape(n, k, model.dim, 12), reference(model, Xs, Fs))
 
+    @pytest.mark.parametrize("name", ["example1", "example2", "example1.mdl"])
+    def test_one_run_is_the_model_block(self, name):
+        # a chunk within the lane cap takes the block of its one call as its rows
+        model = model_named(name)
+        k = 11
+        n = distribution._DERIV_LANES // k
+        Xs, Fs = jets(np.random.default_rng(34), n - len(SPECIAL), k)
+        rows = distribution._blocks(model, Xs, Fs, DEFAULT_TOL)
+        assert rows.shape == (n, k * model.dim, 12)
+        assert_matches(rows.reshape(n, k, model.dim, 12), reference(model, Xs, Fs))
+        np.testing.assert_array_equal(
+            rows, derivatives_at_samples(model, Xs, Fs, DEFAULT_TOL).reshape(n, -1, 12))
+
 
 class TestOldContract:
     def test_pair_of_derivatives_fails_the_shape_check(self):

@@ -8,9 +8,6 @@ from matdist.numkit import (
     DEFAULT_TOL,
     Tolerances,
     jacobian_fd,
-    nullspace,
-    nullspace_info,
-    principal_angles,
     rank_split,
     rank_splits,
     rk4_step,
@@ -23,93 +20,6 @@ def test_tolerances_must_be_positive():
         Tolerances(rank_rel=0.0)
     with pytest.raises(ValueError):
         Tolerances(residual_tol=-1e-9)
-
-
-class TestNullspace:
-    def test_zero_matrix_gives_identity_basis(self):
-        basis = nullspace(np.zeros((3, 3)))
-        assert basis.shape == (3, 3)
-        np.testing.assert_allclose(basis, np.eye(3))
-
-    def test_coordinate_projection(self):
-        basis = nullspace(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        assert basis.shape == (3, 1)
-        np.testing.assert_allclose(np.abs(basis[:, 0]), [0.0, 0.0, 1.0], atol=1e-14)
-
-    def test_empty_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            nullspace(np.zeros((0, 3)))
-
-    def test_non_finite_rejected(self):
-        M = np.eye(3)
-        M[0, 0] = np.nan
-        with pytest.raises(NonFiniteError):
-            nullspace(M)
-
-    def test_constructed_kernel_recovered(self):
-        # M = A @ B with A invertible has exactly the kernel of B; the
-        # expected 4-dim kernel comes from B's own decomposition, a path
-        # disjoint from the production call on M
-        rng = np.random.default_rng(7)
-        B = rng.standard_normal((8, 12))
-        assert np.linalg.matrix_rank(B) == 8
-        A = rng.standard_normal((8, 8))
-        assert abs(np.linalg.det(A)) > 1e-6
-        M = A @ B
-
-        basis = nullspace(M)
-        assert basis.shape == (12, 4)
-        expected = np.linalg.svd(B)[2][8:].T
-        angles = principal_angles(basis, expected)
-        assert angles.max() < 1e-10
-        assert np.abs(M @ basis).max() <= DEFAULT_TOL.rank_rel * np.linalg.svd(M, compute_uv=False)[0] * np.sqrt(12)
-
-    def test_columns_orthonormal(self):
-        rng = np.random.default_rng(3)
-        M = rng.standard_normal((4, 9))
-        basis = nullspace(M)
-        np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_residual_bound(self, seed):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(2, 14))
-        n = int(rng.integers(2, 14))
-        rank = int(rng.integers(1, min(m, n) + 1))
-        M = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
-        basis = nullspace(M)
-        if basis.shape[1] == 0:
-            return
-        sigma_max = np.linalg.svd(M, compute_uv=False)[0]
-        assert np.abs(M @ basis).max() <= 10.0 * DEFAULT_TOL.rank_rel * sigma_max
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.sampled_from([1e-3, 1e3]))
-    def test_row_scaling_invariance(self, seed, factor):
-        rng = np.random.default_rng(seed)
-        M = rng.standard_normal((6, 4)) @ rng.standard_normal((4, 9))
-        b1, rank1, _ = nullspace_info(M)
-        b2, rank2, _ = nullspace_info(factor * M)
-        assert rank1 == rank2
-        assert b1.shape == b2.shape
-        if b1.shape[1]:
-            assert principal_angles(b1, b2).max() < 1e-8
-
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.sampled_from([(11, 12), (12, 12), (99, 12)]))
-    def test_agrees_with_plain_svd(self, seed, shape):
-        # nullspace_info factorizes through QR: its rank and null space are
-        # those of one plain SVD of M
-        rng = np.random.default_rng(seed)
-        m, n = shape
-        rank = int(rng.integers(1, min(m, n)))
-        M = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
-        basis, got_rank, _ = nullspace_info(M)
-        _, s, vh = np.linalg.svd(M)
-        assert got_rank == rank_split(s, DEFAULT_TOL.rank_rel)[0] == rank
-        assert principal_angles(basis, vh[rank:].T).max() < 1e-8
 
 
 def loop_rank_split(s, rank_rel, scale=None):

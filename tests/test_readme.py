@@ -1,17 +1,23 @@
-"""README's Library block runs as written and shows what its comments say.
+"""README's Library and CLI blocks run as written and show what they say.
 
-The block is taken from README.md, run statement by statement in a
+The Library block is taken from README.md, run statement by statement in a
 temporary directory, and each commented expression is checked against its
 comment.  A comment with no check here fails the test, so a new claim in
-the block gets one.
+the block gets one.  Each ``matdist`` line of the CLI block runs in a
+temporary directory, split as a POSIX shell splits it, and must exit with
+the code its ``# exits N`` comment states, or 0.
 """
 
 import ast
+import contextlib
+import io
 import os
 import re
+import shlex
 
 import numpy as np
 
+from matdist import cli
 from matdist.errors import DomainError
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -25,11 +31,16 @@ CLAIMS = {
 }
 
 
-def library_block():
+def block(heading, fence):
+    """The first ``fence`` block under the README section ``heading``."""
     with open(README, encoding="utf-8") as fh:
         text = fh.read()
-    section = text[text.index("\n## Library\n"):]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = text[text.index(f"\n## {heading}"):]
+    return re.search(f"```{fence}\n(.*?)```", section, re.S).group(1)
+
+
+def library_block():
+    return block("Library", "python")
 
 
 def test_library_block_states_its_values(tmp_path, monkeypatch):
@@ -48,3 +59,28 @@ def test_library_block_states_its_values(tmp_path, monkeypatch):
             exec(compile(ast.Module([node], []), "README", "exec"), namespace)
     assert sorted(checked) == sorted(CLAIMS)
     assert isinstance(namespace["field"].grade, np.ndarray)
+
+
+def shell_words(line):
+    """``line`` split into words as a POSIX shell splits it, comment dropped."""
+    lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+    lexer.whitespace_split = True
+    words = list(lexer)
+    # an unquoted <, >, |, & or ; is an operator to the shell, not a word
+    operators = [word for word in words if not word.strip("();<>|&")]
+    assert not operators, f"the shell reads {operators} in {line!r} as operators"
+    return words
+
+
+def test_cli_block_runs_with_its_exit_codes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mymodel.mdl").write_text(block("Model files", ""), encoding="utf-8")
+    lines = block("CLI", "").replace("\\\n", " ").splitlines()
+    assert lines and all(line.startswith("matdist ") for line in lines)
+    for line in lines:
+        stated = re.search(r"#\s*exits (\d+)", line)
+        words = shell_words(line)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(words[1:])
+        assert code == (int(stated.group(1)) if stated else 0), line
+    assert all((tmp_path / name).stat().st_size for name in ("map.json", "slice.svg", "trace.csv"))

@@ -1,13 +1,16 @@
 """Incremental saturation: the carried factor, compressed rows, and their edge points.
 
-Each saturation round factorizes the last round's ``diag(s)·Vh`` stacked
-on the new rows only, and a solve in either mode replaces each pointwise
-block by its triangular factor before the lift.  Both keep ``M^T M``, so
-singular values and rank decisions must match one SVD of all the raw
-lifted rows.
+Each saturation round factorizes the last round's triangular factor ``R``
+stacked on the new rows only, and a solve in either mode replaces each
+pointwise block by its triangular factor before the lift.  Both keep
+``M^T M``, so singular values and rank decisions must match one SVD of all
+the raw lifted rows.  Round 1 computes singular values alone, and held-out
+validation checks a whole group of nodes in one product.
 """
 
 import tracemalloc
+from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from matdist.distribution import (
     material_fibre,
 )
 from matdist.errors import NonFiniteError, SamplerExhaustedError
-from matdist.numkit import DEFAULT_TOL, rank_split, stacked_factor
+from matdist.numkit import DEFAULT_TOL, Tolerances, rank_split, rank_splits, stacked_factor
 from matdist.response import ConstitutiveModel
 
 
@@ -34,10 +37,6 @@ def block(rng, shape, kind):
         return np.zeros(shape)
     rank = min(m, n) if kind == "generic" else int(rng.integers(1, min(m, n)))
     return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
-
-
-def carried(s, vh):
-    return s[..., :, None] * vh[..., :s.shape[-1], :]
 
 
 def assert_same_spectrum(got, raw):
@@ -63,10 +62,12 @@ class TestCarriedFactor:
         rng = np.random.default_rng(seed)
         (m, n), new_rows = first
         blocks = [block(rng, (m, n), first_kind)]
-        s, vh = stacked_factor(blocks[0])
+        R, s, _ = stacked_factor(blocks[0], vectors=False)  # round 1: values alone
+        assert_same_spectrum(s, blocks[0])
         for kind in new_kinds:
+            assert len(R) <= n  # carried in at most as many rows as unknowns
             blocks.append(block(rng, (new_rows, n), kind))
-            s, vh = stacked_factor(np.concatenate([carried(s, vh), blocks[-1]]))
+            R, s, vh = stacked_factor(np.concatenate([R, blocks[-1]]), vectors=True)
             assert_same_spectrum(s, np.concatenate(blocks))
 
     @settings(max_examples=20, deadline=None)
@@ -75,12 +76,16 @@ class TestCarriedFactor:
     def test_stack_matches_one_by_one(self, seed, shape, kinds):
         rng = np.random.default_rng(seed)
         stack = np.stack([block(rng, shape, kind) for kind in kinds])
-        s, vh = stacked_factor(stack)
+        R, s, vh = stacked_factor(stack, vectors=True)
+        _, values, _ = stacked_factor(stack, vectors=False)
         for j, M in enumerate(stack):
-            alone_s, alone_vh = stacked_factor(M)
+            alone_R, alone_s, alone_vh = stacked_factor(M, vectors=True)
+            np.testing.assert_array_equal(R[j], alone_R)
             np.testing.assert_array_equal(s[j], alone_s)
             np.testing.assert_array_equal(vh[j], alone_vh)
+            np.testing.assert_array_equal(values[j], stacked_factor(M, vectors=False)[1])
             assert_same_spectrum(s[j], M)
+            assert_same_spectrum(values[j], M)
 
 
 def lifted(system, blocks):
@@ -98,10 +103,10 @@ def test_rounds_solve_all_rows_and_validate_raw_ones(request, monkeypatch, name,
     model, X = request.getfixturevalue(name), np.array([X])
     spectra = []
 
-    def spy(M):
-        s, vh = stacked_factor(M)
+    def spy(M, vectors):
+        R, s, vh = stacked_factor(M, vectors)
         spectra.append(s)
-        return s, vh
+        return R, s, vh
 
     monkeypatch.setattr(distribution, "stacked_factor", spy)
 
@@ -134,6 +139,136 @@ def test_rounds_solve_all_rows_and_validate_raw_ones(request, monkeypatch, name,
     want = np.abs(lifted(system, heldout) @ basis).max()
     scale = max(np.abs(lifted(system, heldout)).max(), 1.0)
     assert abs(fibre.heldout_residual - want) <= 1e-12 * scale
+
+
+def node_system(model, Xs, mode, tol=DEFAULT_TOL):
+    return distribution._System(model, np.asarray(Xs, dtype=float).reshape(-1, 3), mode, tol,
+                                GERM_RADIUS, GERM_CLOUD, DEFAULT_SAMPLER)
+
+
+def assert_rounds_match_raw_rows(model, X, mode):
+    """Every round of one node, solved from the carried ``R``, against one
+    SVD of all the raw lifted rows read up to that round."""
+    spectra, asked = [], []
+
+    def spy(M, vectors):
+        out = stacked_factor(M, vectors)
+        spectra.append(out[1][0])
+        asked.append(vectors)
+        return out
+
+    system = node_system(model, X, mode)
+    with mock.patch.object(distribution, "stacked_factor", spy):
+        (fibre,) = distribution._saturate(system, validate=True)
+    assert len(spectra) == len(fibre.dim_history) >= 2
+    assert asked == [False] + [True] * (len(spectra) - 1)  # round 1: values alone
+    fresh, raw = node_system(model, X, mode), []
+    for s, dim in zip(spectra, fibre.dim_history):
+        raw.append(lifted(system, fresh.blocks([0])[0]))
+        assert_same_spectrum(s, np.concatenate(raw))
+        assert system.n_unknowns - rank_split(s, DEFAULT_TOL.rank_rel)[0] == dim
+    return spectra
+
+
+class TestCarriedRounds:
+    # the edge cases of the carried factor: a first round with fewer rows than
+    # unknowns, the underflow band of example1, and the degenerate centre
+    @settings(max_examples=6, deadline=None)
+    @given(X=st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)))
+    def test_wide_first_round(self, det_cal, X):
+        spectra = assert_rounds_match_raw_rows(det_cal, X, "pointwise")
+        assert len(spectra[0]) < 12  # the first round carries itself
+
+    @settings(max_examples=6, deadline=None)
+    @given(x1=st.floats(0.0, 0.05, exclude_min=True),
+           x23=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)), mode=st.sampled_from(MODES))
+    def test_underflow_band(self, example1, x1, x23, mode):
+        assert_rounds_match_raw_rows(example1, (x1, *x23), mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_degenerate_centre(self, example2, mode):
+        assert_rounds_match_raw_rows(example2, (0.0, 0.0, 0.0), mode)
+
+
+class TestFirstRoundRanks:
+    # round 1 decides ranks from singular values alone; they must be the
+    # ranks the full SVD gives, for a chunk of nodes as for one
+    @settings(max_examples=15, deadline=None)
+    @given(points=st.lists(st.tuples(st.one_of(st.floats(-0.9, 0.9), st.floats(0.0, 0.05)),
+                                     st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+                           min_size=1, max_size=4),
+           name=st.sampled_from(["example1", "example2", "det_cal", "identity_cal"]),
+           mode=st.sampled_from(MODES), centre=st.booleans())
+    def test_values_alone_give_the_full_ranks(self, example1, example2, det_cal, identity_cal,
+                                              points, name, mode, centre):
+        model = {"example1": example1, "example2": example2, "det_cal": det_cal,
+                 "identity_cal": identity_cal}[name]
+        Xs = np.array(points + [(0.0, 0.0, 0.0)] * centre)
+        Xs = Xs[[model.in_domain(X) for X in Xs]]
+        if not len(Xs):
+            return
+        try:
+            system = node_system(model, Xs, mode)
+        except distribution.MatdistError:  # clouds cut short do not stack
+            return
+        M = system.rows(list(range(len(Xs))))
+        _, values, vh = stacked_factor(M, vectors=False)
+        _, full, _ = stacked_factor(M, vectors=True)
+        assert vh is None
+        rank_rel = DEFAULT_TOL.rank_rel
+        assert rank_splits(values, rank_rel)[0] == rank_splits(full, rank_rel)[0]
+        for got, raw in zip(values, M):
+            assert_same_spectrum(got, raw)
+
+
+def loop_validate(system, solved):
+    """Held-out validation as first written, one node at a time: the oracle."""
+    by_rounds = defaultdict(list)
+    for i, fibre in solved.items():
+        if fibre.fibre_dim > 0:
+            by_rounds[len(fibre.dim_history)].append(i)
+    for nodes in by_rounds.values():
+        B = system.blocks(nodes)
+        for j, i in enumerate(nodes):
+            per_vector = np.abs(B[j] @ (system.lift[i] @ solved[i].fibre_basis)).max(axis=(0, 1))
+            solved[i].heldout_residual = float(per_vector.max())
+            solved[i].validated = bool(np.all(per_vector <= system.tol.residual_tol))
+
+
+# chunks whose nodes share their rounds but not their fibre dimension: across
+# example1's X1 = 0 interface in both modes, and around the example2 centre
+VALIDATION_CHUNKS = [
+    ("example1", "pointwise", [(x, 0.1, -0.2) for x in (-0.3, -0.02, 0.0, 0.01, 0.04, 0.2, 0.5)]),
+    ("example1", "germ1", [(-0.2, 0.1, 0.0), (0.03, 0.0, 0.1), (0.4, -0.2, 0.1)]),
+    ("example2", "pointwise", [(0.0, 0.0, 0.0), (0.3, 0.0, 0.0), (0.3, 0.2, 0.1)]),
+]
+
+
+@pytest.mark.parametrize("name,mode,points", VALIDATION_CHUNKS,
+                         ids=["example1-pointwise", "example1-germ1", "example2-pointwise"])
+def test_batched_validation_equals_the_node_loop(request, name, mode, points):
+    model = request.getfixturevalue(name)
+
+    def validated(check, tol):
+        system = node_system(model, points, mode, tol)
+        results = distribution._saturate(system, validate=True)
+        check(system, dict(enumerate(results)))
+        return results
+
+    want = validated(loop_validate, DEFAULT_TOL)
+    groups = defaultdict(set)
+    for fibre in want:
+        groups[len(fibre.dim_history)].add(fibre.fibre_dim)
+    assert any(len(dims) > 1 for dims in groups.values())  # padded bases
+    # a bound equal to the middle residual passes that node and fails larger ones
+    residuals = sorted(fibre.heldout_residual for fibre in want)
+    split = Tolerances(residual_tol=residuals[len(residuals) // 2])
+    for tol in (DEFAULT_TOL, split):
+        want = validated(loop_validate, tol)
+        got = validated(distribution._validate, tol)
+        assert [f.validated for f in got] == [f.validated for f in want]
+        assert [f.heldout_residual for f in got] == [f.heldout_residual for f in want]
+    assert len({f.validated for f in got}) == 2
 
 
 class TestCompressedGermRows:
@@ -175,6 +310,8 @@ EDGE_POINTS = [
     ("example1", (0.01, 0.0, 0.0), "pointwise", (3, 3, 0, True)),
     ("example1", (0.05, 0.2, -0.1), "pointwise", (2, 2, 0, True)),
     ("example1", (0.001, 0.3, 0.3), "pointwise", (3, 3, 0, True)),
+    ("example1", (5e-324, 0.0, 0.0), "pointwise", (3, 3, 0, True)),  # x1**2 underflows
+    ("example1", (1e-200, 0.2, -0.1), "germ1", (3, 12, 0, True)),
     ("example1", (0.01, 0.0, 0.0), "germ1", (3, 12, 0, True)),
     ("example1", (0.03, -0.4, 0.1), "germ1", (3, 12, 0, True)),
     ("example2", (0.0, 0.0, 0.0), "germ1", (0, 7, 5, True)),
@@ -189,19 +326,50 @@ def test_edge_points_keep_their_answers(request, name, X, mode, want):
     assert (result.grade, result.fibre_dim, result.sym_dim, result.validated) == want
 
 
-def test_germ1_chunk_memory(example1):
-    # a 16-node chunk peaked at about 67 MiB while every round re-solved
-    # all rows and kept the SVD's U, and at about 36 MiB while validation
-    # lifted every held-out row to 48 columns; it now peaks at about 16.6 MiB
-    Xs = np.random.default_rng(0).uniform(-0.6, 0.6, (16, 3))
-    fibres_at(example1, Xs[:1], mode="germ1")
+def peak_bytes(model, Xs, mode):
+    fibres_at(model, Xs[:1], mode=mode)  # the gradient pool, made once per process
     tracemalloc.start()
     try:
-        fibres_at(example1, Xs, mode="germ1")
-        peak = tracemalloc.get_traced_memory()[1]
+        fibres_at(model, Xs, mode=mode)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+
+
+def test_germ1_chunk_memory(example1):
+    # example1's germ1 nodes run one per chunk: 16 of them peak at about 1.7 MiB
+    Xs = np.random.default_rng(0).uniform(-0.6, 0.6, (16, 3))
+    assert peak_bytes(example1, Xs, "germ1") < 3 * 2**20
+
+
+def test_pointwise_chunk_memory(example1):
+    # 200 pointwise nodes run in chunks of 21 and peak at about 1.7 MiB
+    Xs = np.random.default_rng(0).uniform(-0.6, 0.6, (200, 3))
+    assert peak_bytes(example1, Xs, "pointwise") < 3 * 2**20
+
+
+@pytest.mark.parametrize("name,mode,validate,nodes", [
+    ("example1", "pointwise", True, 21), ("example2", "pointwise", True, 97),
+    ("example1", "germ1", True, 1), ("example2", "germ1", True, 4),
+    ("example2", "pointwise", False, 179),
+])
+def test_chunks_fit_their_prepared_rows(request, monkeypatch, name, mode, validate, nodes):
+    # a node prepares, per cloud point, 3 anchors and 8 + 8 (+ 16) gradients of
+    # dim rows: 1 point in pointwise mode, 21 in germ1; example1 has 9 rows, example2 2
+    model = request.getfixturevalue(name)
+    assert distribution._chunk_nodes(model, MODES.index(mode), GERM_CLOUD, DEFAULT_SAMPLER,
+                                     validate) == nodes
+    sizes, system = [], distribution._System
+
+    def sized(model, Xs, *args):
+        sizes.append(len(Xs))
+        return system(model, Xs, *args)
+
+    monkeypatch.setattr(distribution, "_System", sized)
+    Xs = np.random.default_rng(1).uniform(-0.5, 0.5, (2 * nodes + 1, 3))
+    assert all(isinstance(f, distribution.FibreResult)
+               for f in fibres_at(model, Xs, mode=mode, validate=validate))
+    assert sizes == [nodes, nodes, 1]
 
 
 def counting(monkeypatch, name):
