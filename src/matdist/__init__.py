@@ -26,7 +26,6 @@ from .distribution import (
     FibreResult,
     IsoCheck,
     material_fibre,
-    symmetry_algebra,
     is_material_isomorphism,
 )
 from .foliation import (
@@ -67,7 +66,6 @@ __all__ = [
     "FibreResult",
     "IsoCheck",
     "material_fibre",
-    "symmetry_algebra",
     "is_material_isomorphism",
     "GridSpec",
     "GradeField",

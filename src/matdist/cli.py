@@ -11,6 +11,7 @@ Exit codes: 0 pass, 1 runtime error, 2 flagged numerical result,
 """
 
 import argparse
+import functools
 import math
 import re
 import os
@@ -608,6 +609,7 @@ SVG output uses a fixed 720x720 viewBox with fixed grade colors:
 """
 
 
+@functools.lru_cache(maxsize=1)  # built on first use: parse_args leaves it unchanged
 def build_parser():
     parser = _Parser(prog="matdist",
                      description="Material-distribution analysis of simple bodies",

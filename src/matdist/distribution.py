@@ -16,9 +16,10 @@ the constraints are polynomial in F, so generic finite samples determine
 the kernel, and validation catches unlucky draws.
 """
 
-from collections import defaultdict
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,7 +42,6 @@ __all__ = [
     "material_fibre",
     "fibres_at",
     "base_basis_at",
-    "symmetry_algebra",
     "is_material_isomorphism",
     "check_germ_args",
     "GERM_RADIUS",
@@ -102,9 +102,11 @@ class SamplerConfig:
             raise ValueError(f"det_min must be finite and at least 0, got {self.det_min!r}")
         if not self.cond_max >= 1.0:
             raise ValueError(f"cond_max must be at least 1, got {self.cond_max!r}")
+        object.__setattr__(self, "_anchors", anchors.copy())  # converted once: queries read it
+        self._anchors.flags.writeable = False
 
     def anchor_matrices(self):
-        return np.asarray(self.anchors, dtype=float)
+        return self._anchors
 
 
 DEFAULT_SAMPLER = SamplerConfig()
@@ -237,8 +239,8 @@ def _pool(sampler, salt, t, points):
     """Draw ``t`` of the schedule at ``points`` cloud points, which every node
     reads: ``(points, count, 3, 3)``, read-only.
 
-    Draw 0 holds ``k_init`` gradients per point (:func:`_with_anchors` adds
-    the anchors), draw ``t`` after it ``k_init << (t - 1)``: ``points``
+    Draw 0 holds ``k_init`` gradients per point (its readers put the anchors
+    first), draw ``t`` after it ``k_init << (t - 1)``: ``points``
     successive :func:`sample_gradients` calls on a generator seeded by
     ``(seed, salt, t)``, made once per process.  Only ``seed``, ``k_init``,
     ``det_min`` and ``cond_max`` decide it.  A draw the sampler cannot make
@@ -264,12 +266,6 @@ def _pool_draw(seed, k_init, det_min, cond_max, salt, t, points):
         return None
     Fs.flags.writeable = False
     return Fs
-
-
-def _with_anchors(Fs, sampler):
-    """The anchors followed by each row of draws ``Fs (n,k,3,3)``: ``(n, k+3, 3, 3)``."""
-    anchors = np.repeat(sampler.anchor_matrices()[None], len(Fs), axis=0)
-    return np.concatenate([anchors, Fs], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +336,8 @@ def _chunk_nodes(model, order, cloud, sampler, validate):
     first draws, each with ``model.dim`` rows of 12 floats.
     """
     points = 1 + order * cloud  # at most: the domain boundary may cut a cloud short
-    gradients = len(sampler.anchors) + sum(_draw_size(sampler.k_init, t)
-                                           for t in range(_prepared_draws(validate)))
+    # draws 0 to T - 1 hold k_init << (T - 1) gradients per point (_draw_size)
+    gradients = len(sampler.anchors) + (sampler.k_init << (_prepared_draws(validate) - 1))
     return max(1, _CHUNK_BYTES // (points * gradients * model.dim * 12 * 8))
 
 
@@ -356,7 +352,8 @@ class _System:
     first-order field over a small cloud around the node
     (:func:`_cloud_points`); its solve needs only ``B_p^T B_p``, so each
     solve block is replaced by its QR factor before the lift.  Validation
-    applies the lift to the basis and reads the raw blocks.
+    reads the raw blocks, with the lift applied to the basis (``lift``,
+    made only when read).
 
     Every node reads one fixed schedule of gradient draws per cloud point,
     salted by the jet order (:func:`_pool`): ``k_init`` (led by the
@@ -374,16 +371,21 @@ class _System:
         self.tol = tol
         self.sampler = sampler
         self.order = MODES.index(mode)
-        clouds = [_cloud_points(model, X, radius, count) for X in Xs] if self.order else Xs[:, None]
-        if len({len(cloud) for cloud in clouds}) > 1:
-            raise MatdistError("germ clouds of unequal size do not stack")
-        self.clouds = np.asarray(clouds)  # (n, points, 3)
+        if self.order:
+            clouds = [_cloud_points(model, X, radius, count) for X in Xs]
+            if len({len(cloud) for cloud in clouds}) > 1:
+                raise MatdistError("germ clouds of unequal size do not stack")
+        self.clouds = np.array(clouds) if self.order else Xs[:, None]  # (n, points, 3)
         self.points_per_node = self.clouds.shape[1]
-        self.lift = _lift(self.clouds - Xs[:, None], self.order)  # (n, points, 12, unknowns)
-        self.n_unknowns = self.lift.shape[-1]
+        self.n_unknowns = 12 + 36 * self.order
         self.dp = slice(3 + 9 * self.order, 12 + 9 * self.order)  # dP0, after dX0 and A
-        self.read = np.zeros(len(Xs), dtype=int)  # draws each node has read
+        self.read = [0] * len(Xs)  # draws each node has read
         self.ahead = []  # raw blocks of the draws derived for every node in advance
+
+    @cached_property
+    def lift(self):
+        """``(n, points, 12, unknowns)``; only ``germ1`` reads it, pointwise is the identity."""
+        return _lift(self.clouds - self.clouds[:, :1], self.order)
 
     def prepare(self, draws):
         """Derive every node's first ``draws`` draws at once, before any read.
@@ -393,22 +395,26 @@ class _System:
         kept, and each read derives its own draw.
         """
         try:
-            self.ahead = self._raw(list(range(len(self.read))), range(draws))
+            self.ahead = self._raw(slice(None), range(draws))
         except MatdistError:
             self.ahead = []
 
     def _raw(self, nodes, draws):
-        """Raw blocks of the successive ``draws`` of ``nodes``: ``(n, points, rows, 12)`` each."""
-        n, p, sampler = len(nodes), self.points_per_node, self.sampler
-        Fs = [_pool(sampler, self.order, t, p) for t in draws]
-        if draws[0] == 0:
-            Fs[0] = _with_anchors(Fs[0], sampler)
+        """Raw blocks of the successive ``draws`` of ``nodes`` (indices or a slice):
+        ``(n, points, rows, 12)`` each."""
+        clouds, dim = self.clouds[nodes], self.model.dim
+        n, p = clouds.shape[:2]
+        Fs = [_pool(self.sampler, self.order, t, p) for t in draws]
+        sizes = [F.shape[1] * dim for F in Fs]
+        if draws[0] == 0:  # draw 0 is led by the anchors
+            anchors = self.sampler.anchor_matrices()
+            Fs.insert(0, anchors[None].repeat(p, 0))
+            sizes[0] += len(anchors) * dim
         drawn = np.concatenate(Fs, axis=1)  # (p, k, 3, 3), the same for every node
-        rows = _blocks(self.model, self.clouds[nodes].reshape(n * p, 3),
-                       np.broadcast_to(drawn, (n,) + drawn.shape).reshape(n * p, -1, 3, 3),
-                       self.tol)
-        ends = np.cumsum([0] + [F.shape[1] * self.model.dim for F in Fs]).tolist()
-        return [rows[:, a:b].reshape(n, p, -1, 12) for a, b in zip(ends, ends[1:])]
+        rows = _blocks(self.model, clouds.reshape(n * p, 3),
+                       drawn[None].repeat(n, 0).reshape(n * p, -1, 3, 3), self.tol)
+        rows, ends = rows.reshape(n, p, -1, 12), list(accumulate(sizes, initial=0))
+        return [rows[:, :, a:b] for a, b in zip(ends, ends[1:])]
 
     def blocks(self, nodes):
         """Raw pointwise blocks of each node's next draw: ``(n, points, rows, 12)``.
@@ -416,8 +422,9 @@ class _System:
         ``nodes`` are distinct indices in increasing order, and each has read
         equally many draws.
         """
-        t = int(self.read[nodes[0]])
-        self.read[nodes] += 1
+        t = self.read[nodes[0]]
+        for i in nodes:
+            self.read[i] = t + 1
         if t >= len(self.ahead):
             return self._raw(nodes, [t])[0]
         return self.ahead[t] if len(nodes) == len(self.read) else self.ahead[t][nodes]  # all: no copy
@@ -430,7 +437,7 @@ class _System:
         """
         B = self.blocks(nodes)
         if not self.order:
-            return B.reshape(len(nodes), -1, self.n_unknowns)
+            return B.reshape(len(nodes), -1, 12)
         R = np.linalg.qr(B, mode="r")
         return (R @ self.lift[nodes]).reshape(len(nodes), -1, self.n_unknowns)
 
@@ -499,21 +506,23 @@ def _saturate(system, validate):
     result starts validated, of grade 0 and without symmetries, with the
     fibre's own ``rank_gap``; :func:`_validate` and :func:`_grade` fill it in.
     """
-    sampler = system.sampler
+    sampler, rank_rel, width = system.sampler, system.tol.rank_rel, system.n_unknowns
     system.prepare(_prepared_draws(validate))
-    results = [None] * len(system.read)
-    dims = [[] for _ in system.read]
     open_nodes = list(range(len(system.read)))
+    R, s, _ = stacked_factor(system.rows(open_nodes), vectors=False)
+    dims = [[width - rank] for rank in rank_splits(s, rank_rel)[0]]
+    results = [None] * len(dims)
     k = sampler.k_init
-    M = system.rows(open_nodes)
     while True:
-        R, s, vh = stacked_factor(M, vectors=k > sampler.k_init)  # no node stops at round 1
-        ranks, gaps = rank_splits(s, system.tol.rank_rel)
+        k *= 2
+        R, s, vh = stacked_factor(np.concatenate([R, system.rows(open_nodes)], axis=1),
+                                  vectors=True)
+        ranks, gaps = rank_splits(s, rank_rel)
         still_open = []
         for j, i in enumerate(open_nodes):
             rank = ranks[j]
-            dims[i].append(system.n_unknowns - rank)
-            if len(dims[i]) >= 2 and dims[i][-1] == dims[i][-2]:
+            dims[i].append(width - rank)
+            if dims[i][-1] == dims[i][-2]:
                 results[i] = FibreResult(
                     point=system.clouds[i, 0], mode=MODES[system.order],
                     fibre_basis=vh[j, rank:].T.copy(), base_basis=np.zeros((3, 0)), grade=0,
@@ -528,9 +537,9 @@ def _saturate(system, validate):
                 still_open.append(j)
         if not still_open:
             return results
-        open_nodes = [open_nodes[j] for j in still_open]
-        M = np.concatenate([R[still_open], system.rows(open_nodes)], axis=1)
-        k *= 2
+        if len(still_open) < len(open_nodes):  # else R is carried whole, not copied
+            R = R[still_open]
+            open_nodes = [open_nodes[j] for j in still_open]
 
 
 def _validate(system, solved):
@@ -543,22 +552,22 @@ def _validate(system, solved):
     neither a node's worst residual nor its test.  ``solved`` maps node
     index to :class:`FibreResult`.
     """
-    by_rounds = defaultdict(list)
+    by_rounds = {}
     for i, fibre in solved.items():
         if fibre.fibre_dim > 0:
-            by_rounds[len(fibre.dim_history)].append(i)
+            by_rounds.setdefault(len(fibre.dim_history), []).append(i)
     for nodes in by_rounds.values():
         B = system.blocks(nodes)  # (n, points, rows, 12)
-        bases = np.zeros((len(nodes), system.n_unknowns,
+        bases = np.zeros((len(nodes), 1, system.n_unknowns,
                           max(solved[i].fibre_dim for i in nodes)))
         for j, i in enumerate(nodes):
-            bases[j, :, :solved[i].fibre_dim] = solved[i].fibre_basis
-        per_vector = np.abs(B @ (system.lift[nodes] @ bases[:, None])).max(axis=(1, 2))
-        worst = per_vector.max(axis=1).tolist()
-        passed = (per_vector <= system.tol.residual_tol).all(axis=1).tolist()
+            bases[j, 0, :, :solved[i].fibre_dim] = solved[i].fibre_basis
+        if system.order:  # a pointwise lift is the identity
+            bases = system.lift[nodes] @ bases
+        worst = np.abs(B @ bases).max(axis=(1, 2, 3)).tolist()
         for j, i in enumerate(nodes):
             solved[i].heldout_residual = worst[j]
-            solved[i].validated = passed[j]
+            solved[i].validated = worst[j] <= system.tol.residual_tol  # False for NaN
 
 
 def _grade(system, fibres, symmetry):
@@ -570,12 +579,12 @@ def _grade(system, fibres, symmetry):
     smaller of the fibre's and the grade's gap.  A zero fibre keeps grade 0.
     """
     rank_rel = system.tol.rank_rel
-    by_dim = defaultdict(list)
+    by_dim = {}
     for fibre in fibres:
         if fibre.fibre_dim > 0:
-            by_dim[fibre.fibre_dim].append(fibre)
+            by_dim.setdefault(fibre.fibre_dim, []).append(fibre)
     for group in by_dim.values():
-        U, s, vh = stacked_svd(np.stack([fibre.fibre_basis[system.dx, :] for fibre in group]))
+        U, s, vh = stacked_svd(np.array([fibre.fibre_basis[system.dx] for fibre in group]))
         # basis columns are unit vectors, so 1 is the natural scale; anchoring
         # the cutoff there keeps pure-noise rows from faking base directions
         grades, gaps = rank_splits(s, rank_rel, scale=np.maximum(s[:, 0], 1.0))
@@ -583,18 +592,10 @@ def _grade(system, fibres, symmetry):
             fibre.grade = grades[j]
             fibre.rank_gap = min(fibre.rank_gap, gaps[j])
             fibre.base_basis = U[j, :, :fibre.grade].copy()
-            if symmetry:
-                coeff = vh[j, fibre.grade:].T
-                fibre.sym_basis = _symmetry_basis(fibre.fibre_basis, coeff, system.dp, rank_rel)
-
-
-def _symmetry_basis(basis, coeff, dp, rank_rel):
-    if coeff.shape[1] == 0:
-        return []
-    S = (basis @ coeff)[dp, :]
-    U, s, _ = stacked_svd(S)
-    keep, _ = rank_split(s, rank_rel, scale=max(float(s[0]) if s.size else 0.0, 1.0))
-    return [U[:, j].reshape(3, 3).copy() for j in range(keep)]
+            if symmetry and fibre.grade < fibre.fibre_dim:  # the null space of the base rows
+                dirs, sv, _ = stacked_svd((fibre.fibre_basis @ vh[j, fibre.grade:].T)[system.dp])
+                keep, _ = rank_split(sv, rank_rel, scale=max(float(sv[0]), 1.0))
+                fibre.sym_basis = list(np.ascontiguousarray(dirs[:, :keep].T).reshape(keep, 3, 3))
 
 
 def _fibres(system, validate=True, symmetry=False):
@@ -619,7 +620,7 @@ def check_germ_args(radius, cloud):
     least 1: a zero, negative or NaN radius, or an empty cloud, would leave
     the first-order ansatz unconstrained and report a wrong grade.
     """
-    if not (np.isfinite(radius) and radius > 0.0):
+    if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"germ radius must be finite and positive, got {radius!r}")
     if not (isinstance(cloud, (int, np.integer)) and cloud >= 1):
         raise ValueError(f"germ cloud must be an integer of at least 1, got {cloud!r}")
@@ -647,24 +648,21 @@ def fibres_at(model, Xs, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     Xs = np.asarray(Xs, dtype=float).reshape(-1, 3)
-    inside = np.array([model.in_domain(X) for X in Xs], dtype=bool)
+    inside = [model.in_domain(X) for X in Xs]
+    points = Xs if all(inside) else Xs[np.array(inside, dtype=bool)]
 
     def run(chunk):
         try:
-            system = _System(model, chunk, mode, tol, germ_radius, germ_cloud, sampler)
-            return _fibres(system, validate, symmetry)
+            return _fibres(_System(model, chunk, mode, tol, germ_radius, germ_cloud, sampler),
+                           validate, symmetry)
         except MatdistError as exc:
-            if len(chunk) == 1:
-                return [exc]
-            return [fibre for X in chunk for fibre in run(X[None])]
+            return [exc] if len(chunk) == 1 else [f for X in chunk for f in run(X[None])]
 
-    points = Xs[inside]
     step = _chunk_nodes(model, MODES.index(mode), germ_cloud, sampler, validate)
-    found = iter([fibre for start in range(0, len(points), step)
-                  for fibre in run(points[start:start + step])])
+    found = iter([f for i in range(0, len(points), step) for f in run(points[i:i + step])])
     return [next(found) if ok else
-            DomainError(f"point {X.tolist()} is outside the domain of model {model.name!r}")
-            for X, ok in zip(Xs, inside)]
+            DomainError(f"point {Xs[i].tolist()} is outside the domain of model {model.name!r}")
+            for i, ok in enumerate(inside)]
 
 
 def material_fibre(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL, mode="pointwise",
@@ -700,11 +698,6 @@ def base_basis_at(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
     return fibre.base_basis, fibre.grade, fibre.rank_gap
 
 
-def symmetry_algebra(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
-    """Basis of the material symmetry algebra at ``X`` (list of 3x3 arrays)."""
-    return material_fibre(model, X, sampler=sampler, tol=tol, mode="pointwise").sym_basis
-
-
 def is_material_isomorphism(model, X, Y, P, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
     """Test whether the jet ``P`` from ``X`` to ``Y`` is a material isomorphism.
 
@@ -722,7 +715,7 @@ def is_material_isomorphism(model, X, Y, P, sampler=DEFAULT_SAMPLER, tol=DEFAULT
     for name, point in (("X", X), ("Y", Y)):
         if not model.in_domain(point):
             raise DomainError(f"{name}={point.tolist()} is outside the domain of model {model.name!r}")
-    Fs = _with_anchors(_pool(sampler, 2, 0, 1), sampler)[0]  # salt 2: after the jet orders
+    Fs = np.concatenate([sampler.anchor_matrices(), _pool(sampler, 2, 0, 1)[0]])  # salt 2
     WX = evaluate_at_samples(model, np.broadcast_to(X, (len(Fs), 3)), Fs @ P)
     WY = evaluate_at_samples(model, np.broadcast_to(Y, (len(Fs), 3)), Fs)
     diffs = np.abs(WX - WY).max(axis=1)

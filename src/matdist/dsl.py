@@ -745,7 +745,12 @@ def _call_inv(node, A):
 def _call_exp(node, A):
     a, da = A
     v = np.exp(a)
-    return v, _mul(da, v)
+    d = _mul(da, v)
+    if d is not None and np.isnan(d).any():
+        # where exp underflows to 0 its rate is 0, though the chain factor
+        # may overflow (exp(-1/x) at tiny x): 0 * inf would be NaN
+        d = np.where(np.isnan(d) & (v == 0.0), 0.0, d)
+    return v, d
 
 
 def _call_log(node, A):

@@ -72,7 +72,7 @@ def rank_split(s, rank_rel, scale=None):
 
 
 def rank_splits(s, rank_rel, scale=None):
-    """:func:`rank_split` of each row of a stack ``s (n, m)``, in one pass.
+    """:func:`rank_split` of each row of a float array ``s (n, m)``, in one pass.
 
     Returns ``(ranks, gaps)``, lists of ``n`` ints and floats; ``scale``,
     when given, holds one value per row and replaces the row's largest
@@ -80,7 +80,6 @@ def rank_splits(s, rank_rel, scale=None):
     once; each gap is one division of two Python floats, which rounds as
     numpy's does.
     """
-    s = np.asarray(s, dtype=float)
     cutoff = rank_rel * (s[:, :1] if scale is None else np.asarray(scale, dtype=float)[:, None])
     ranks = (s > cutoff).sum(axis=1).tolist()
     gaps = [row[r - 1] / row[r] if 0 < r < len(row) and row[r] != 0.0 else np.inf
@@ -101,9 +100,8 @@ def stacked_svd(M):
     unconstrained.  A stack is factorized matrix by matrix, so stacking
     never changes a bit of any result.
     """
-    A = np.asarray(M, dtype=float)
-    m, n = A.shape[-2:]
-    return np.linalg.svd(A, full_matrices=m < n)
+    m, n = M.shape[-2:]
+    return np.linalg.svd(M, full_matrices=m < n)
 
 
 def stacked_factor(M, vectors):
@@ -116,8 +114,7 @@ def stacked_factor(M, vectors):
     rounding and no tall ``U`` is formed.  Without ``vectors`` only the
     singular values are computed, and ``Vh`` is ``None``.
     """
-    A = np.asarray(M, dtype=float)
-    R = np.linalg.qr(A, mode="r") if A.shape[-2] > A.shape[-1] else A
+    R = np.linalg.qr(M, mode="r") if M.shape[-2] > M.shape[-1] else M
     if not vectors:
         return R, np.linalg.svd(R, compute_uv=False), None
     return (R, *stacked_svd(R)[1:])

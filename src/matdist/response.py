@@ -133,7 +133,7 @@ def _checked_lanes(model, values, shape, what, Xs):
         found = "ragged"
     if found != shape:
         raise ValueError(f"model {model.name!r} returned {what} of shape {found}, expected {shape}")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         lane = int(np.argwhere(~np.isfinite(values))[0][0])
         raise NonFiniteError(
             f"model {model.name!r} returned a non-finite {what} at X={Xs[lane].tolist()}"
@@ -204,7 +204,7 @@ def derivatives_at_samples(model, Xs, Fs, tol=DEFAULT_TOL):
     Xs = np.asarray(Xs, dtype=float)
     Fs = np.asarray(Fs, dtype=float)
     n, k, d = len(Xs), Fs.shape[1], model.dim
-    lanes = np.repeat(Xs, k, axis=0)
+    lanes = Xs.repeat(k, axis=0)
     if model._derivatives is None:
         block = _fd_block(model, Xs, Fs, tol)
     else:

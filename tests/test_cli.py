@@ -451,6 +451,30 @@ class TestUsageErrors:
         assert "usage error" in err and message in err
         assert not out
 
+    def test_one_parser_serves_calls_with_and_without_chart_parameters(self, monkeypatch,
+                                                                       capsys):
+        # the parser is built once per process: a --chart-param list, an
+        # append default, must not carry from one call into the next
+        class Passed:
+            aborted, passed = False, True
+
+            def to_json_dict(self):
+                return {}
+
+        monkeypatch.setattr(cli, "homogeneity_check", lambda *args, **kwargs: Passed())
+        plain = ["homog", "--model", "example2", "--chart", "spherical_cap"]
+        with_param = plain + ["--chart-param", "rho_min=0.2"]
+        configs = []
+        for argv in (plain, with_param, plain, with_param):
+            code, out, err = run(argv, capsys)
+            assert code == cli.EXIT_OK, err
+            configs.append(payload_of(out)["config"])
+        assert cli.build_parser() is cli.build_parser()
+        assert "chart.rho_min" not in configs[0]
+        assert configs[1]["chart.rho_min"] == "0.20000000000000001"
+        assert configs[2] == configs[0] and configs[3] == configs[1]
+        assert {k: v for k, v in configs[1].items() if k != "chart.rho_min"} == configs[0]
+
     def test_malformed_chart_parameter_names_its_config_key(self, tmp_path, monkeypatch,
                                                              capsys):
         def no_compute(*args, **kwargs):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matdist.distribution import material_fibre
 from matdist.errors import DomainError, NonFiniteError, SingularMatrixError
 from matdist.numkit import DEFAULT_TOL
 from matdist.response import (
@@ -286,6 +287,20 @@ class TestParsedModels:
             F = random_invertible(rng)
             worst = max(worst, np.abs(evaluate(parsed, X, F) - evaluate(example1, X, F)).max())
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["pointwise", "germ1"])
+    @pytest.mark.parametrize("x1", [1e-160, 1e-200, 5e-324])
+    def test_shipped_example1_fibre_below_the_exp_underflow(self, example1, x1, mode):
+        # exp(-1/X1) underflows to 0 while the chain factor of -1/X1 overflows:
+        # the rate of the underflowed exp is 0, not 0 * inf = NaN
+        import os
+
+        import matdist
+
+        path = os.path.join(os.path.dirname(matdist.__file__), "mdl", "example1.mdl")
+        got = material_fibre(load_model_file(path), [x1, 0.0, 0.0], mode=mode)
+        want = material_fibre(example1, [x1, 0.0, 0.0], mode=mode)
+        assert (got.grade, got.validated) == (want.grade, want.validated) == (3, True)
 
     def test_parse_model_param_override(self):
         model = parse_model("param k = 2\nresponse = k * det(F)\n", params={"k": 5.0})

@@ -16,6 +16,8 @@ import matdist
 from matdist import distribution
 from matdist.distribution import (
     DEFAULT_SAMPLER,
+    GERM_CLOUD,
+    GERM_RADIUS,
     SamplerConfig,
     fibres_at,
     is_material_isomorphism,
@@ -23,6 +25,7 @@ from matdist.distribution import (
 )
 from matdist.errors import SamplerExhaustedError
 from matdist.foliation import GridSpec, grade_map
+from matdist.numkit import DEFAULT_TOL
 from matdist.response import builtin, load_model_file
 
 import sampler_reference as reference
@@ -208,6 +211,45 @@ class TestPool:
                           sampler=sampler)
         assert len(field.errors) == 2
         assert len(batches) == reference.SAMPLER_BATCHES
+
+    def test_queries_read_the_anchors_of_their_sampler(self, example2):
+        # draw 0 is led by the sampler's anchors, an array included: samplers
+        # equal but for their anchors give different rows, equal anchors the same
+        def rows(anchors):
+            system = distribution._System(example2, np.array([[0.3, 0.2, 0.1]]), "pointwise",
+                                          DEFAULT_TOL, GERM_RADIUS, GERM_CLOUD,
+                                          SamplerConfig(anchors=anchors))
+            return system.rows([0])
+
+        unit = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        stretch = ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))
+        assert np.array_equal(rows(np.array([unit])), rows((unit,)))
+        assert np.array_equal(rows(np.array([stretch])), rows((stretch,)))
+        assert not np.array_equal(rows(np.array([stretch])), rows(np.array([unit])))
+        fibres = [material_fibre(example2, [0.3, 0.2, 0.1], sampler=SamplerConfig(anchors=a))
+                  for a in (np.eye(3)[None], np.array([stretch]))]
+        assert fibres[0].samples_used == fibres[1].samples_used
+        assert not np.array_equal(fibres[0].fibre_basis, fibres[1].fibre_basis)
+
+    def test_a_cleared_pool_draws_again(self, example2, monkeypatch):
+        # the pool is the one store of draws: once cleared, the next query
+        # draws through sample_gradients again, and reads the same gradients
+        want = material_fibre(example2, [0.3, 0.2, 0.1])
+        calls = []
+        original = distribution.sample_gradients
+
+        def counted(rng, count, sampler):
+            calls.append(count)
+            return original(rng, count, sampler)
+
+        monkeypatch.setattr(distribution, "sample_gradients", counted)
+        material_fibre(example2, [0.3, 0.2, 0.1])
+        assert not calls
+        distribution._pool_draw.cache_clear()
+        got = material_fibre(example2, [0.3, 0.2, 0.1])
+        assert calls
+        assert np.array_equal(got.fibre_basis, want.fibre_basis)
+        assert got.heldout_residual == want.heldout_residual
 
     def test_each_mode_reads_its_own_salt(self, example2, monkeypatch):
         # the salts are part of every payload: pointwise nodes read draws of

@@ -384,6 +384,40 @@ def counting(monkeypatch, name):
     return calls
 
 
+class TestFactorizationCounts:
+    # a query makes one derivative call and one QR or SVD call per stacked
+    # factorization, whatever its size: the counts of a one-point query, and
+    # of a 12-point batch with one fibre dimension, are those of the kernel
+    # before its fixed cost was cut
+    POINTS = np.random.default_rng(5).uniform(0.1, 0.6, (12, 3)) * [1.0, 0.5, 0.5]
+
+    @pytest.mark.parametrize("name,points,validate,want", [
+        ("example1", 1, False, (1, 2, 3)), ("example2", 1, False, (1, 2, 3)),
+        ("identity_cal", 1, False, (1, 2, 3)), ("det_cal", 1, False, (1, 1, 3)),
+        ("example2", 1, True, (1, 2, 4)),
+        ("example1", 12, False, (1, 2, 3)), ("example2", 12, False, (1, 2, 3)),
+        ("identity_cal", 12, False, (1, 2, 3)), ("det_cal", 12, False, (1, 1, 3)),
+    ])
+    def test_calls_per_query(self, request, monkeypatch, name, points, validate, want):
+        model = request.getfixturevalue(name)
+        Xs = self.POINTS[:points]
+
+        def query():  # validated queries extract the symmetries, as material_fibre does
+            return fibres_at(model, Xs, validate=validate, symmetry=validate)
+
+        query()  # the gradient pool, made once per process
+        derivatives = counting(monkeypatch, "derivatives_at_samples")
+        factorizations = defaultdict(int)
+        for kind in ("qr", "svd"):
+            def counted(*args, original=getattr(np.linalg, kind), kind=kind, **kwargs):
+                factorizations[kind] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, kind, counted)
+        fibres = query()
+        assert all(isinstance(f, distribution.FibreResult) for f in fibres)
+        assert (len(derivatives), factorizations["qr"], factorizations["svd"]) == want
+
+
 def counting_draws(monkeypatch):
     """Per ``_System._raw`` call, the gradient count of each pool draw it reads."""
     draws = []
