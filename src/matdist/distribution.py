@@ -17,7 +17,7 @@ the kernel, and validation catches unlucky draws.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
@@ -305,8 +305,9 @@ def _blocks(model, Xs, Fs, tol):
 # fibre computation
 #
 # One kernel serves every fibre: a system yields admissibility rows for a set
-# of nodes, all reading one gradient pool; _saturate solves them in lockstep and
-# _fibres validates and grades the results, one FibreResult per node.
+# of nodes, all reading one gradient pool; _fibres solves each distinct system
+# once (_twins), _saturate solves them in lockstep, and _validate and _grade
+# finish the results, one FibreResult per node.
 # fibres_at is its one entry, in both modes: it runs chunks of points through
 # the kernel and isolates each failure to its point.  material_fibre, grade
 # maps, leaf traces and the homogeneity check all call it.
@@ -361,7 +362,10 @@ class _System:
     takes a node's next draw, as a solve round or as held-out samples.
     Clouds near the domain boundary lose points; nodes whose clouds differ
     in size cannot share one stacked system, so such a batch raises and the
-    caller runs its nodes one by one.
+    caller runs its nodes one by one.  A node's prepared raw blocks, with
+    its cloud offsets in ``germ1`` mode, are all that its solve reads until
+    it reads past them; nodes that agree in these bit for bit share one
+    solve (:func:`_fibres`).
     """
 
     dx = slice(0, 3)  # the base velocity dX0 leads the unknowns in both orders
@@ -489,29 +493,26 @@ def _fibonacci_directions(n):
     )
 
 
-def _saturate(system, validate):
+def _saturate(system, nodes):
     """Double the sample count until each node's null dimension repeats.
 
-    The nodes run in lockstep.  The first round solves the anchors and
-    ``k_init`` gradients per node; each later round doubles ``k`` with ``k/2``
-    new gradients and factorizes ``[R; new rows]``, where ``R`` is the last
-    round's triangular factor (``R^T R = M^T M``), so the singular values
-    are those of the whole solve set in exact arithmetic and no row is
-    drawn or solved twice.  A node stops only when its null dimension
-    repeats, so none stops at round 1, which computes singular values
-    alone.  Round 2 always runs, and a node that stops there with a fibre
-    is validated on its third draw, so the first two draws, and the third
-    when ``validate`` is set, are prepared in one batch.  Returns a
-    :class:`FibreResult` or a :class:`FibreInstabilityError` per node.  Each
+    ``nodes`` (increasing indices, none read yet) run in lockstep.  The
+    first round solves the anchors and ``k_init`` gradients per node; each
+    later round doubles ``k`` with ``k/2`` new gradients and factorizes
+    ``[R; new rows]``, where ``R`` is the last round's triangular factor
+    (``R^T R = M^T M``), so the singular values are those of the whole
+    solve set in exact arithmetic and no row is drawn or solved twice.  A
+    node stops only when its null dimension repeats, so none stops at round
+    1, which computes singular values alone.  Returns a :class:`FibreResult`
+    or a :class:`FibreInstabilityError` per node, keyed by node.  Each
     result starts validated, of grade 0 and without symmetries, with the
     fibre's own ``rank_gap``; :func:`_validate` and :func:`_grade` fill it in.
     """
     sampler, rank_rel, width = system.sampler, system.tol.rank_rel, system.n_unknowns
-    system.prepare(_prepared_draws(validate))
-    open_nodes = list(range(len(system.read)))
+    open_nodes = nodes
     R, s, _ = stacked_factor(system.rows(open_nodes), vectors=False)
-    dims = [[width - rank] for rank in rank_splits(s, rank_rel)[0]]
-    results = [None] * len(dims)
+    dims = {i: [width - rank] for i, rank in zip(nodes, rank_splits(s, rank_rel)[0])}
+    results = {}
     k = sampler.k_init
     while True:
         k *= 2
@@ -598,19 +599,86 @@ def _grade(system, fibres, symmetry):
                 fibre.sym_basis = list(np.ascontiguousarray(dirs[:, :keep].T).reshape(keep, 3, 3))
 
 
+def _twins(system):
+    """Each node whose solve inputs repeat, bit for bit, those of an earlier
+    node of ``system``, mapped to the first such node: ``{twin: lead}``.
+
+    A solve reads a node's prepared raw blocks and, in ``germ1`` mode, the
+    cloud offsets that build its lift; nothing else that it reads differs
+    between nodes.  The bytes of each node's first prepared row bucket the
+    nodes, which costs a few microseconds where no node repeats another;
+    within a bucket every node is compared bit by bit with the bucket's
+    first, and the nodes that differ from it form the next bucket.
+    """
+    n = len(system.read)
+    if n == 1 or not system.ahead:
+        return {}
+    first = system.ahead[0][:, 0, 0].tobytes()
+    size = len(first) // n
+    keys = [first[a:a + size] for a in range(0, len(first), size)]
+    if len(set(keys)) == n:
+        return {}
+    buckets = {}
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
+    inputs = [*system.ahead, system.clouds - system.clouds[:, :1]] if system.order else system.ahead
+    bits = [a.view(np.uint64) for a in inputs]  # bitwise: 0.0 and -0.0 differ
+    twins = {}
+    for nodes in buckets.values():
+        while len(nodes) > 1:
+            lead, rest = nodes[0], np.array(nodes[1:])
+            same = np.ones(len(rest), dtype=bool)
+            for b in bits:
+                same &= (b[rest] == b[lead]).reshape(len(rest), -1).all(axis=1)
+            twins.update(dict.fromkeys(rest[same].tolist(), lead))
+            nodes = rest[~same].tolist()
+    return twins
+
+
+def _solve(system, nodes, validate, symmetry):
+    """Saturate, validate and grade ``nodes``: a result or error per node, keyed by node."""
+    results = _saturate(system, nodes)
+    solved = {i: r for i, r in results.items() if isinstance(r, FibreResult)}
+    if validate:
+        _validate(system, solved)
+    _grade(system, solved.values(), symmetry)
+    return results
+
+
 def _fibres(system, validate=True, symmetry=False):
     """Saturate, validate and grade every node of ``system``.
+
+    Round 2 always runs, and a node that stops there with a fibre is
+    validated on its third draw, so the first two draws, and the third when
+    ``validate`` is set, are prepared for every node in one batch.  Nodes
+    whose prepared inputs are bit-identical (:func:`_twins`) share one
+    solve: the first of them solves, and each other gets its own copy of
+    that result, with its own ``point``.  The copy is exact when the
+    solving node read nothing but prepared draws; one that read further
+    draws, which are derived at its own cloud, or that failed, leaves the
+    others to solve on their own.
 
     Returns one :class:`FibreResult` or :class:`MatdistError` per node.  A
     failure that the batch cannot attribute to one node (a non-finite
     response, say) raises instead.
     """
-    results = _saturate(system, validate)
-    solved = {i: r for i, r in enumerate(results) if isinstance(r, FibreResult)}
-    if validate:
-        _validate(system, solved)
-    _grade(system, solved.values(), symmetry)
-    return results
+    system.prepare(_prepared_draws(validate))
+    twins = _twins(system)
+    results = _solve(system, [i for i in range(len(system.read)) if i not in twins],
+                     validate, symmetry)
+    alone = []
+    for i, lead in twins.items():
+        fibre = results[lead]
+        if isinstance(fibre, FibreResult) and system.read[lead] <= len(system.ahead):
+            results[i] = replace(
+                fibre, point=system.clouds[i, 0], fibre_basis=fibre.fibre_basis.copy(),
+                base_basis=fibre.base_basis.copy(), sym_basis=[m.copy() for m in fibre.sym_basis],
+                dim_history=list(fibre.dim_history))
+        else:
+            alone.append(i)
+    if alone:
+        results.update(_solve(system, sorted(alone), validate, symmetry))
+    return [results[i] for i in range(len(system.read))]
 
 
 def check_germ_args(radius, cloud):
@@ -642,7 +710,10 @@ def fibres_at(model, Xs, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_
     the same gradient draws (:func:`_pool`), so results do not depend on
     how the points are batched: a chunk that raises is re-run point by
     point, which reproduces the others exactly and pins the failure to its
-    point.
+    point.  Points of a chunk whose admissibility systems are bit-identical
+    (the same prepared rows and, in ``germ1`` mode, the same cloud offsets)
+    are solved once, and each gets its own copy of the result: bit-identical
+    to querying the point alone, with its own ``point`` and arrays.
     """
     check_germ_args(germ_radius, germ_cloud)
     if mode not in MODES:

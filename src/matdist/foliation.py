@@ -413,7 +413,10 @@ def grade_map(model, grid, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAUL
     (:func:`~matdist.distribution.fibres_at`), which checks the ``germ1``
     cloud arguments and the mode before any node runs; results do not
     depend on how nodes are batched, because every node reads the same
-    gradient draws.
+    gradient draws.  Nodes of a chunk whose admissibility systems are
+    bit-identical share one solve, which a laminate such as ``example1``
+    (whose rows depend on ``X1`` alone) repeats across each plane of its
+    grid; every node's answer stays the one it gets alone.
     ``threads`` is ignored: the map runs in this process.  Its only caller
     is ``bench/run.py:pool_probe``, and both go together (ROADMAP item 1(c)).
     """

@@ -23,10 +23,12 @@ from matdist.distribution import (
     GERM_CLOUD,
     GERM_RADIUS,
     MODES,
+    SamplerConfig,
     fibres_at,
     material_fibre,
 )
-from matdist.errors import NonFiniteError, SamplerExhaustedError
+from matdist.errors import FibreInstabilityError, NonFiniteError, SamplerExhaustedError
+from matdist.foliation import GridSpec, grade_map
 from matdist.numkit import DEFAULT_TOL, Tolerances, rank_split, rank_splits, stacked_factor
 from matdist.response import ConstitutiveModel
 
@@ -88,6 +90,13 @@ class TestCarriedFactor:
             assert_same_spectrum(values[j], M)
 
 
+def saturated(system):
+    """Every node of ``system`` saturated, its draws prepared as for a validated query."""
+    system.prepare(distribution._prepared_draws(True))
+    results = distribution._saturate(system, list(range(len(system.read))))
+    return [results[i] for i in range(len(system.read))]
+
+
 def lifted(system, blocks):
     """Raw blocks ``(points, rows, 12)`` of node 0 through its lift: ``(points*rows, unknowns)``."""
     return (blocks @ system.lift[0]).reshape(-1, system.n_unknowns)
@@ -115,7 +124,7 @@ def test_rounds_solve_all_rows_and_validate_raw_ones(request, monkeypatch, name,
                                     DEFAULT_SAMPLER)
 
     system = new_system()
-    (fibre,) = distribution._saturate(system, validate=True)
+    (fibre,) = saturated(system)
     assert len(fibre.dim_history) == len(spectra) >= 2
     distribution._validate(system, {0: fibre})
 
@@ -159,7 +168,7 @@ def assert_rounds_match_raw_rows(model, X, mode):
 
     system = node_system(model, X, mode)
     with mock.patch.object(distribution, "stacked_factor", spy):
-        (fibre,) = distribution._saturate(system, validate=True)
+        (fibre,) = saturated(system)
     assert len(spectra) == len(fibre.dim_history) >= 2
     assert asked == [False] + [True] * (len(spectra) - 1)  # round 1: values alone
     fresh, raw = node_system(model, X, mode), []
@@ -251,7 +260,7 @@ def test_batched_validation_equals_the_node_loop(request, name, mode, points):
 
     def validated(check, tol):
         system = node_system(model, points, mode, tol)
-        results = distribution._saturate(system, validate=True)
+        results = saturated(system)
         check(system, dict(enumerate(results)))
         return results
 
@@ -416,6 +425,49 @@ class TestFactorizationCounts:
         fibres = query()
         assert all(isinstance(f, distribution.FibreResult) for f in fibres)
         assert (len(derivatives), factorizations["qr"], factorizations["svd"]) == want
+
+
+class TestSolvedNodes:
+    # nodes of a chunk whose prepared inputs are bit-identical share one
+    # solve: the nodes that reach _saturate, per chunk, on a 5^3 map
+    GRID = GridSpec((-0.9, -0.9, -0.9), (0.9, 0.9, 0.9), (5, 5, 5))
+
+    def solved(self, monkeypatch, model):
+        calls = counting(monkeypatch, "_saturate")
+        grade_map(model, self.GRID)
+        return [len(nodes) for _, nodes in calls]
+
+    def test_example1_map_solves_each_distinct_system_once(self, example1, monkeypatch):
+        # example1's rows depend on X1 alone and are the same for every
+        # X1 <= 0, so a chunk holds one system per X1 > 0 and one for X1 <= 0
+        step = distribution._chunk_nodes(example1, 0, GERM_CLOUD, DEFAULT_SAMPLER, True)
+        x1 = self.GRID.points().reshape(-1, 3)[:, 0].tolist()
+        distinct = [len({max(x, 0.0) for x in x1[i:i + step]}) for i in range(0, len(x1), step)]
+        assert distinct == [1, 1, 1, 2, 2, 1]
+        assert self.solved(monkeypatch, example1) == distinct
+
+    def test_example2_map_solves_every_node(self, example2, monkeypatch):
+        inside = sum(example2.in_domain(X) for X in self.GRID.points().reshape(-1, 3))
+        assert sum(self.solved(monkeypatch, example2)) == inside == 33
+
+    @pytest.mark.parametrize("k_max", [DEFAULT_SAMPLER.k_max, 2 * DEFAULT_SAMPLER.k_init],
+                             ids=["fourth-round", "unstable"])
+    def test_twins_of_a_node_that_reads_on_solve_on_their_own(self, monkeypatch, k_max):
+        # stepping_model gives every point the same rows, gradient by gradient,
+        # so the three points are twins; their first node either reads past
+        # the prepared draws (a fourth round, derived at its own point) or
+        # fails at round 2, so the other two solve on their own
+        sampler = SamplerConfig(k_max=k_max)
+        Xs = [(0.3, 0.2, 0.1), (-0.4, 0.0, 0.5), (0.1, -0.6, 0.2)]
+        calls = counting(monkeypatch, "_saturate")
+        got = fibres_at(stepping_model(), Xs, sampler=sampler)
+        assert [nodes for _, nodes in calls] == [[0], [1, 2]]
+        want = [fibres_at(stepping_model(), [X], sampler=sampler)[0] for X in Xs]
+        assert_same_nodes(got, want)
+        if k_max == DEFAULT_SAMPLER.k_max:
+            assert all(fibre.dim_history == [11, 10, 9, 9] for fibre in got)
+        else:
+            assert all(isinstance(e, FibreInstabilityError) and e.history == [11, 10] for e in got)
 
 
 def counting_draws(monkeypatch):
