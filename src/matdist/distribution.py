@@ -31,7 +31,14 @@ from .errors import (
     SamplerExhaustedError,
     SingularMatrixError,
 )
-from .numkit import DEFAULT_TOL, rank_split, rank_splits, stacked_factor, stacked_svd
+from .numkit import (
+    DEFAULT_TOL,
+    rank_split,
+    rank_splits,
+    stacked_factor,
+    stacked_svd,
+    triangular_factor,
+)
 from .response import derivatives_at_samples, evaluate_at_samples
 
 __all__ = [
@@ -307,10 +314,13 @@ def _blocks(model, Xs, Fs, tol):
 # One kernel serves every fibre: a system yields admissibility rows for a set
 # of nodes, all reading one gradient pool; _fibres solves each distinct system
 # once (_twins), _saturate solves them in lockstep, and _validate and _grade
-# finish the results, one FibreResult per node.
-# fibres_at is its one entry, in both modes: it runs chunks of points through
-# the kernel and isolates each failure to its point.  material_fibre, grade
-# maps, leaf traces and the homogeneity check all call it.
+# finish the results, one FibreResult per node.  A node may come with a carry,
+# its last exact solve (Carry): when its prepared rows repeat the carried ones
+# bit for bit, it takes a copy of that result and is not solved.
+# carried_fibres is the one entry, in both modes: it runs chunks of points
+# through the kernel and isolates each failure to its point.  fibres_at is
+# that entry without carries, which material_fibre, grade maps and the
+# homogeneity check call; leaf traces call it with one carry per leaf.
 
 # bytes of the rows a chunk prepares (_System.prepare): they set its memory,
 # and larger chunks share the kernel's fixed cost among more nodes.  One
@@ -442,7 +452,7 @@ class _System:
         B = self.blocks(nodes)
         if not self.order:
             return B.reshape(len(nodes), -1, 12)
-        R = np.linalg.qr(B, mode="r")
+        R = triangular_factor(B)
         return (R @ self.lift[nodes]).reshape(len(nodes), -1, self.n_unknowns)
 
 
@@ -599,29 +609,56 @@ def _grade(system, fibres, symmetry):
                 fibre.sym_basis = list(np.ascontiguousarray(dirs[:, :keep].T).reshape(keep, 3, 3))
 
 
-def _twins(system):
-    """Each node whose solve inputs repeat, bit for bit, those of an earlier
-    node of ``system``, mapped to the first such node: ``{twin: lead}``.
+class Carry:
+    """A node's last exact solve, kept by a caller that queries the node again.
 
-    A solve reads a node's prepared raw blocks and, in ``germ1`` mode, the
-    cloud offsets that build its lift; nothing else that it reads differs
-    between nodes.  The bytes of each node's first prepared row bucket the
-    nodes, which costs a few microseconds where no node repeats another;
-    within a bucket every node is compared bit by bit with the bucket's
-    first, and the nodes that differ from it form the next bucket.
+    ``key`` holds the bytes of everything the solve read that can differ
+    between nodes (:func:`_inputs`), and ``result`` the :class:`FibreResult`
+    they gave; both stay ``None`` until a solve fills them.  A solve is kept
+    only when it read nothing but prepared draws and gave a result, so a
+    query whose inputs repeat ``key`` bit for bit gets that result back
+    exactly, however long ago it was kept.  The caller must not change a
+    result it passes back this way.
     """
-    n = len(system.read)
-    if n == 1 or not system.ahead:
-        return {}
+
+    __slots__ = ("key", "result")
+
+    def __init__(self):
+        self.key = self.result = None
+
+
+def _inputs(system):
+    """Per-node arrays of all that a node's solve reads and another node's may
+    not: its prepared raw blocks and, in ``germ1`` mode, the cloud offsets that
+    build its lift.  Empty when the draws are not prepared."""
+    if system.order and system.ahead:
+        return [*system.ahead, system.clouds - system.clouds[:, :1]]
+    return system.ahead
+
+
+def _first_rows(system):
+    """The bytes of each node's first prepared row: a cheap key that two nodes
+    with bit-identical inputs share."""
     first = system.ahead[0][:, 0, 0].tobytes()
-    size = len(first) // n
-    keys = [first[a:a + size] for a in range(0, len(first), size)]
-    if len(set(keys)) == n:
+    size = len(first) // len(system.read)
+    return [first[a:a + size] for a in range(0, len(first), size)]
+
+
+def _twins(inputs, keys):
+    """Each node whose solve inputs repeat, bit for bit, those of an earlier
+    node, mapped to the first such node: ``{twin: lead}``.
+
+    ``inputs`` are the nodes' solve inputs (:func:`_inputs`) and ``keys``
+    their first rows (:func:`_first_rows`).  The keys bucket the nodes,
+    which costs a few microseconds where no node repeats another; within a
+    bucket every node is compared bit by bit with the bucket's first, and
+    the nodes that differ from it form the next bucket.
+    """
+    if len(set(keys)) == len(keys):
         return {}
     buckets = {}
     for i, key in enumerate(keys):
         buckets.setdefault(key, []).append(i)
-    inputs = [*system.ahead, system.clouds - system.clouds[:, :1]] if system.order else system.ahead
     bits = [a.view(np.uint64) for a in inputs]  # bitwise: 0.0 and -0.0 differ
     twins = {}
     for nodes in buckets.values():
@@ -635,8 +672,34 @@ def _twins(system):
     return twins
 
 
+def _key(inputs, i):
+    """Node ``i``'s solve inputs as one string of bytes, compared bit for bit."""
+    return b"".join(a[i].tobytes() for a in inputs)
+
+
+def _repeats(inputs, keys, carries):
+    """Nodes whose solve inputs repeat their carried ones bit for bit: ``{node: carry}``.
+
+    A node's first row must lead its carried bytes before the whole key is
+    built and compared, so nodes that moved pay one short comparison.
+    """
+    return {i: carry for i, (key, carry) in enumerate(zip(keys, carries))
+            if carry.key is not None and carry.key.startswith(key)
+            and carry.key == _key(inputs, i)}
+
+
+def _copy(fibre, point):
+    """``fibre`` at another node: its own ``point`` and its own arrays."""
+    return replace(fibre, point=point, fibre_basis=fibre.fibre_basis.copy(),
+                   base_basis=fibre.base_basis.copy(),
+                   sym_basis=[m.copy() for m in fibre.sym_basis],
+                   dim_history=list(fibre.dim_history))
+
+
 def _solve(system, nodes, validate, symmetry):
     """Saturate, validate and grade ``nodes``: a result or error per node, keyed by node."""
+    if not nodes:
+        return {}
     results = _saturate(system, nodes)
     solved = {i: r for i, r in results.items() if isinstance(r, FibreResult)}
     if validate:
@@ -645,40 +708,56 @@ def _solve(system, nodes, validate, symmetry):
     return results
 
 
-def _fibres(system, validate=True, symmetry=False):
+def _fibres(system, validate=True, symmetry=False, carries=None):
     """Saturate, validate and grade every node of ``system``.
 
     Round 2 always runs, and a node that stops there with a fibre is
     validated on its third draw, so the first two draws, and the third when
-    ``validate`` is set, are prepared for every node in one batch.  Nodes
-    whose prepared inputs are bit-identical (:func:`_twins`) share one
-    solve: the first of them solves, and each other gets its own copy of
-    that result, with its own ``point``.  The copy is exact when the
-    solving node read nothing but prepared draws; one that read further
-    draws, which are derived at its own cloud, or that failed, leaves the
-    others to solve on their own.
+    ``validate`` is set, are prepared for every node in one batch.  A node
+    whose prepared inputs repeat, bit for bit, those of its carry (one
+    :class:`Carry` per node in ``carries``, when given) takes a copy of the
+    carried result.  Other nodes whose prepared inputs are bit-identical
+    (:func:`_twins`) share one solve: the first of them solves, or takes its
+    carry, and each other gets its own copy of that result, with its own
+    ``point``.  A copy is exact when the solving node read nothing but
+    prepared draws; one that read further draws, which are derived at its
+    own cloud, or that failed, leaves the others to solve on their own.
+    Each node's exact result, with its inputs, becomes its new carry.
 
     Returns one :class:`FibreResult` or :class:`MatdistError` per node.  A
     failure that the batch cannot attribute to one node (a non-finite
     response, say) raises instead.
     """
     system.prepare(_prepared_draws(validate))
-    twins = _twins(system)
-    results = _solve(system, [i for i in range(len(system.read)) if i not in twins],
-                     validate, symmetry)
+    n, inputs = len(system.read), _inputs(system)
+    repeats, twins = {}, {}
+    if inputs:
+        keys = _first_rows(system)
+        if carries is not None:
+            repeats = _repeats(inputs, keys, carries)
+        if n > 1:
+            twins = _twins(inputs, keys)
+    results = {i: _copy(carry.result, system.clouds[i, 0]) for i, carry in repeats.items()}
+    results.update(_solve(system, [i for i in range(n) if i not in twins and i not in repeats],
+                          validate, symmetry))
+
+    def exact(i):  # node i's result can be copied: it read nothing but prepared draws
+        return isinstance(results[i], FibreResult) and system.read[i] <= len(system.ahead)
+
     alone = []
     for i, lead in twins.items():
-        fibre = results[lead]
-        if isinstance(fibre, FibreResult) and system.read[lead] <= len(system.ahead):
-            results[i] = replace(
-                fibre, point=system.clouds[i, 0], fibre_basis=fibre.fibre_basis.copy(),
-                base_basis=fibre.base_basis.copy(), sym_basis=[m.copy() for m in fibre.sym_basis],
-                dim_history=list(fibre.dim_history))
+        if i in repeats:
+            continue
+        if exact(lead):
+            results[i] = _copy(results[lead], system.clouds[i, 0])
         else:
             alone.append(i)
     if alone:
         results.update(_solve(system, sorted(alone), validate, symmetry))
-    return [results[i] for i in range(len(system.read))]
+    for i, carry in enumerate(carries or ()):
+        if i not in repeats and exact(i):
+            carry.key, carry.result = _key(inputs, i), results[i]
+    return [results[i] for i in range(n)]
 
 
 def check_germ_args(radius, cloud):
@@ -696,7 +775,8 @@ def check_germ_args(radius, cloud):
 
 def fibres_at(model, Xs, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL,
               germ_radius=GERM_RADIUS, germ_cloud=GERM_CLOUD, validate=True, symmetry=False):
-    """Fibres at many body points in either mode: the one entry to the fibre kernel.
+    """Fibres at many body points in either mode: the fibre kernel's one entry
+    (:func:`carried_fibres`), without carries.
 
     Returns, per point, its :class:`FibreResult` or the
     :class:`MatdistError` that failed that point alone: a
@@ -715,22 +795,43 @@ def fibres_at(model, Xs, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_
     are solved once, and each gets its own copy of the result: bit-identical
     to querying the point alone, with its own ``point`` and arrays.
     """
+    return carried_fibres(model, Xs, None, mode, sampler, tol, germ_radius, germ_cloud,
+                          validate, symmetry)
+
+
+def carried_fibres(model, Xs, carries, mode="pointwise", sampler=DEFAULT_SAMPLER,
+                   tol=DEFAULT_TOL, germ_radius=GERM_RADIUS, germ_cloud=GERM_CLOUD,
+                   validate=True, symmetry=False):
+    """:func:`fibres_at` for a caller that queries the same nodes again.
+
+    ``carries`` holds one :class:`Carry` per point, or is ``None`` (then
+    this is :func:`fibres_at`).  A point whose solve inputs repeat its
+    carry's bit for bit takes a copy of the carried result and is not
+    solved; every exact result, with its inputs, replaces its point's
+    carry.  The answers are those of :func:`fibres_at` bit for bit.
+    """
     check_germ_args(germ_radius, germ_cloud)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     Xs = np.asarray(Xs, dtype=float).reshape(-1, 3)
     inside = [model.in_domain(X) for X in Xs]
     points = Xs if all(inside) else Xs[np.array(inside, dtype=bool)]
+    if carries is not None:
+        carries = [carry for carry, ok in zip(carries, inside) if ok]
 
-    def run(chunk):
+    def run(chunk, carried):
         try:
             return _fibres(_System(model, chunk, mode, tol, germ_radius, germ_cloud, sampler),
-                           validate, symmetry)
+                           validate, symmetry, carried)
         except MatdistError as exc:
-            return [exc] if len(chunk) == 1 else [f for X in chunk for f in run(X[None])]
+            if len(chunk) == 1:
+                return [exc]
+            return [f for j in range(len(chunk))
+                    for f in run(chunk[j:j + 1], carried and carried[j:j + 1])]
 
     step = _chunk_nodes(model, MODES.index(mode), germ_cloud, sampler, validate)
-    found = iter([f for i in range(0, len(points), step) for f in run(points[i:i + step])])
+    found = iter([f for i in range(0, len(points), step)
+                  for f in run(points[i:i + step], carries and carries[i:i + step])])
     return [next(found) if ok else
             DomainError(f"point {Xs[i].tolist()} is outside the domain of model {model.name!r}")
             for i, ok in enumerate(inside)]

@@ -16,7 +16,9 @@ from .distribution import (
     DEFAULT_SAMPLER,
     GERM_CLOUD,
     GERM_RADIUS,
+    Carry,
     base_basis_at,  # noqa: F401  (a module name the benchmark tracer wraps)
+    carried_fibres,
     fibres_at,
     material_fibre,  # noqa: F401  (a module name the benchmark tracer wraps)
 )
@@ -210,7 +212,14 @@ def check_trace_args(h, steps, mode="pointwise"):
 
 
 class _Leaf:
-    """One leaf of a lockstep trace: its polyline so far and how it ended."""
+    """One leaf of a lockstep trace: its polyline so far and how it ended.
+
+    ``carry`` keeps the leaf's last exact solve
+    (:class:`~matdist.distribution.Carry`): along a leaf on which the
+    response does not change, as on a plane of a laminate, the next query's
+    system repeats it bit for bit and is not solved again.  A leaf that
+    stops drops it, so the carries hold one system per moving leaf.
+    """
 
     def __init__(self, seed, hint, steps):
         self.seed = np.asarray(seed, dtype=float)
@@ -225,14 +234,17 @@ class _Leaf:
         self.stop_reason = "completed"
         self.error = None
         self.done = False
+        self.carry = Carry()
 
     def stop(self, reason):
         self.stop_reason = reason
         self.done = True
+        self.carry = None
 
     def fail(self, error):
         self.error = error
         self.done = True
+        self.carry = None
 
     def start(self, fibre):
         """Take the fibre at the seed; the first direction is the hint."""
@@ -297,8 +309,9 @@ def _stage_flow(model, leaves, sampler, tol):
         name = next(stages)
         out = np.zeros_like(P)
         live = [j for j, leaf in enumerate(leaves) if not leaf.done]
-        for j, fibre in zip(live, fibres_at(model, P[live], sampler=sampler, tol=tol,
-                                            validate=False)):
+        carries = [leaves[j].carry for j in live]
+        for j, fibre in zip(live, carried_fibres(model, P[live], carries, sampler=sampler,
+                                                 tol=tol, validate=False)):
             leaf = leaves[j]
             if isinstance(fibre, DomainError):
                 leaf.stop("domain_boundary")
@@ -325,28 +338,41 @@ def trace_leaves(model, seeds, dir_selects, steps, h, sampler=DEFAULT_SAMPLER, t
     ``seeds`` and ``dir_selects`` hold one point and one direction hint per
     leaf and ``steps`` one step count per leaf; all leaves share the step
     size ``h``.  Every RK4 stage makes one batched, unvalidated fibre query
-    (:func:`~matdist.distribution.fibres_at`) over the leaves still
+    (:func:`~matdist.distribution.carried_fibres`) over the leaves still
     moving, and the base basis found at a new point serves as the first
     stage of the next step, so a step costs three queries plus one at the
-    point it reaches.  Each leaf keeps its own stop reason, tie-breaks or
-    error (a :class:`MatdistError`, or a ``ValueError`` for a seed of grade
-    0 or a zero hint), and its trace is bit-identical to tracing it alone.
+    point it reaches.  A query derives each leaf's admissibility rows, but
+    solves only the leaves whose rows differ from those of the leaf's last
+    solve: along a leaf of a laminate such as ``example1`` the rows do not
+    change, and a 3-step leaf solves once or twice in its 13 queries.  Each
+    leaf keeps its own stop reason, tie-breaks or error (a
+    :class:`MatdistError`, or a ``ValueError`` for a seed of grade 0 or a
+    zero hint), and its trace is bit-identical to tracing it alone, one
+    solve per query.
     """
     check_trace_args(h, min(steps, default=0))
     leaves = [_Leaf(seed, hint, n) for seed, hint, n in zip(seeds, dir_selects, steps)]
     for leaf in leaves:
         if not model.in_domain(leaf.seed):
             leaf.fail(DomainError(f"seed {leaf.seed.tolist()} is outside the model domain"))
+
+    def query(moving):
+        return carried_fibres(model, [leaf.points[-1] for leaf in moving],
+                              [leaf.carry for leaf in moving], sampler=sampler, tol=tol,
+                              validate=False)
+
     starting = [leaf for leaf in leaves if not leaf.done]
-    for leaf, fibre in zip(starting, fibres_at(model, [leaf.seed for leaf in starting],
-                                               sampler=sampler, tol=tol, validate=False)):
+    for leaf, fibre in zip(starting, query(starting)):
         leaf.start(fibre)
 
     for step_index in range(max((leaf.steps for leaf in leaves), default=0)):
         moving = []
         first_stage = []
         for leaf in leaves:
-            if leaf.done or step_index >= leaf.steps:
+            if leaf.done:
+                continue
+            if step_index >= leaf.steps:
+                leaf.stop("completed")
                 continue
             leaf.direction, ambiguous = _project_direction(leaf.basis, leaf.direction)
             if ambiguous:
@@ -374,8 +400,7 @@ def trace_leaves(model, seeds, dir_selects, steps, h, sampler=DEFAULT_SAMPLER, t
             leaf.directions.append(leaf.direction)
             leaf.points.append(point)
             arrived.append(leaf)
-        for leaf, fibre in zip(arrived, fibres_at(model, [leaf.points[-1] for leaf in arrived],
-                                                  sampler=sampler, tol=tol, validate=False)):
+        for leaf, fibre in zip(arrived, query(arrived)):
             leaf.arrive(fibre)
     return [leaf.result(model, h) for leaf in leaves]
 
@@ -390,7 +415,9 @@ def leaf_trace(model, seed, dir_select, steps, h, sampler=DEFAULT_SAMPLER, tol=D
     when the grade drops below one, or when the projected field vanishes.
     ``h`` must lie in ``(0, MAX_STEP]`` and ``steps`` must be at least 0;
     ``mode`` is ``"pointwise"``, the only mode leaves are traced in.  This is
-    the one-leaf case of :func:`trace_leaves`; it raises the leaf's error.
+    the one-leaf case of :func:`trace_leaves`, so a stage whose system
+    repeats the last one bit for bit reuses its solve; it raises the
+    leaf's error.
     """
     check_trace_args(h, steps, mode)
     (trace,) = trace_leaves(model, [seed], [dir_select], [steps], h, sampler, tol)

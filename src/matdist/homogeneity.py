@@ -461,16 +461,17 @@ def _second_difference_residual(chart, samples):
     """Max second difference of the forward components over body coordinates."""
     step = _SECOND_DIFFERENCE_STEP
     worst = 0.0
+    f = chart.forward
     for X in samples:
+        centre = np.asarray(f(X))
         for k in range(3):
             for m in range(3):
                 hk = np.zeros(3)
                 hm = np.zeros(3)
                 hk[k] = step
                 hm[m] = step
-                f = chart.forward
                 if k == m:
-                    d2 = (np.asarray(f(X + hk)) - 2.0 * np.asarray(f(X)) + np.asarray(f(X - hk))) / step**2
+                    d2 = (np.asarray(f(X + hk)) - 2.0 * centre + np.asarray(f(X - hk))) / step**2
                 else:
                     d2 = (
                         np.asarray(f(X + hk + hm)) - np.asarray(f(X + hk - hm))

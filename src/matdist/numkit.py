@@ -7,6 +7,7 @@ boundaries, where rows of wildly different magnitude are mixed.
 """
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "rank_splits",
     "stacked_svd",
     "stacked_factor",
+    "triangular_factor",
     "jacobian_fd",
     "rk4_step",
 ]
@@ -114,10 +116,32 @@ def stacked_factor(M, vectors):
     rounding and no tall ``U`` is formed.  Without ``vectors`` only the
     singular values are computed, and ``Vh`` is ``None``.
     """
-    R = np.linalg.qr(M, mode="r") if M.shape[-2] > M.shape[-1] else M
+    R = triangular_factor(M) if M.shape[-2] > M.shape[-1] else M
     if not vectors:
         return R, np.linalg.svd(R, compute_uv=False), None
     return (R, *stacked_svd(R)[1:])
+
+
+@lru_cache(maxsize=64)  # a kernel factors blocks of at most 48 columns
+def _strict_lower(m, n):
+    """Read-only ``(m, n)`` mask of the entries below the diagonal."""
+    mask = np.tri(m, n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def triangular_factor(M):
+    """``R`` of the QR factorization of one matrix or a stack: ``(..., min(m, n), n)``.
+
+    Bit-identical to ``np.linalg.qr(M, mode="r")``, which zeroes the
+    Householder vectors below the diagonal of the same LAPACK factorization
+    with ``np.triu`` on every call; here the factorization comes from
+    ``mode="raw"`` and the zeros from a mask made once per shape.
+    """
+    h, _ = np.linalg.qr(M, mode="raw")  # the factored matrix, transposed
+    m, n = M.shape[-2:]
+    k = min(m, n)
+    return np.where(_strict_lower(k, n), 0.0, h.swapaxes(-1, -2)[..., :k, :])
 
 
 def jacobian_fd(f, x, tol=DEFAULT_TOL):

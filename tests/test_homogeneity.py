@@ -341,3 +341,39 @@ class TestDirectorFlatness:
         chart = self.cap_failing_once(TypeError("bug"))
         with pytest.raises(TypeError, match="bug"):
             homogeneity._base_diagnostics(example2, chart, self.SAMPLES, 2, DEFAULT_TOL)
+
+
+class TestSecondDifference:
+    def reference(self, chart, samples):
+        """The residual as it was first written: ``f(X)`` again for every diagonal term."""
+        step, f, worst = homogeneity._SECOND_DIFFERENCE_STEP, chart.forward, 0.0
+        for X in samples:
+            for k in range(3):
+                for m in range(3):
+                    hk, hm = np.zeros(3), np.zeros(3)
+                    hk[k], hm[m] = step, step
+                    if k == m:
+                        d2 = (np.asarray(f(X + hk)) - 2.0 * np.asarray(f(X))
+                              + np.asarray(f(X - hk))) / step**2
+                    else:
+                        d2 = (np.asarray(f(X + hk + hm)) - np.asarray(f(X + hk - hm))
+                              - np.asarray(f(X - hk + hm))
+                              + np.asarray(f(X - hk - hm))) / (4.0 * step**2)
+                    worst = max(worst, float(np.max(np.abs(d2))))
+        return worst
+
+    @pytest.mark.parametrize("chart", [builtin_chart("spherical_cap"), sheared_cube_chart(),
+                                       builtin_chart("identity")], ids=lambda c: c.name)
+    def test_one_centre_evaluation_per_sample(self, chart):
+        samples = np.random.default_rng(3).uniform(0.2, 0.6, (4, 3))
+        calls = []
+
+        def forward(X):
+            calls.append(1)
+            return chart.forward(X)
+
+        counted = Chart(chart.name, forward, chart.inverse, leafwise_count=2)
+        got = homogeneity._second_difference_residual(counted, samples)
+        want = self.reference(chart, samples)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert len(calls) == len(samples) * (1 + 3 * 2 + 6 * 4)

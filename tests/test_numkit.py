@@ -12,6 +12,7 @@ from matdist.numkit import (
     rank_splits,
     rk4_step,
     stacked_svd,
+    triangular_factor,
 )
 
 
@@ -94,6 +95,31 @@ class TestStackedSvd:
             if basis.shape[1]:
                 sigma_max = full_s[0]
                 assert np.abs(M @ basis).max() <= 10.0 * DEFAULT_TOL.rank_rel * sigma_max
+
+
+class TestTriangularFactor:
+    # the stacks the kernel factors: example1's pointwise first round, germ1
+    # blocks of example2, a germ1 system and a chunk of germ1 cloud blocks;
+    # then wide, square and empty ones
+    SHAPES = [(1, 99, 12), (5, 22, 12), (3, 300, 48), (2, 21, 16, 12), (4, 8, 12), (3, 5, 5),
+              (99, 12), (2, 0, 12)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("kind", ["generic", "zero-rows", "zero"])
+    def test_bit_equal_to_numpy_r(self, shape, kind):
+        M = np.random.default_rng(sum(shape)).standard_normal(shape)
+        if kind == "zero-rows":
+            M[..., ::3, :] = 0.0
+        elif kind == "zero":
+            M[...] = 0.0
+        got, want = triangular_factor(M), np.linalg.qr(M, mode="r")
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    def test_mask_is_not_shared_with_the_result(self):
+        R = triangular_factor(np.ones((6, 3)))
+        R[...] = 7.0
+        assert np.array_equal(triangular_factor(np.eye(3)), np.linalg.qr(np.eye(3), mode="r"))
 
 
 class TestJacobianFd:

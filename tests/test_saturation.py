@@ -8,6 +8,7 @@ the raw lifted rows.  Round 1 computes singular values alone, and held-out
 validation checks a whole group of nodes in one product.
 """
 
+import os
 import tracemalloc
 from collections import defaultdict
 from unittest import mock
@@ -17,20 +18,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matdist
 from matdist import distribution
 from matdist.distribution import (
     DEFAULT_SAMPLER,
     GERM_CLOUD,
     GERM_RADIUS,
     MODES,
+    Carry,
     SamplerConfig,
+    carried_fibres,
     fibres_at,
     material_fibre,
 )
 from matdist.errors import FibreInstabilityError, NonFiniteError, SamplerExhaustedError
-from matdist.foliation import GridSpec, grade_map
+from matdist.foliation import GridSpec, grade_map, leaf_trace
 from matdist.numkit import DEFAULT_TOL, Tolerances, rank_split, rank_splits, stacked_factor
-from matdist.response import ConstitutiveModel
+from matdist.response import ConstitutiveModel, load_model_file
 
 
 def block(rng, shape, kind):
@@ -470,6 +474,64 @@ class TestSolvedNodes:
             assert all(isinstance(e, FibreInstabilityError) and e.history == [11, 10] for e in got)
 
 
+class TestCarriedSolves:
+    # a leaf keeps its last solve when that solve read nothing but prepared
+    # draws and gave a result; a query whose prepared rows repeat it bit for
+    # bit takes a copy and never reaches _saturate
+    SEED, HINT = (0.4, 0.1, -0.2), (0.0, 1.0, 1.0)
+
+    def leaf_solves(self, monkeypatch, model):
+        """Kernel calls and nodes that reach ``_saturate`` in a 3-step leaf."""
+        queries = counting(monkeypatch, "_fibres")
+        calls = counting(monkeypatch, "_saturate")
+        trace = leaf_trace(model, self.SEED, self.HINT, 3, 0.01)
+        assert trace.stop_reason == "completed" and trace.n_points == 4
+        return len(queries), sum(len(nodes) for _, nodes in calls)
+
+    def test_example1_mdl_leaf_solves_at_most_twice(self, monkeypatch):
+        model = load_model_file(os.path.join(os.path.dirname(matdist.__file__), "mdl",
+                                             "example1.mdl"))
+        queries, solved = self.leaf_solves(monkeypatch, model)
+        assert queries == 13  # the seed, then three stages and the arrival per step
+        assert solved <= 2
+
+    def test_example2_leaf_solves_every_query(self, example2, monkeypatch):
+        assert self.leaf_solves(monkeypatch, example2) == (13, 13)
+
+    def test_rows_past_the_first_draw_are_compared(self, monkeypatch):
+        # drifting_model's first draw gives the same rows at every point and
+        # its second does not, so a carried solve at X2 = 0.1 is not reused at
+        # X2 = 0.2, whose rank gap differs; a third query there reuses it
+        points = [[(0.3, 0.1, 0.0)], [(0.3, 0.2, 0.0)], [(0.3, 0.2, 0.0)]]
+        want = [fibres_at(drifting_model(), X, validate=False)[0] for X in points]
+        assert want[0].rank_gap != want[1].rank_gap
+        model, carry = drifting_model(), Carry()
+        calls = counting(monkeypatch, "_saturate")
+        got = [carried_fibres(model, np.array(X), [carry], validate=False)[0] for X in points]
+        assert_same_nodes(got, want)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("k_max", [DEFAULT_SAMPLER.k_max, 2 * DEFAULT_SAMPLER.k_init],
+                             ids=["fourth-round", "unstable"])
+    def test_a_solve_that_reads_on_is_not_carried(self, monkeypatch, k_max):
+        # stepping_model gives every query at a point the same rows, but its
+        # solve reads past the two prepared draws (a fourth round) or fails,
+        # so nothing is carried and each query solves on its own
+        model, sampler, carry = stepping_model(), SamplerConfig(k_max=k_max), Carry()
+        X = np.array([(0.3, 0.2, 0.1)])
+        (want,) = fibres_at(stepping_model(), X, sampler=sampler, validate=False)
+        calls = counting(monkeypatch, "_saturate")
+        for _ in range(3):
+            (got,) = carried_fibres(model, X.copy(), [carry], sampler=sampler, validate=False)
+            assert_same_nodes([got], [want])
+        assert [nodes for _, nodes in calls] == [[0], [0], [0]]
+        assert carry.key is None and carry.result is None
+        if k_max == DEFAULT_SAMPLER.k_max:
+            assert want.dim_history == [11, 10, 9, 9]
+        else:
+            assert isinstance(want, FibreInstabilityError)
+
+
 def counting_draws(monkeypatch):
     """Per ``_System._raw`` call, the gradient count of each pool draw it reads."""
     draws = []
@@ -529,6 +591,26 @@ def stepping_model():
         return np.concatenate([dWdX, np.zeros((len(Xs), 1, 9))], axis=2)
 
     return ConstitutiveModel("stepping", 1, lambda Xs, Fs: np.zeros((len(Fs), 1)),
+                             derivatives=derivatives)
+
+
+def drifting_model():
+    """One base row per gradient: ``e1`` for a point's first 11 gradients (the
+    anchors and the first draw), then ``e1 + 1e-12 X2 e2``, below the rank
+    cutoff, so the null dimension is 11 at both rounds and the rank gap
+    depends on ``X2``."""
+    seen = {}
+
+    def derivatives(Xs, Fs):
+        dWdX = np.zeros((len(Xs), 1, 3))
+        for lane, (X, F) in enumerate(zip(Xs, Fs)):
+            first = seen.setdefault(X.tobytes(), {})
+            dWdX[lane, 0, 0] = 1.0
+            if first.setdefault(F.tobytes(), len(first)) >= 11:
+                dWdX[lane, 0, 1] = 1e-12 * X[1]
+        return np.concatenate([dWdX, np.zeros((len(Xs), 1, 9))], axis=2)
+
+    return ConstitutiveModel("drifting", 1, lambda Xs, Fs: np.zeros((len(Fs), 1)),
                              derivatives=derivatives)
 
 
