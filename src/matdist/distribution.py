@@ -174,45 +174,16 @@ class IsoCheck:
 
 
 _SAMPLER_BATCHES = 200
-_EPS = np.finfo(float).eps
-
-# the (i, j) cofactor of F is F[i+1, j+1] F[i+2, j+2] - F[i+1, j+2] F[i+2, j+1],
-# indices mod 3; the four rows pick those factors from the flattened F
-_COFACTOR_FACTORS = np.array(
-    [[3 * ((i + a) % 3) + (j + b) % 3 for i in range(3) for j in range(3)]
-     for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))]
-)
 
 
 def _accepted(Fs, sampler):
     """Which of the gradients ``Fs (n,3,3)`` the sampler accepts: ``(n,)`` bools.
 
-    A gradient passes when ``|det F| >= det_min`` and ``cond_2(F) <=
-    cond_max``, decided exactly as ``np.linalg.det`` and ``np.linalg.cond``
-    decide them.  A cheap bound settles most condition tests: for 3x3
-    matrices ``cond_2 <= p <= 3 cond_2`` with ``p = |F|_F |F^-1|_F`` and
-    ``|F^-1|_F = |cof F|_F / |det F|``.  ``p`` below ``cond_max`` accepts and
-    ``p`` above ``3 cond_max`` rejects, each by a relative margin that
-    covers the rounding of ``p`` and of ``np.linalg.cond`` (both a small
-    multiple of ``eps * cond``).  Only the gradients left in between, about
-    3 % of normal draws at the defaults, take the exact SVD.
+    ``|det F| >= det_min``, then ``np.linalg.cond(F) <= cond_max`` on the
+    gradients that pass; both compute each matrix of a stack on its own.
     """
-    det = np.linalg.det(Fs)
-    keep = np.abs(det) >= sampler.det_min
-    f = Fs.reshape(-1, 9)
-    g = f[:, _COFACTOR_FACTORS]
-    cof = g[:, 0] * g[:, 1] - g[:, 2] * g[:, 3]
-    # p^2 det^2, so that a zero determinant needs no division
-    p2d2 = np.einsum("ni,ni->n", f, f) * np.einsum("ni,ni->n", cof, cof)
-    d2 = det * det
-    margin = min(1e-9 + 64 * _EPS * sampler.cond_max, 1.0)
-    lo = sampler.cond_max * (1.0 - margin)  # NaN for cond_max = inf: then no bound decides
-    hi = 3.0 * sampler.cond_max * (1.0 + margin)
-    exact = keep & ~(p2d2 < lo * lo * d2)
-    keep &= ~(p2d2 > hi * hi * d2)
-    exact &= keep
-    if exact.any():
-        keep[exact] = np.linalg.cond(Fs[exact]) <= sampler.cond_max
+    keep = np.abs(np.linalg.det(Fs)) >= sampler.det_min
+    keep[keep] = np.linalg.cond(Fs[keep]) <= sampler.cond_max
     return keep
 
 
@@ -317,10 +288,10 @@ def _blocks(model, Xs, Fs, tol):
 # finish the results, one FibreResult per node.  A node may come with a carry,
 # its last exact solve (Carry): when its prepared rows repeat the carried ones
 # bit for bit, it takes a copy of that result and is not solved.
-# carried_fibres is the one entry, in both modes: it runs chunks of points
-# through the kernel and isolates each failure to its point.  fibres_at is
-# that entry without carries, which material_fibre, grade maps and the
-# homogeneity check call; leaf traces call it with one carry per leaf.
+# fibres_at is the one entry, in both modes: it runs chunks of points
+# through the kernel and isolates each failure to its point.  material_fibre,
+# grade maps and the homogeneity check call it without carries; leaf traces
+# pass one carry per leaf (fibres_at(..., carries=)).
 
 # bytes of the rows a chunk prepares (_System.prepare): they set its memory,
 # and larger chunks share the kernel's fixed cost among more nodes.  One
@@ -774,9 +745,9 @@ def check_germ_args(radius, cloud):
 
 
 def fibres_at(model, Xs, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL,
-              germ_radius=GERM_RADIUS, germ_cloud=GERM_CLOUD, validate=True, symmetry=False):
-    """Fibres at many body points in either mode: the fibre kernel's one entry
-    (:func:`carried_fibres`), without carries.
+              germ_radius=GERM_RADIUS, germ_cloud=GERM_CLOUD, validate=True, symmetry=False,
+              carries=None):
+    """Fibres at many body points in either mode: the fibre kernel's one entry.
 
     Returns, per point, its :class:`FibreResult` or the
     :class:`MatdistError` that failed that point alone: a
@@ -785,35 +756,26 @@ def fibres_at(model, Xs, mode="pointwise", sampler=DEFAULT_SAMPLER, tol=DEFAULT_
     and ``heldout_residual`` 0), and ``sym_basis`` is filled only when
     ``symmetry`` is set.  The cloud arguments (checked by
     :func:`check_germ_args`) and ``mode`` are checked before any compute.
-    In-domain points run in chunks sized by their prepared rows
-    (:func:`_chunk_nodes`).  Every point reads
-    the same gradient draws (:func:`_pool`), so results do not depend on
-    how the points are batched: a chunk that raises is re-run point by
-    point, which reproduces the others exactly and pins the failure to its
-    point.  Points of a chunk whose admissibility systems are bit-identical
-    (the same prepared rows and, in ``germ1`` mode, the same cloud offsets)
-    are solved once, and each gets its own copy of the result: bit-identical
-    to querying the point alone, with its own ``point`` and arrays.
-    """
-    return carried_fibres(model, Xs, None, mode, sampler, tol, germ_radius, germ_cloud,
-                          validate, symmetry)
+    The points are copied once, so no result shares memory with ``Xs``, and
+    the in-domain ones run in chunks sized by their prepared rows
+    (:func:`_chunk_nodes`).  Every point reads the same gradient draws
+    (:func:`_pool`), so results do not depend on how the points are
+    batched: a chunk that raises is re-run point by point, which reproduces
+    the others exactly and pins the failure to its point.  Points of a chunk
+    whose admissibility systems are bit-identical (the same prepared rows
+    and, in ``germ1`` mode, the same cloud offsets) are solved once, and
+    each gets its own copy of the result, with its own ``point`` and arrays.
 
-
-def carried_fibres(model, Xs, carries, mode="pointwise", sampler=DEFAULT_SAMPLER,
-                   tol=DEFAULT_TOL, germ_radius=GERM_RADIUS, germ_cloud=GERM_CLOUD,
-                   validate=True, symmetry=False):
-    """:func:`fibres_at` for a caller that queries the same nodes again.
-
-    ``carries`` holds one :class:`Carry` per point, or is ``None`` (then
-    this is :func:`fibres_at`).  A point whose solve inputs repeat its
-    carry's bit for bit takes a copy of the carried result and is not
-    solved; every exact result, with its inputs, replaces its point's
-    carry.  The answers are those of :func:`fibres_at` bit for bit.
+    A caller that queries the same nodes again passes ``carries``, one
+    :class:`Carry` per point: a point whose solve inputs repeat its carry's
+    bit for bit takes a copy of the carried result and is not solved, and
+    every exact result, with its inputs, replaces its point's carry.  Every
+    answer is bit-identical to querying its point alone, without carries.
     """
     check_germ_args(germ_radius, germ_cloud)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    Xs = np.asarray(Xs, dtype=float).reshape(-1, 3)
+    Xs = np.array(Xs, dtype=float).reshape(-1, 3)
     inside = [model.in_domain(X) for X in Xs]
     points = Xs if all(inside) else Xs[np.array(inside, dtype=bool)]
     if carries is not None:
@@ -849,8 +811,7 @@ def material_fibre(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL, mode="poi
     :func:`fibres_at`, in either mode, with the symmetry algebra extracted;
     it raises the point's error.
     """
-    (fibre,) = fibres_at(model, np.asarray(X, dtype=float)[None], mode, sampler, tol,
-                         germ_radius, germ_cloud, symmetry=True)
+    (fibre,) = fibres_at(model, [X], mode, sampler, tol, germ_radius, germ_cloud, symmetry=True)
     if isinstance(fibre, MatdistError):
         raise fibre
     return fibre
@@ -863,8 +824,7 @@ def base_basis_at(model, X, sampler=DEFAULT_SAMPLER, tol=DEFAULT_TOL):
     validation or symmetry extraction (:func:`fibres_at` with
     ``validate=False``); raises the point's error.
     """
-    (fibre,) = fibres_at(model, np.asarray(X, dtype=float)[None], sampler=sampler, tol=tol,
-                         validate=False)
+    (fibre,) = fibres_at(model, [X], sampler=sampler, tol=tol, validate=False)
     if isinstance(fibre, MatdistError):
         raise fibre
     return fibre.base_basis, fibre.grade, fibre.rank_gap

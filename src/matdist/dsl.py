@@ -380,8 +380,12 @@ class _Parser:
 
 def parse_expression(text):
     """Parse a single expression; returns the kind-annotated tree."""
-    tokens = [t for t in _tokenize(text) if t.type != "newline"]
-    parser = _Parser(tokens, _BASE_KINDS)
+    return _parse_tokens([t for t in _tokenize(text) if t.type != "newline"], _BASE_KINDS)
+
+
+def _parse_tokens(tokens, env):
+    """The checked tree of the one expression in ``tokens``, which end with an ``end`` token."""
+    parser = _Parser(tokens, env)
     node = parser.expr()
     tail = parser.peek()
     if tail.type != "end":
@@ -474,12 +478,7 @@ def _check_fresh_name(name, env, tok):
 
 
 def _parse_statement_expr(tokens, env):
-    parser = _Parser(list(tokens) + [_Token("end", "", 0, 0)], env)
-    node = parser.expr()
-    tail = parser.peek()
-    if tail.type != "end":
-        parser.error(f"unexpected trailing input {tail.text!r}", tail)
-    return _check_depth(node)
+    return _parse_tokens(list(tokens) + [_Token("end", "", 0, 0)], env)
 
 
 def _check_depth(node):

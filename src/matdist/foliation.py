@@ -18,7 +18,6 @@ from .distribution import (
     GERM_RADIUS,
     Carry,
     base_basis_at,  # noqa: F401  (a module name the benchmark tracer wraps)
-    carried_fibres,
     fibres_at,
     material_fibre,  # noqa: F401  (a module name the benchmark tracer wraps)
 )
@@ -309,9 +308,9 @@ def _stage_flow(model, leaves, sampler, tol):
         name = next(stages)
         out = np.zeros_like(P)
         live = [j for j, leaf in enumerate(leaves) if not leaf.done]
-        carries = [leaves[j].carry for j in live]
-        for j, fibre in zip(live, carried_fibres(model, P[live], carries, sampler=sampler,
-                                                 tol=tol, validate=False)):
+        fibres = fibres_at(model, P[live], sampler=sampler, tol=tol, validate=False,
+                           carries=[leaves[j].carry for j in live])
+        for j, fibre in zip(live, fibres):
             leaf = leaves[j]
             if isinstance(fibre, DomainError):
                 leaf.stop("domain_boundary")
@@ -338,13 +337,14 @@ def trace_leaves(model, seeds, dir_selects, steps, h, sampler=DEFAULT_SAMPLER, t
     ``seeds`` and ``dir_selects`` hold one point and one direction hint per
     leaf and ``steps`` one step count per leaf; all leaves share the step
     size ``h``.  Every RK4 stage makes one batched, unvalidated fibre query
-    (:func:`~matdist.distribution.carried_fibres`) over the leaves still
-    moving, and the base basis found at a new point serves as the first
-    stage of the next step, so a step costs three queries plus one at the
-    point it reaches.  A query derives each leaf's admissibility rows, but
-    solves only the leaves whose rows differ from those of the leaf's last
-    solve: along a leaf of a laminate such as ``example1`` the rows do not
-    change, and a 3-step leaf solves once or twice in its 13 queries.  Each
+    over the leaves still moving, with one carry per leaf
+    (:func:`~matdist.distribution.fibres_at` with ``carries``); the base
+    basis found at a new point serves as the first stage of the next step,
+    so a step costs three queries plus one at the point it reaches.  A query
+    derives each leaf's admissibility rows, but solves only the leaves whose
+    rows differ from those of the leaf's last solve: along a leaf of a
+    laminate such as ``example1`` the rows do not change, and a 3-step leaf
+    solves once or twice in its 13 queries.  Each
     leaf keeps its own stop reason, tie-breaks or error (a
     :class:`MatdistError`, or a ``ValueError`` for a seed of grade 0 or a
     zero hint), and its trace is bit-identical to tracing it alone, one
@@ -357,9 +357,8 @@ def trace_leaves(model, seeds, dir_selects, steps, h, sampler=DEFAULT_SAMPLER, t
             leaf.fail(DomainError(f"seed {leaf.seed.tolist()} is outside the model domain"))
 
     def query(moving):
-        return carried_fibres(model, [leaf.points[-1] for leaf in moving],
-                              [leaf.carry for leaf in moving], sampler=sampler, tol=tol,
-                              validate=False)
+        return fibres_at(model, [leaf.points[-1] for leaf in moving], sampler=sampler,
+                         tol=tol, validate=False, carries=[leaf.carry for leaf in moving])
 
     starting = [leaf for leaf in leaves if not leaf.done]
     for leaf, fibre in zip(starting, query(starting)):

@@ -1,9 +1,9 @@
 """Reference oracle for the gradient sampler: the plain acceptance test and draws.
 
-A gradient is accepted when ``np.linalg.det`` and ``np.linalg.cond`` pass it,
-and a generator keeps its own candidate loop, exactly as matdist sampled
-before its condition test was bounded.  Tests compare the package's sampler
-and its gradient pool against it; nothing in the package uses it.
+A gradient is accepted when ``np.linalg.det`` and ``np.linalg.cond``, both
+computed on every draw, pass it, and a generator keeps its own candidate
+loop.  Tests compare the package's sampler and its gradient pool against it;
+nothing in the package uses it.
 """
 
 import numpy as np

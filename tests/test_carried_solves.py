@@ -16,7 +16,7 @@ import pytest
 
 import matdist
 from matdist import distribution
-from matdist.distribution import Carry, FibreResult, carried_fibres, fibres_at
+from matdist.distribution import Carry, FibreResult, fibres_at, material_fibre
 from matdist.foliation import trace_leaves
 from matdist.response import builtin, load_model_file
 from test_leaf_lockstep import oracle_outcome
@@ -113,7 +113,7 @@ class TestCarriedQueries:
         carries = [Carry(), Carry()]
         counts = solves(monkeypatch)
         got = [fibre for pair in pairs
-               for fibre in carried_fibres(det_cal, np.array(pair), carries, validate=False)]
+               for fibre in fibres_at(det_cal, np.array(pair), validate=False, carries=carries)]
         assert counts == {"queried": 6, "solved": 1}  # one shared solve, then copies
         for fibre, want in zip(got, alone):
             assert_same_result(fibre, want)
@@ -123,16 +123,16 @@ class TestCarriedQueries:
     def test_moved_rows_solve_again(self, example2):
         carry = Carry()
         for X in self.POINTS[:3]:
-            (fibre,) = carried_fibres(example2, np.array([X]), [carry], validate=False)
+            (fibre,) = fibres_at(example2, np.array([X]), validate=False, carries=[carry])
             assert_same_result(fibre, fibres_at(example2, [X], validate=False)[0])
             assert carry.result is fibre
 
     def test_carries_of_out_of_domain_points_are_kept(self, example2):
         carry = Carry()
-        carried_fibres(example2, np.array([self.POINTS[0]]), [carry], validate=False)
+        fibres_at(example2, np.array([self.POINTS[0]]), validate=False, carries=[carry])
         kept = carry.key, carry.result
-        (error,) = carried_fibres(example2, np.array([[1.5, 0.0, 0.0]]), [carry],
-                                  validate=False)
+        (error,) = fibres_at(example2, np.array([[1.5, 0.0, 0.0]]), validate=False,
+                             carries=[carry])
         assert isinstance(error, distribution.DomainError)
         assert (carry.key, carry.result) == kept
 
@@ -143,7 +143,18 @@ class TestCarriedQueries:
         got = []
         for shift in (0.0, 0.01, 0.02):
             points = np.array([[0.5, shift, 0.0], [-0.2, 0.1, shift], [0.5, 0.3, shift]])
-            got += carried_fibres(models["example1"], points, carries, validate=False,
-                                  symmetry=True)
+            got += fibres_at(models["example1"], points, validate=False, symmetry=True,
+                             carries=carries)
         assert all(isinstance(fibre, FibreResult) for fibre in got)
         assert_own_arrays(got)
+
+    def test_results_do_not_alias_the_callers_points(self, models):
+        # the points are copied once per query: changing the caller's array
+        # afterwards leaves the point of every result as it was
+        example2, X = models["example2"], np.array([[0.3, 0.2, 0.1], [-0.4, 0.0, 0.5]])
+        got = [*fibres_at(example2, X, validate=False), material_fibre(example2, X[0]),
+               *fibres_at(example2, X, validate=False, carries=[Carry(), Carry()])]
+        want = [fibre.point.copy() for fibre in got]
+        X[:, 0] = 0.9
+        for fibre, point in zip(got, want):
+            assert np.array_equal(fibre.point, point)

@@ -1,10 +1,11 @@
 """The gradient sampler and its pool against the reference oracle.
 
-The package decides the condition test mostly by a bound, and every node
-reads one pool of draws per sampler; ``sampler_reference`` keeps the plain
-``det`` + ``cond`` test and the sequential draws of one generator.  Every
-decision and every pool draw must match it bit for bit, and so must whole
-fibres read from a pool that the oracle drew.
+The package tests each gradient with ``det`` and then ``cond`` on the draws
+that pass, and every node reads one pool of draws per sampler;
+``sampler_reference`` keeps the plain ``det`` + ``cond`` test on every draw
+and the sequential draws of one generator.  Every decision and every pool
+draw must match it bit for bit, and so must whole fibres read from a pool
+that the oracle drew.
 """
 
 import os
@@ -153,8 +154,8 @@ class TestPool:
         # draw t: k_init gradients at t = 0 and k_init << (t - 1) after,
         # one sample_gradients call per cloud point on the (seed, salt, t) generator
         sampler = SamplerConfig(seed=seed)
-        for t in range(4):
-            for points in (1, 21):
+        for t in range(5):
+            for points in (1, 16, 21):  # 16: a germ1 cloud the domain cuts (X1 = 0.99995)
                 rng = np.random.default_rng([seed & 0xFFFFFFFF, salt, t])
                 count = sampler.k_init << max(t - 1, 0)
                 want = [reference.sample_gradients(rng, count, sampler) for _ in range(points)]

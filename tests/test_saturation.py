@@ -27,7 +27,6 @@ from matdist.distribution import (
     MODES,
     Carry,
     SamplerConfig,
-    carried_fibres,
     fibres_at,
     material_fibre,
 )
@@ -507,7 +506,7 @@ class TestCarriedSolves:
         assert want[0].rank_gap != want[1].rank_gap
         model, carry = drifting_model(), Carry()
         calls = counting(monkeypatch, "_saturate")
-        got = [carried_fibres(model, np.array(X), [carry], validate=False)[0] for X in points]
+        got = [fibres_at(model, np.array(X), validate=False, carries=[carry])[0] for X in points]
         assert_same_nodes(got, want)
         assert len(calls) == 2
 
@@ -522,7 +521,7 @@ class TestCarriedSolves:
         (want,) = fibres_at(stepping_model(), X, sampler=sampler, validate=False)
         calls = counting(monkeypatch, "_saturate")
         for _ in range(3):
-            (got,) = carried_fibres(model, X.copy(), [carry], sampler=sampler, validate=False)
+            (got,) = fibres_at(model, X.copy(), sampler=sampler, validate=False, carries=[carry])
             assert_same_nodes([got], [want])
         assert [nodes for _, nodes in calls] == [[0], [0], [0]]
         assert carry.key is None and carry.result is None

@@ -63,8 +63,10 @@ def cases(files):
     ):
         for point in points:
             case(f"fibre {model} {point}", "fibre", "--model", model, "--point", point)
+    # near the boundary a germ1 cloud loses points: 16 of 21 at X1 = 0.99995, 19 at 0.9999
     for model, point in (("example1", "0.5,0,0"), ("example1", "0.99995,0,0"),
                          ("example2", "0.3,0.2,0.1"), ("example2", "0,0,0"),
+                         ("example2", "0.995,0.05,0"), ("example2", "0.9999,0,0"),
                          ("det_cal", "0.1,0.2,0.3")):
         case(f"fibre germ1 {model} {point}", "fibre", "--model", model, "--point", point,
              "--mode", "germ1")
@@ -77,6 +79,9 @@ def cases(files):
     for model in ("example1", "example2"):
         case(f"grade-map germ1 {model}", "grade-map", "--model", model, *GRID, "--grid-n", "3",
              "--mode", "germ1")
+    case("grade-map germ1 example2 near the sphere", "grade-map", "--model", "example2",
+         "--mode", "germ1", "--grid-lo", "-0.99,-0.99,-0.99", "--grid-hi", "0.99,0.99,0.99",
+         "--grid-n", "3")
     case("grade-map mdl csv", "grade-map", "--mdl", MDL, *GRID, "--grid-n", "5",
          "--format", "csv")
 
